@@ -18,45 +18,51 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import fields
 
-DEFAULTS = {
-    "seed": 0,
-    "threads": 0,  # 0 = leave the BLAS thread pool alone
-    "model.max_span_length": 5,
-    "model.filters": 64,
-    "model.heads": 2,
-    "model.layers": 1,
-    "model.dropout": 0.2,
-    "model.no_transformer": False,
-    "model.no_position": False,
-    "model.no_visual": False,
-    "embedding.token_dim": 64,
-    "embedding.position_dim": 32,
-    "embedding.source": "trainable",
-    "embedding.min_count": 2,
-    "embedding.frozen_vectors": None,
-    "train.lr_start": 1e-3,
-    "train.lr_end": 1e-4,
-    "train.batch_size": 16,
-    "train.max_epochs": 10,
-    "train.validation_fraction": 0.1,
-    "train.total_steps": None,
-    "train.max_doc_length": 256,
-    "predict.top_k": 10,
-    "predict.chunk_len": 256,
-    "predict.chunk_weight": 0.9,
+from .config import EmbeddingConfig, ModelConfig, PredictConfig, TrainingConfig
+
+# Config sections: key prefix -> dataclass. Every field is a key except the
+# nested embedding section, the fixed visual width, and the training seed,
+# which the top-level "seed" feeds.
+SECTIONS = {
+    "model": ModelConfig,
+    "embedding": EmbeddingConfig,
+    "train": TrainingConfig,
+    "predict": PredictConfig,
 }
+_NOT_KEYS = ("model.embedding", "embedding.visual_dim", "train.seed")
 
-ABLATIONS = ("no_transformer", "no_position", "no_visual")
+# The paper's ablation names, as model-config overrides.
+ABLATIONS = {
+    "no_transformer": {"layers": 0},
+    "no_position": {"no_position": True},
+    "no_visual": {"no_visual": True},
+}
 
 
 class CliError(RuntimeError):
     pass
 
 
+def default_config():
+    """Every config key with its default, read off the config dataclasses."""
+    cfg = {
+        "seed": TrainingConfig.seed,
+        "threads": 0,  # 0 = leave the BLAS thread pool alone
+        "embedding.frozen_vectors": None,  # a file path, not a model setting
+    }
+    for prefix, cls in SECTIONS.items():
+        for f in fields(cls):
+            key = f"{prefix}.{f.name}"
+            if key not in _NOT_KEYS:
+                cfg[key] = f.default
+    return cfg
+
+
 def load_run_config(config_path=None, overrides=(), seed=None, threads=None):
     """Merge defaults, config file, --set overrides, and dedicated flags."""
-    merged = dict(DEFAULTS)
+    merged = default_config()
     if config_path:
         try:
             with open(config_path, "r", encoding="utf-8") as fh:
@@ -102,47 +108,37 @@ def _apply_threads(cfg):
             os.environ[var] = str(n)
 
 
-def _model_config(cfg, ablate=()):
-    from .embedding import EmbeddingConfig
-    from .model import ModelConfig
+def _section(cfg, prefix, **given):
+    """The dataclass of section ``prefix`` built from the flat ``cfg``.
 
-    flags = {f"{name}": bool(cfg[f"model.{name}"]) for name in ABLATIONS}
-    for name in ablate:
+    Each value is coerced to the type of the field's default; ``given``
+    fields are taken as they are. The one optional field, train.total_steps,
+    is a step count, or None when its value is falsy.
+    """
+    for f in fields(SECTIONS[prefix]):
+        key = f"{prefix}.{f.name}"
+        if f.name in given:
+            continue
+        if f.name in SECTIONS:
+            given[f.name] = _section(cfg, f.name)
+        elif key not in _NOT_KEYS:
+            value = cfg[key]
+            if f.default is None:
+                given[f.name] = int(value) if value else None
+            else:
+                given[f.name] = type(f.default)(value)
+    return SECTIONS[prefix](**given)
+
+
+def _ablations(names):
+    overrides = {}
+    for name in names:
         if name not in ABLATIONS:
             raise CliError(
                 f"unknown ablation {name!r}; choose from {', '.join(ABLATIONS)}"
             )
-        flags[name] = True
-    return ModelConfig(
-        max_span_length=int(cfg["model.max_span_length"]),
-        filters=int(cfg["model.filters"]),
-        heads=int(cfg["model.heads"]),
-        layers=int(cfg["model.layers"]),
-        dropout=float(cfg["model.dropout"]),
-        embedding=EmbeddingConfig(
-            token_dim=int(cfg["embedding.token_dim"]),
-            position_dim=int(cfg["embedding.position_dim"]),
-            source=str(cfg["embedding.source"]),
-            min_count=int(cfg["embedding.min_count"]),
-        ),
-        **flags,
-    )
-
-
-def _training_config(cfg):
-    from .training import TrainingConfig
-
-    total = cfg["train.total_steps"]
-    return TrainingConfig(
-        lr_start=float(cfg["train.lr_start"]),
-        lr_end=float(cfg["train.lr_end"]),
-        batch_size=int(cfg["train.batch_size"]),
-        max_epochs=int(cfg["train.max_epochs"]),
-        validation_fraction=float(cfg["train.validation_fraction"]),
-        max_doc_length=int(cfg["train.max_doc_length"]),
-        seed=int(cfg["seed"]),
-        total_steps=int(total) if total else None,
-    )
+        overrides.update(ABLATIONS[name])
+    return overrides
 
 
 def _write_meta(out_path, cfg, command, extra=None):
@@ -174,13 +170,6 @@ def _load_frozen(cfg):
             raise CliError("embedding.source=frozen needs embedding.frozen_vectors")
         return FrozenVectors.load(path, int(cfg["embedding.token_dim"]))
     return None
-
-
-def _gold_from_dataset(path):
-    from .documents import read_dataset
-
-    items, _ = read_dataset(path, require_labels=True)
-    return {item.document.id: list(item.keyphrases) for item in items}
 
 
 # -- handlers ------------------------------------------------------------
@@ -262,12 +251,12 @@ def _run_train(args, cfg, mode):
     items, ingest = read_dataset(args.data, require_labels=True)
     if not items:
         raise CliError(f"no labeled documents in {args.data}")
-    train_cfg = _training_config(cfg)
+    train_cfg = _section(cfg, "train", seed=int(cfg["seed"]))
     frozen = _load_frozen(cfg)
     if args.init:
         model, _ = SpanScorer.load(_resolve_checkpoint(args.init), frozen_vectors=frozen)
     else:
-        model_cfg = _model_config(cfg, args.ablate)
+        model_cfg = _section(cfg, "model", **_ablations(args.ablate))
         vocab = None
         if model_cfg.embedding.source == "trainable":
             vocab = TokenVocabulary.build(
@@ -328,17 +317,14 @@ def cmd_predict(args, cfg):
     model, _ = SpanScorer.load(_resolve_checkpoint(args.model),
                                frozen_vectors=_load_frozen(cfg))
     items, _ = read_dataset(args.data)
-    top_k = args.top_k if args.top_k is not None else int(cfg["predict.top_k"])
+    predict_cfg = _section(cfg, "predict")
+    top_k = args.top_k if args.top_k is not None else predict_cfg.top_k
     predictions = []
     for item in items:
         doc = getattr(item, "document", item)
         if args.chunked:
-            pred = chunk_and_merge(
-                model,
-                doc,
-                chunk_len=int(cfg["predict.chunk_len"]),
-                chunk_weight=float(cfg["predict.chunk_weight"]),
-            )
+            pred = chunk_and_merge(model, doc, predict_cfg.chunk_len,
+                                   predict_cfg.chunk_weight)
         else:
             clipped = truncate(doc, int(cfg["train.max_doc_length"]))
             pred = predict_topk(model.distribution(clipped), clipped,
@@ -355,12 +341,14 @@ def cmd_predict(args, cfg):
 
 
 def cmd_evaluate(args, cfg):
+    from .documents import read_dataset
     from .fileio import write_json
     from .inference import read_predictions
     from .metrics import evaluate
 
     preds = {p.doc_id: p.phrase_list() for p in read_predictions(args.preds)}
-    gold = _gold_from_dataset(args.gold)
+    items, _ = read_dataset(args.gold, require_labels=True)
+    gold = {item.document.id: list(item.keyphrases) for item in items}
     depths = tuple(int(d) for d in args.depths.split(","))
     f1_depths = tuple(int(d) for d in args.f1.split(",")) if args.f1 else ()
     report = evaluate(preds, gold, depths=depths, f1_depths=f1_depths,
@@ -387,7 +375,7 @@ def cmd_baseline(args, cfg):
         raise CliError(f"no documents in {args.data}")
     stopwords = load_stopwords(args.stopwords) if args.stopwords else None
     kwargs = {"stopwords": stopwords} if stopwords else {}
-    top_k = args.top_k if args.top_k is not None else int(cfg["predict.top_k"])
+    top_k = args.top_k if args.top_k is not None else _section(cfg, "predict").top_k
     max_len = int(cfg["model.max_span_length"])
     if args.method == "tfidf":
         stats = CorpusStats.build(docs)
@@ -441,7 +429,7 @@ def cmd_gradcheck(args, cfg):
     from .embedding import TokenVocabulary
     from .training import TrainingExample, keyphrase_loss
 
-    model_cfg = _model_config(cfg, args.ablate)
+    model_cfg = _section(cfg, "model", **_ablations(args.ablate))
     if model_cfg.embedding.source != "trainable":
         raise CliError("gradcheck runs on the trainable-embedding configuration")
     doc, target = gradcheck_example(seed=int(cfg["seed"]))

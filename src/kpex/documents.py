@@ -10,15 +10,12 @@ occurrence of every matched phrase.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import MAX_DOC_LENGTH, MAX_SPAN_LENGTH, VISUAL_DIM
 from .fileio import DatasetError, read_jsonl
-
-VISUAL_DIM = 18
-MAX_SPAN_LENGTH = 5
-MAX_DOC_LENGTH = 256
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
@@ -55,10 +52,13 @@ class Document:
     visual: np.ndarray
     zero_visual: bool = False
     token_offset: int = 0  # position of token 0 in the source document
+    source_id: str = ""  # id of the source document; defaults to id
 
     def __post_init__(self):
         if not self.id:
             raise ValueError("document id must be non-empty")
+        if not self.source_id:
+            object.__setattr__(self, "source_id", self.id)
         if len(self.tokens) < 1:
             raise ValueError(f"document {self.id!r} has no tokens")
         if self.visual.shape != (len(self.tokens), VISUAL_DIM):
@@ -140,10 +140,7 @@ def truncate(doc, max_len=MAX_DOC_LENGTH):
         raise ValueError("max_len must be at least 1")
     if len(doc) <= max_len:
         return doc
-    return Document(
-        doc.id, doc.tokens[:max_len], doc.visual[:max_len],
-        doc.zero_visual, doc.token_offset,
-    )
+    return replace(doc, tokens=doc.tokens[:max_len], visual=doc.visual[:max_len])
 
 
 def enumerate_spans(n_tokens, max_len=MAX_SPAN_LENGTH):

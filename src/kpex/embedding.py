@@ -9,13 +9,12 @@ visual slice in place, keeping every parameter shape unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections import Counter
 
 import numpy as np
 
 from .autodiff import Tensor, concat, embedding_lookup
-from .documents import VISUAL_DIM
+from .config import EmbeddingConfig  # noqa: F401  (re-exported)
 from .fileio import DatasetError, read_jsonl
 
 UNK_TOKEN = "<unk>"
@@ -96,29 +95,6 @@ class TokenVocabulary:
         return cls(tuple(tokens))
 
 
-@dataclass(frozen=True)
-class EmbeddingConfig:
-    token_dim: int = 64
-    position_dim: int = 32
-    visual_dim: int = VISUAL_DIM
-    source: str = "trainable"  # or "frozen"
-    min_count: int = 2
-
-    def __post_init__(self):
-        if self.token_dim < 1:
-            raise ValueError("token_dim must be positive")
-        if self.position_dim < 2 or self.position_dim % 2 != 0:
-            raise ValueError("position_dim must be a positive even number")
-        if self.visual_dim != VISUAL_DIM:
-            raise ValueError(f"visual_dim is fixed at {VISUAL_DIM}")
-        if self.source not in ("trainable", "frozen"):
-            raise ValueError(f"unknown embedding source {self.source!r}")
-
-    @property
-    def width(self):
-        return self.token_dim + self.position_dim + self.visual_dim
-
-
 class TrainableLookup:
     """Contextual-embedding stand-in: a trainable per-type lookup table."""
 
@@ -158,10 +134,9 @@ class FrozenVectors:
         return cls(by_id, token_dim)
 
     def vectors_for(self, doc):
-        base_id = doc.id.split("#", 1)[0]
-        if base_id not in self._by_id:
-            raise KeyError(f"no frozen vectors for document {base_id!r}")
-        arr = self._by_id[base_id]
+        if doc.source_id not in self._by_id:
+            raise KeyError(f"no frozen vectors for document {doc.source_id!r}")
+        arr = self._by_id[doc.source_id]
         lo, hi = doc.token_offset, doc.token_offset + len(doc)
         if arr.shape[0] < hi:
             raise DatasetError(

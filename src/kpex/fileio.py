@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 
 class DatasetError(ValueError):
@@ -26,12 +25,16 @@ def read_jsonl(path):
                 ) from exc
 
 
-def _atomic_text(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def write_atomic(path, data):
+    """Replace ``path`` with ``data`` (str or bytes) through one rename.
+
+    The temporary file is made by ``open``, so both get the usual
+    0o666-minus-umask mode.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -40,8 +43,8 @@ def _atomic_text(path, text):
 
 
 def write_jsonl(path, objects):
-    _atomic_text(path, "".join(json.dumps(obj) + "\n" for obj in objects))
+    write_atomic(path, "".join(json.dumps(obj) + "\n" for obj in objects))
 
 
 def write_json(path, obj):
-    _atomic_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")

@@ -13,9 +13,10 @@ the top quarter of the list.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .documents import Document, tokenize
+from .config import PredictConfig
+from .documents import tokenize
 from .fileio import read_jsonl, write_jsonl
 
 
@@ -96,19 +97,15 @@ def chunk_document(doc, chunk_len):
     chunks = []
     for p, start in enumerate(range(0, len(doc), chunk_len)):
         stop = min(start + chunk_len, len(doc))
-        chunks.append(
-            Document(
-                f"{doc.id}#chunk{p}",
-                doc.tokens[start:stop],
-                doc.visual[start:stop],
-                doc.zero_visual,
-                doc.token_offset + start,
-            )
-        )
+        chunks.append(replace(
+            doc, id=f"{doc.id}#chunk{p}", tokens=doc.tokens[start:stop],
+            visual=doc.visual[start:stop], token_offset=doc.token_offset + start,
+        ))
     return chunks
 
 
-def chunk_and_merge(model, doc, chunk_len=256, chunk_weight=0.9):
+def chunk_and_merge(model, doc, chunk_len=PredictConfig.chunk_len,
+                    chunk_weight=PredictConfig.chunk_weight):
     """Zero-shot scoring of arbitrarily long documents.
 
     Each chunk p contributes weight chunk_weight**p of its own span

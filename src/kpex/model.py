@@ -12,62 +12,20 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from .config import EmbeddingConfig, ModelConfig
 from .documents import count_spans, enumerate_spans
-from .embedding import (
-    EmbeddingConfig,
-    TokenVocabulary,
-    TrainableLookup,
-    embed_document,
-)
+from .embedding import TokenVocabulary, TrainableLookup, embed_document
 from .registry import (
     ParameterRegistry,
     load_checkpoint,
     save_checkpoint,
     xavier_uniform,
 )
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    max_span_length: int = 5
-    filters: int = 64
-    heads: int = 2
-    layers: int = 1
-    dropout: float = 0.2
-    embedding: EmbeddingConfig = field(default_factory=EmbeddingConfig)
-    no_transformer: bool = False
-    no_position: bool = False
-    no_visual: bool = False
-
-    def __post_init__(self):
-        if self.max_span_length < 1:
-            raise ValueError("max_span_length must be at least 1")
-        if self.filters < 1:
-            raise ValueError("filters must be positive")
-        if self.layers < 0:
-            raise ValueError("layers must be non-negative")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
-        if self.heads < 1 or self.filters % self.heads != 0:
-            raise ValueError(
-                f"filters {self.filters} not divisible by heads {self.heads}"
-            )
-
-    def to_dict(self):
-        d = self.__dict__.copy()
-        d["embedding"] = self.embedding.__dict__.copy()
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["embedding"] = EmbeddingConfig(**d["embedding"])
-        return cls(**d)
 
 
 def full_scale_config():
@@ -226,8 +184,7 @@ class SpanScorer:
                               self.registry[f"cnn/k{k}/bias"])
             grams = ad.relu(grams)
             grams = ad.dropout(grams, cfg.dropout, rng=rng, train=train)
-            if not cfg.no_transformer:
-                grams = self._transformer(grams, train, rng)
+            grams = self._transformer(grams, train, rng)
             scores = self._scorer(grams, train, rng)
             pieces.append(ad.reshape(scores, (n - k + 1,)))
         logits = ad.concat(pieces, axis=0) if len(pieces) > 1 else pieces[0]
@@ -280,7 +237,11 @@ class SpanScorer:
     @classmethod
     def load(cls, path, frozen_vectors=None):
         meta, arrays = load_checkpoint(path)
-        config = ModelConfig.from_dict(meta["config"])
+        config = dict(meta["config"])
+        if config.pop("no_transformer", False):  # legacy spelling of layers=0
+            config["layers"] = 0
+            arrays = {n: a for n, a in arrays.items() if not n.startswith("transformer/")}
+        config = ModelConfig.from_dict(config)
         vocab = (
             TokenVocabulary.from_list(meta["vocab"])
             if meta.get("vocab") is not None

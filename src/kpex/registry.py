@@ -10,13 +10,12 @@ payload. Round-trips are exact.
 from __future__ import annotations
 
 import json
-import os
 import struct
-import tempfile
 
 import numpy as np
 
 from .autodiff import Tensor
+from .fileio import write_atomic
 
 MAGIC = b"KPEX"
 FORMAT_VERSION = 1
@@ -68,10 +67,6 @@ class ParameterRegistry:
     def n_values(self):
         return sum(t.data.size for t in self._params.values())
 
-    def state_arrays(self):
-        """Copies of every parameter array, keyed by name."""
-        return {name: t.data.copy() for name, t in self._params.items()}
-
     def load_arrays(self, arrays, strict=True):
         """Overwrite parameter values in place; shapes must match exactly."""
         mismatched = [
@@ -92,19 +87,6 @@ class ParameterRegistry:
                 self._params[name].data = np.asarray(arr, dtype=np.float64).copy()
 
 
-def _write_atomic(path, payload):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def save_checkpoint(path, registry, metadata):
     """Serialize registry + metadata to ``path`` (written atomically)."""
     meta_bytes = json.dumps(metadata, sort_keys=True).encode("utf-8")
@@ -121,7 +103,7 @@ def save_checkpoint(path, registry, metadata):
         parts.append(struct.pack("<B", arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         parts.append(arr.tobytes())
-    _write_atomic(path, b"".join(parts))
+    write_atomic(path, b"".join(parts))
 
 
 def load_checkpoint(path):

@@ -15,38 +15,15 @@ import math
 import os
 import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .autodiff import no_grad, softmax_cross_entropy
-from .documents import MAX_DOC_LENGTH, build_labels, span_index, truncate
+from .config import MAX_DOC_LENGTH, TrainingConfig  # noqa: F401  (re-exported)
+from .documents import build_labels, span_index, truncate
 from .fileio import write_json
 from .optim import Adam, geometric_lr
-
-
-@dataclass(frozen=True)
-class TrainingConfig:
-    lr_start: float = 1e-3
-    lr_end: float = 1e-4
-    batch_size: int = 16
-    max_epochs: int = 10
-    validation_fraction: float = 0.1
-    max_doc_length: int = MAX_DOC_LENGTH
-    seed: int = 0
-    total_steps: int | None = None  # schedule horizon; default = planned steps
-
-    def __post_init__(self):
-        if self.lr_start <= 0 or self.lr_end <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.lr_end > self.lr_start:
-            raise ValueError("lr_end must not exceed lr_start")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be at least 1")
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise ValueError("validation_fraction must be in [0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,11 +42,6 @@ def keyphrase_loss(model, example, train=False, rng=None):
     if len(dense) != logits.size:
         raise ValueError("target length does not match candidate count")
     return softmax_cross_entropy(logits, dense)
-
-
-# Query prediction optimizes the identical objective; the separate name keeps
-# call sites honest about which supervision source they run on.
-query_prediction_loss = keyphrase_loss
 
 
 @dataclass
@@ -108,9 +80,6 @@ class EpochStats:
     lr_last: float
     seconds: float
 
-    def to_dict(self):
-        return self.__dict__.copy()
-
 
 @dataclass
 class TrainRunRecord:
@@ -118,7 +87,6 @@ class TrainRunRecord:
     best_epoch: int | None
     best_val_loss: float | None
     steps: int
-    preparation: PreparationReport | None = None
 
 
 def _length_batches(examples, batch_size, rng):
@@ -137,6 +105,19 @@ def _mean_loss(model, batch, train, rng):
         loss = keyphrase_loss(model, ex, train=train, rng=rng)
         total = loss if total is None else total + loss
     return total * (1.0 / len(batch))
+
+
+def _zero_fill_idle_banks(model, batch):
+    """Zero gradients for the width-k banks that every document is too short for.
+
+    No k-gram exists in a document shorter than k, so such a bank takes no
+    part in the loss and its true gradient is zero.
+    """
+    longest = max(len(ex.document) for ex in batch)
+    for k in range(longest + 1, model.config.max_span_length + 1):
+        for name in (f"cnn/k{k}/weight", f"cnn/k{k}/bias"):
+            param = model.registry[name]
+            param.grad = np.zeros_like(param.data)
 
 
 def run_training(model, examples, config, run_dir=None, log=None, checkpoint_metadata=None):
@@ -167,7 +148,7 @@ def run_training(model, examples, config, run_dir=None, log=None, checkpoint_met
         os.makedirs(run_dir, exist_ok=True)
         write_json(
             os.path.join(run_dir, "config.json"),
-            {"training": config.__dict__.copy(), "model": model.config.to_dict()},
+            {"training": asdict(config), "model": model.config.to_dict()},
         )
     metrics_path = os.path.join(run_dir, "metrics.jsonl") if run_dir else None
     if metrics_path and os.path.exists(metrics_path):
@@ -185,6 +166,7 @@ def run_training(model, examples, config, run_dir=None, log=None, checkpoint_met
             if not math.isfinite(value):
                 raise RuntimeError(f"non-finite training loss at step {step}")
             loss.backward()
+            _zero_fill_idle_banks(model, batch)
             optimizer.step(geometric_lr(step, total_steps, config.lr_start, config.lr_end))
             step += 1
             epoch_losses.append(value)
@@ -216,7 +198,7 @@ def run_training(model, examples, config, run_dir=None, log=None, checkpoint_met
             record.best_epoch = epoch
         if run_dir:
             with open(metrics_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(stats.to_dict()) + "\n")
+                fh.write(json.dumps(asdict(stats)) + "\n")
             epoch_path = os.path.join(run_dir, f"epoch{epoch}.ckpt")
             extra = dict(checkpoint_metadata or {})
             extra["epoch"] = epoch

@@ -2,7 +2,9 @@
 
 import json
 import os
+import re
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,11 @@ from kpex.cli import CliError, config_digest, load_run_config, main
 from kpex.fileio import write_jsonl
 
 LAYOUT_DIR = os.path.join(os.path.dirname(__file__), "data", "layouts")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+# sha256 of the canonical default config; moves only when a key or default does
+DEFAULT_DIGEST = "0fcd828e52b005c1d9a626379b33a79a7066c9fe488c358686f8b803c668a877"
 
 SMALL_MODEL = [
     "--set", "model.filters=8",
@@ -87,6 +94,28 @@ class TestConfigMerging:
     def test_missing_config_file(self):
         with pytest.raises(CliError, match="not found"):
             load_run_config("/nonexistent/cfg.json")
+
+    def test_default_digest_pinned(self):
+        cfg = load_run_config()
+        assert len(cfg) == 24
+        assert config_digest(cfg) == DEFAULT_DIGEST
+
+    def test_loading_config_leaves_numpy_unloaded(self):
+        code = ("import sys, kpex.cli; kpex.cli.load_run_config(); "
+                "print('numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=SRC_DIR))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_readme_table_lists_every_key(self):
+        with open(README, encoding="utf-8") as fh:
+            rows = [line for line in fh if line.startswith("| `")]
+        documented = set()
+        for row in rows:
+            documented.update(re.findall(r"`([\w.]+)`", row.split("|")[1]))
+        assert documented == set(load_run_config())
 
     def test_digest_stable_and_sensitive(self):
         a = config_digest(load_run_config())
@@ -237,6 +266,44 @@ class TestTrainCli:
                      "--out", str(tmp_path / "r")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_ablate_no_transformer(self, pipeline, tmp_path):
+        run_dir = str(tmp_path / "r")
+        argv = SMALL_MODEL + [
+            "--set", "train.max_epochs=1",
+            "train", "--data", pipeline["data"], "--out", run_dir,
+            "--ablate", "no_transformer",
+        ]
+        assert main(argv) == 0
+        from kpex.model import SpanScorer
+
+        model, _ = SpanScorer.load(os.path.join(run_dir, "best.ckpt"))
+        assert model.config.layers == 0
+
+    def test_documents_shorter_than_max_span_length(self, tmp_path):
+        data = str(tmp_path / "short.jsonl")
+        write_jsonl(data, [{"id": f"d{i}", "text": f"w{i} w9", "keyphrases": ["w9"]}
+                           for i in range(6)])
+        argv = SMALL_MODEL + ["--set", "train.max_epochs=1",
+                              "train", "--data", data, "--out", str(tmp_path / "r")]
+        assert main(argv) == 0
+
+    def test_files_written_respect_umask(self, pipeline, tmp_path):
+        run_dir = str(tmp_path / "r")
+        preds = str(tmp_path / "preds.jsonl")
+        previous = os.umask(0o022)
+        try:
+            assert main(SMALL_MODEL + ["--set", "train.max_epochs=2", "train",
+                                       "--data", pipeline["data"], "--out", run_dir]) == 0
+            assert main(["predict", "--model", os.path.join(run_dir, "best"),
+                         "--data", pipeline["data"], "--out", preds]) == 0
+        finally:
+            os.umask(previous)
+        written = [os.path.join(run_dir, n) for n in os.listdir(run_dir)]
+        written += [preds, preds + ".meta.json"]
+        assert len(written) == 8
+        modes = {os.path.basename(p): oct(os.stat(p).st_mode & 0o777) for p in written}
+        assert set(modes.values()) == {"0o644"}, modes
+
     def test_unknown_ablation(self, pipeline, tmp_path, capsys):
         argv = ["train", "--data", pipeline["data"],
                 "--out", str(tmp_path / "r"), "--ablate", "no_dropout"]
@@ -266,6 +333,29 @@ class TestPredictCli:
         assert main(argv) == 0
         meta = json.load(open(out + ".meta.json"))
         assert meta["chunked"] is True and meta["dedup"] is True
+
+    @pytest.mark.parametrize("chunked", [[], ["--chunked"]])
+    def test_frozen_vectors_for_id_with_hash(self, tmp_path, chunked):
+        from kpex.embedding import EmbeddingConfig, FrozenVectors
+        from kpex.model import ModelConfig, SpanScorer
+
+        doc_id = "https://x.com/p#top"
+        data = str(tmp_path / "docs.jsonl")
+        write_jsonl(data, [{"id": doc_id, "text": "red blue stapler on sale now"}])
+        vectors = str(tmp_path / "vectors.jsonl")
+        rng = np.random.default_rng(0)
+        write_jsonl(vectors, [{"id": doc_id, "vectors": rng.normal(size=(6, 6)).tolist()}])
+        config = ModelConfig(filters=8, embedding=EmbeddingConfig(
+            token_dim=6, position_dim=4, source="frozen"))
+        model = str(tmp_path / "frozen.ckpt")
+        SpanScorer(config, frozen_vectors=FrozenVectors.load(vectors, 6)).save(model)
+        out = str(tmp_path / "preds.jsonl")
+        argv = ["--set", "embedding.source=frozen", "--set", "embedding.token_dim=6",
+                "--set", f"embedding.frozen_vectors={vectors}", "--set", "predict.chunk_len=4",
+                "predict", "--model", model, "--data", data, "--out", out] + chunked
+        assert main(argv) == 0
+        [line] = [json.loads(l) for l in open(out)]
+        assert line["id"] == doc_id and line["phrases"]
 
     def test_missing_checkpoint(self, pipeline, tmp_path, capsys):
         argv = ["predict", "--model", str(tmp_path / "ghost"),
@@ -351,6 +441,13 @@ class TestGradcheckCli:
         out = capsys.readouterr().out
         assert "max rel err" in out
         assert "passed" in out
+
+    def test_passes_without_transformer(self, capsys):
+        # the default config: with 8 filters and no layer norm before the
+        # scorer, zero-initialized biases sit on ReLU kinks
+        argv = ["gradcheck", "--samples", "2", "--ablate", "no_transformer"]
+        assert main(argv) == 0
+        assert "transformer/" not in capsys.readouterr().out
 
     def test_frozen_source_rejected(self, capsys):
         argv = ["--set", "embedding.source=frozen", "gradcheck"]

@@ -19,9 +19,10 @@ from kpex.embedding import (
 from kpex.fileio import DatasetError, write_jsonl
 
 
-def _doc(doc_id, tokens, offset=0):
+def _doc(doc_id, tokens, offset=0, source_id=""):
     visual = np.zeros((len(tokens), 18))
-    return Document(doc_id, tuple(tokens), visual, token_offset=offset)
+    return Document(doc_id, tuple(tokens), visual, token_offset=offset,
+                    source_id=source_id)
 
 
 class TestPositionEncoding:
@@ -204,8 +205,15 @@ class TestFrozenVectors:
         arr = np.arange(24, dtype=float).reshape(6, 4)
         path = self._write(tmp_path, [{"id": "d1", "vectors": arr.tolist()}])
         frozen = FrozenVectors.load(path, token_dim=4)
-        chunk = _doc("d1#chunk1", ["c", "d", "e"], offset=2)
+        chunk = _doc("d1#chunk1", ["c", "d", "e"], offset=2, source_id="d1")
         np.testing.assert_array_equal(frozen.vectors_for(chunk).data, arr[2:5])
+
+    def test_id_with_hash(self, tmp_path):
+        arr = np.arange(8, dtype=float).reshape(2, 4)
+        path = self._write(tmp_path, [{"id": "https://x.com/p#top", "vectors": arr.tolist()}])
+        frozen = FrozenVectors.load(path, token_dim=4)
+        doc = _doc("https://x.com/p#top", ["a", "b"])
+        np.testing.assert_array_equal(frozen.vectors_for(doc).data, arr)
 
     def test_missing_document(self, tmp_path):
         path = self._write(tmp_path, [{"id": "d1", "vectors": [[0.0]]}])

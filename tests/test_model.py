@@ -11,6 +11,21 @@ from kpex.model import (
     full_scale_config,
     score_spans,
 )
+from kpex.registry import save_checkpoint
+
+# Logits of the small 8-filter model (seed 0) with the old no_transformer=True
+# flag, recorded from the per-width forward that skipped the transformer.
+LEGACY_NO_TRANSFORMER_LOGITS = [
+    -0.26651717196311786, -0.2724980352337193, -0.11856607993391571,
+    -0.02385946513158775, -0.03540053646688443, -0.12635286032005036,
+    -0.250300361193726, -0.23541992936035322, -0.22902876729242325,
+    -0.20181086717967808, -0.12947774757182773, -0.003027711910264955,
+    -0.04707718896199317, 0.0031812594399576316, -0.06807699327594267,
+    -0.054729235739220304, -0.005431712806483032, 0.0,
+    -0.014879187626922792, -0.01770866451524013, -0.02980981860964832,
+    -0.05312402475006737, -0.11712392257200073, -0.07944596203417398,
+    -0.013222252835414141,
+]
 
 
 def _small_config(**overrides):
@@ -149,11 +164,6 @@ class TestForward:
         assert dist.probs[10:].sum() == 0.0
         assert dist.probs[:10].sum() == pytest.approx(1.0, abs=1e-6)
 
-    def test_no_transformer_path(self):
-        model = _model(_small_config(no_transformer=True))
-        logits, _ = model.forward(_doc(6))
-        assert logits.shape == (count_spans(6, 5),)
-
     def test_zero_layer_config(self):
         model = _model(_small_config(layers=0))
         assert model.parameter_census()["transformer_layers"] == 0
@@ -229,6 +239,36 @@ class TestPersistence:
         model.save(path)
         loaded, _ = SpanScorer.load(path)
         assert loaded.vocab.to_list() == ["alpha", "beta"]
+
+    def _legacy_checkpoint(self, path, no_transformer):
+        """A checkpoint as written before ``no_transformer`` became layers=0."""
+        cfg = _small_config(filters=8, embedding=EmbeddingConfig(token_dim=6, position_dim=4))
+        model = _model(cfg)
+        config = dict(cfg.to_dict(), no_transformer=no_transformer)
+        save_checkpoint(path, model.registry,
+                        {"format": "span-scorer", "config": config,
+                         "vocab": model.vocab.to_list()})
+        return model
+
+    def test_legacy_no_transformer_checkpoint(self, tmp_path):
+        path = str(tmp_path / "legacy.ckpt")
+        self._legacy_checkpoint(path, no_transformer=True)
+        loaded, _ = SpanScorer.load(path)
+        assert loaded.config.layers == 0
+        assert not any(n.startswith("transformer/") for n in loaded.registry.names())
+        doc = make_document("d", "red blue stapler red blue stapler red")
+        # logits of the same checkpoint under the skip-the-transformer forward
+        np.testing.assert_allclose(
+            loaded.forward(doc)[0].data, LEGACY_NO_TRANSFORMER_LOGITS, rtol=0, atol=1e-10
+        )
+
+    def test_legacy_transformer_flag_off_is_dropped(self, tmp_path):
+        path = str(tmp_path / "legacy.ckpt")
+        model = self._legacy_checkpoint(path, no_transformer=False)
+        loaded, _ = SpanScorer.load(path)
+        assert loaded.config == model.config
+        doc = _doc(7)
+        np.testing.assert_array_equal(loaded.forward(doc)[0].data, model.forward(doc)[0].data)
 
     def test_trainable_requires_vocab(self):
         with pytest.raises(ValueError, match="vocabulary"):

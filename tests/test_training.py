@@ -21,7 +21,6 @@ from kpex.training import (
     TrainingExample,
     keyphrase_loss,
     prepare_examples,
-    query_prediction_loss,
     run_training,
     _length_batches,
 )
@@ -75,9 +74,6 @@ class TestLossValues:
         ex = TrainingExample(doc, SpanTarget((Span(0, 1), Span(3, 2))))
         loss = keyphrase_loss(model, ex)
         assert float(loss.data) == pytest.approx(math.log(50), abs=1e-9)
-
-    def test_query_loss_is_same_function(self):
-        assert query_prediction_loss is keyphrase_loss
 
     def test_target_length_mismatch(self):
         model = _model()
@@ -202,6 +198,16 @@ class TestRunTraining:
         config = TrainingConfig(max_epochs=3, batch_size=4)
         run_training(_model(), _corpus(), config, log=seen.append)
         assert [s.epoch for s in seen] == [1, 2, 3]
+
+    def test_documents_shorter_than_max_span_length(self):
+        # 2-token documents build no bank of width 3..5: Adam must still step,
+        # and those banks, whose true gradient is zero, must not move
+        model = _model()
+        idle = model.registry["cnn/k3/weight"].data.copy()
+        config = TrainingConfig(max_epochs=2, batch_size=4, validation_fraction=0.0)
+        record = run_training(model, _corpus(n_docs=8, doc_len=2), config)
+        assert record.steps == 4
+        np.testing.assert_array_equal(model.registry["cnn/k3/weight"].data, idle)
 
     def test_empty_examples_rejected(self):
         with pytest.raises(ValueError, match="no training examples"):

@@ -181,6 +181,15 @@ class TestParseLayout:
         text, rows = parse_layout(layout)
         assert rows == []
 
+    def test_readme_layout_example_parses(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            after = fh.read().split("**Layout JSON**", 1)[1]
+        example = after.split("```json", 1)[1].split("```", 1)[0]
+        text, rows = parse_layout(json.loads(example))
+        assert text == "Product Title"
+        assert len(rows) == 2
+
     def test_features_align_after_retokenization(self):
         text, rows = parse_layout(self._load("product_page.json"))
         doc = passthrough_features("p1", text, rows)
