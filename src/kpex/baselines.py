@@ -125,9 +125,6 @@ class WordGraph:
     nodes: tuple
     weights: dict  # (u, v) -> weight, stored both ways
 
-    def degree(self, node):
-        return sum(w for (u, _), w in self.weights.items() if u == node)
-
 
 def build_word_graph(doc, window=2, stopwords=STOPWORDS):
     """Connect candidate words co-occurring within ``window`` text positions.

@@ -423,6 +423,8 @@ def cmd_agreement(args, cfg):
 
 
 def cmd_gradcheck(args, cfg):
+    import numpy as np
+
     from .gradcheck import finite_difference_check
     from .model import SpanScorer
     from .synthetic import gradcheck_example
@@ -435,6 +437,13 @@ def cmd_gradcheck(args, cfg):
     doc, target = gradcheck_example(seed=int(cfg["seed"]))
     vocab = TokenVocabulary.build([doc], min_count=2)
     model = SpanScorer(model_cfg, vocab=vocab, seed=int(cfg["seed"]))
+    # Zero-initialized biases over all-zero ReLU rows put pre-activations
+    # exactly on the kink, where central differences are meaningless; move
+    # them off it. Only the checked model changes, never training.
+    rng = np.random.default_rng(int(cfg["seed"]))
+    for _, p in model.registry.items():
+        if p.data.ndim == 1 and not p.data.any():
+            p.data[...] = rng.normal(0.0, 0.1, size=p.data.shape)
     example = TrainingExample(doc, target)
     errors = finite_difference_check(
         lambda: keyphrase_loss(model, example),

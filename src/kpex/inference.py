@@ -5,15 +5,18 @@ the shared tokenizer re-joined with single spaces: lowercase, punctuation
 detached, whitespace collapsed. Identical normalized phrases collapse to
 their best-scoring occurrence. For documents longer than the model's input
 budget, fixed-width chunks are scored independently and merged with
-geometrically decaying chunk weights; near-duplicate suppression drops any
-phrase that is a token-contiguous substring of a higher-ranked phrase from
-the top quarter of the list.
+geometrically decaying chunk weights. Near-duplicate suppression never
+touches the top quarter of the list (the protected head) and drops every
+lower phrase whose tokens form a contiguous run of a protected phrase's
+tokens; its cost is linear in the number of phrases.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .config import PredictConfig
 from .documents import tokenize
@@ -68,25 +71,20 @@ def predict_topk(distribution, doc, k):
 
 
 def _collapse_spans(distribution, doc):
-    order = sorted(
-        range(len(distribution.spans)),
-        key=lambda i: (
-            -distribution.probs[i],
-            distribution.spans[i].start,
-            distribution.spans[i].length,
-        ),
-    )
-    best = {}
+    # Document tokens are tokenizer output, which re-tokenizes to itself, so
+    # doc.phrase(span) is already the normalized phrase.
+    spans = distribution.spans
+    starts = np.fromiter((s.start for s in spans), dtype=np.int64, count=len(spans))
+    lengths = np.fromiter((s.length for s in spans), dtype=np.int64, count=len(spans))
+    order = np.lexsort((lengths, starts, -distribution.probs))
+    order = order[distribution.mask[order]]
+    seen = set()
     ranked = []
-    for i in order:
-        if not distribution.mask[i]:
-            continue
-        span = distribution.spans[i]
-        phrase = normalize_phrase(doc.phrase(span))
-        if phrase in best:
-            continue
-        best[phrase] = True
-        ranked.append((phrase, float(distribution.probs[i])))
+    for i, prob in zip(order.tolist(), distribution.probs[order].tolist()):
+        phrase = doc.phrase(spans[i])
+        if phrase not in seen:
+            seen.add(phrase)
+            ranked.append((phrase, prob))
     return ranked
 
 
@@ -130,29 +128,25 @@ def dedup_substrings(prediction):
     """Drop phrases that repeat a top-quarter phrase as a contiguous sub-span.
 
     The protected head is the top ceil(len/4) entries; those are never
-    removed. Anything below the head whose token sequence appears contiguously
-    inside a protected phrase is discarded.
+    removed. Anything below the head whose token sequence is a contiguous
+    run of a protected phrase's tokens, the empty run included, is discarded.
+    Every run of every head phrase goes into one set, so each phrase below
+    the head costs a single lookup.
     """
     phrases = prediction.phrases
     if not phrases:
         return prediction
     head = math.ceil(len(phrases) / 4)
-    protected = [tuple(p.split()) for p, _ in phrases[:head]]
-    kept = list(phrases[:head])
-    for phrase, score in phrases[head:]:
+    protected = {()}
+    for phrase, _ in phrases[:head]:
         tokens = tuple(phrase.split())
-        if not any(_contiguous_in(tokens, top) for top in protected):
-            kept.append((phrase, score))
-    return Prediction(prediction.doc_id, tuple(kept))
-
-
-def _contiguous_in(needle, haystack):
-    if len(needle) > len(haystack):
-        return False
-    return any(
-        haystack[i : i + len(needle)] == needle
-        for i in range(len(haystack) - len(needle) + 1)
+        n = len(tokens)
+        protected.update(tokens[i:j] for i in range(n) for j in range(i + 1, n + 1))
+    kept = tuple(
+        (phrase, score) for phrase, score in phrases[head:]
+        if tuple(phrase.split()) not in protected
     )
+    return Prediction(prediction.doc_id, phrases[:head] + kept)
 
 
 def write_predictions(path, predictions):

@@ -1,5 +1,6 @@
 """Command-line interface: config merging, each subcommand, exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -18,6 +19,11 @@ SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 # sha256 of the canonical default config; moves only when a key or default does
 DEFAULT_DIGEST = "0fcd828e52b005c1d9a626379b33a79a7066c9fe488c358686f8b803c668a877"
+
+# sha256 of the predictions JSONL of the golden corpus (float64, x86-64)
+GOLDEN_PAGES = os.path.join(os.path.dirname(__file__), "data", "golden", "pages.jsonl")
+GOLDEN_PLAIN = "d25580cbdf2f9ba9a7cb38d984a7f87c0ad2a70dc7fe8c6b8ada6bbbf9b8e134"
+GOLDEN_CHUNKED_DEDUP = "9dc417e95f9e54a7a40242731cf91c37370063ef30038fdbc676a31a6f3c0652"
 
 SMALL_MODEL = [
     "--set", "model.filters=8",
@@ -220,6 +226,19 @@ def pipeline(tmp_path_factory):
     return {"root": root, "data": data, "run_dir": run_dir}
 
 
+@pytest.fixture(scope="module")
+def golden_model(tmp_path_factory):
+    """An untrained default-config checkpoint over the golden corpus vocabulary."""
+    from kpex.documents import read_dataset
+    from kpex.embedding import TokenVocabulary
+    from kpex.model import ModelConfig, SpanScorer
+
+    docs, _ = read_dataset(GOLDEN_PAGES)
+    path = str(tmp_path_factory.mktemp("golden") / "untrained.ckpt")
+    SpanScorer(ModelConfig(), vocab=TokenVocabulary.build(docs), seed=0).save(path)
+    return path
+
+
 class TestTrainCli:
     def test_run_artifacts(self, pipeline):
         names = set(os.listdir(pipeline["run_dir"]))
@@ -357,6 +376,20 @@ class TestPredictCli:
         [line] = [json.loads(l) for l in open(out)]
         assert line["id"] == doc_id and line["phrases"]
 
+    @pytest.mark.parametrize("flags,digest", [
+        ([], GOLDEN_PLAIN),
+        (["--chunked", "--dedup"], GOLDEN_CHUNKED_DEDUP),
+    ], ids=["plain", "chunked-dedup"])
+    def test_golden_predictions(self, golden_model, tmp_path, flags, digest):
+        # every ranked phrase of an untrained default model on a fixed corpus:
+        # a 4-chunk page plus short pages of mixed Unicode and punctuation
+        out = str(tmp_path / "preds.jsonl")
+        argv = ["predict", "--model", golden_model, "--data", GOLDEN_PAGES,
+                "--out", out, "--top-k", "100000"] + flags
+        assert main(argv) == 0
+        with open(out, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest
+
     def test_missing_checkpoint(self, pipeline, tmp_path, capsys):
         argv = ["predict", "--model", str(tmp_path / "ghost"),
                 "--data", pipeline["data"], "--out", str(tmp_path / "p.jsonl")]
@@ -443,11 +476,16 @@ class TestGradcheckCli:
         assert "passed" in out
 
     def test_passes_without_transformer(self, capsys):
-        # the default config: with 8 filters and no layer norm before the
-        # scorer, zero-initialized biases sit on ReLU kinks
         argv = ["gradcheck", "--samples", "2", "--ablate", "no_transformer"]
         assert main(argv) == 0
         assert "transformer/" not in capsys.readouterr().out
+
+    def test_passes_on_small_model_without_transformer(self, capsys):
+        # all-zero conv rows and zero biases put scorer pre-activations on
+        # ReLU kinks when no layer norm precedes the scorer
+        argv = SMALL_MODEL + ["gradcheck", "--ablate", "no_transformer"]
+        assert main(argv) == 0
+        assert "passed" in capsys.readouterr().out
 
     def test_frozen_source_rejected(self, capsys):
         argv = ["--set", "embedding.source=frozen", "gradcheck"]

@@ -1,9 +1,13 @@
 """Phrase ranking, chunked scoring of long documents, and deduplication."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from kpex.documents import enumerate_spans, make_document
+from kpex.documents import enumerate_spans, make_document, tokenize
 from kpex.embedding import EmbeddingConfig, TokenVocabulary
 from kpex.inference import (
     Prediction,
@@ -25,6 +29,41 @@ def _distribution(n_tokens, probs, max_span_length=5, mask=None):
     if mask is None:
         mask = np.ones(len(spans), dtype=bool)
     return SpanDistribution(spans, probs, np.asarray(mask, dtype=bool))
+
+
+def _contiguous_in(needle, haystack):
+    if len(needle) > len(haystack):
+        return False
+    return any(
+        haystack[i : i + len(needle)] == needle
+        for i in range(len(haystack) - len(needle) + 1)
+    )
+
+
+def _dedup_oracle(prediction):
+    """The quadratic reference: test each tail phrase against each head phrase."""
+    phrases = prediction.phrases
+    head = math.ceil(len(phrases) / 4)
+    protected = [tuple(p.split()) for p, _ in phrases[:head]]
+    return phrases[:head] + tuple(
+        (phrase, score) for phrase, score in phrases[head:]
+        if not any(_contiguous_in(tuple(phrase.split()), top) for top in protected)
+    )
+
+
+def _collapse_oracle(distribution, doc):
+    """Rank by (-probability, start, length), re-normalizing every span's text."""
+    order = sorted(
+        range(len(distribution.spans)),
+        key=lambda i: (-distribution.probs[i], distribution.spans[i].start,
+                       distribution.spans[i].length),
+    )
+    ranked = {}
+    for i in order:
+        if distribution.mask[i]:
+            phrase = normalize_phrase(doc.phrase(distribution.spans[i]))
+            ranked.setdefault(phrase, float(distribution.probs[i]))
+    return tuple(ranked.items())
 
 
 class FakeModel:
@@ -97,6 +136,33 @@ class TestPredictTopk:
         dist = _distribution(1, [1.0])
         with pytest.raises(ValueError):
             predict_topk(dist, doc, k=0)
+
+    @given(st.text())
+    @example("İstanbul Straße ﬁle ΟΔΟΣ, «x»…")
+    def test_tokens_retokenize_to_themselves(self, text):
+        # span phrases are document tokens joined by spaces, so they need
+        # no second normalization
+        assert tokenize(" ".join(tokenize(text))) == tokenize(text)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        text=st.text(min_size=1, max_size=40),
+        levels=st.lists(st.integers(0, 3), min_size=1),
+        masked=st.lists(st.booleans(), min_size=1),
+    )
+    @example(text="İstanbul ß ﬁle σχολή!! ﬁle", levels=[1, 0], masked=[False])
+    def test_matches_renormalizing_oracle(self, text, levels, masked):
+        doc = make_document("d", text)
+        if doc is None:
+            return
+        spans = enumerate_spans(len(doc), 5)
+        # few distinct probability levels, so ties decide most of the order
+        probs = np.array([levels[i % len(levels)] + 1.0 for i in range(len(spans))])
+        mask = np.array([not masked[i % len(masked)] for i in range(len(spans))])
+        mask[0] = True
+        dist = _distribution(len(doc), probs / probs.sum(), mask=mask)
+        pred = predict_topk(dist, doc, k=len(spans))
+        assert pred.phrases == _collapse_oracle(dist, doc)
 
 
 class TestChunkDocument:
@@ -242,6 +308,33 @@ class TestDedupSubstrings:
     def test_empty_prediction(self):
         pred = Prediction("d", ())
         assert dedup_substrings(pred).phrases == ()
+
+    def test_empty_tail_phrase_dropped(self):
+        # the empty token run occurs in every protected phrase
+        pred = self._pred(["a b", "", "c", "d"])
+        assert dedup_substrings(pred).phrase_list() == ["a b", "c", "d"]
+
+    def test_tail_longer_than_every_protected_phrase_kept(self):
+        pred = self._pred(["a b", "a b c d e f g", "c", "d"])
+        assert dedup_substrings(pred).phrase_list() == [
+            "a b", "a b c d e f g", "c", "d",
+        ]
+
+    def test_head_phrase_longer_than_five_tokens(self):
+        pred = self._pred(["a b c d e f g", "b c d e f g", "g a", "x"])
+        assert dedup_substrings(pred).phrase_list() == ["a b c d e f g", "g a", "x"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=7).map(" ".join),
+        min_size=1, max_size=40,
+    ))
+    def test_matches_pairwise_oracle(self, phrases):
+        # repeated tokens, 0- to 7-token phrases, heads of size 1 up to 10
+        pred = self._pred(phrases)
+        kept = dedup_substrings(pred)
+        assert kept.doc_id == "d"
+        assert kept.phrases == _dedup_oracle(pred)
 
 
 class TestPredictionIO:
