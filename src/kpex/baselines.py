@@ -4,7 +4,9 @@ Both score the same candidate set as the neural model, filtered to plausible
 phrases: no punctuation anywhere, no stopword at either boundary (interior
 stopwords are fine, as in "state of the art"). TFIDF averages smoothed
 tf*idf over the span's tokens; TextRank runs PageRank-style propagation over
-a word co-occurrence graph and sums word scores over the span.
+a word co-occurrence graph and sums word scores over the span. The scored
+spans are ranked by ``inference.rank_phrases``, the ranking and tie-break of
+``predict``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .documents import enumerate_spans
-from .inference import Prediction, normalize_phrase
+from .inference import Prediction, rank_phrases
+# Unused here: the benchmark's tracer (bench/tracing.py) patches this binding.
+from .inference import normalize_phrase  # noqa: F401
 
 # standard English function words; override per corpus via load_stopwords
 STOPWORDS = frozenset("""
@@ -92,30 +96,11 @@ def tfidf_score(span, doc, stats, counts=None):
     return total / span.length
 
 
-def _rank_candidates(doc, spans, score_fn, top_k):
-    scored = []
-    for span in spans:
-        scored.append((span, score_fn(span)))
-    scored.sort(key=lambda pair: (-pair[1], pair[0].start, pair[0].length))
-    ranked = []
-    seen = set()
-    for span, score in scored:
-        phrase = normalize_phrase(doc.phrase(span))
-        if phrase in seen:
-            continue
-        seen.add(phrase)
-        ranked.append((phrase, float(score)))
-        if len(ranked) == top_k:
-            break
-    return Prediction(doc.id, tuple(ranked))
-
-
 def tfidf_rank(doc, stats, max_span_length=5, top_k=10, stopwords=STOPWORDS):
     spans = candidate_filter(enumerate_spans(len(doc), max_span_length), doc, stopwords)
     counts = Counter(doc.tokens)
-    return _rank_candidates(
-        doc, spans, lambda s: tfidf_score(s, doc, stats, counts), top_k
-    )
+    scores = [tfidf_score(s, doc, stats, counts) for s in spans]
+    return Prediction(doc.id, tuple(rank_phrases(doc, spans, scores, top_k)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +199,7 @@ def textrank_rank(
     scores = textrank_scores(doc, window=window, damping=damping, stopwords=stopwords)
     spans = candidate_filter(enumerate_spans(len(doc), max_span_length), doc, stopwords)
 
-    def span_score(span):
-        return sum(scores.get(t, 0.0) for t in doc.tokens[span.start : span.stop])
-
-    return _rank_candidates(doc, spans, span_score, top_k)
+    span_scores = [
+        sum(scores.get(t, 0.0) for t in doc.tokens[s.start : s.stop]) for s in spans
+    ]
+    return Prediction(doc.id, tuple(rank_phrases(doc, spans, span_scores, top_k)))

@@ -130,6 +130,12 @@ def _section(cfg, prefix, **given):
     return SECTIONS[prefix](**given)
 
 
+def _predict_section(args, cfg):
+    """The predict section; a --top-k flag replaces predict.top_k, checked alike."""
+    given = {} if args.top_k is None else {"top_k": args.top_k}
+    return _section(cfg, "predict", **given)
+
+
 def _ablations(names):
     overrides = {}
     for name in names:
@@ -231,7 +237,7 @@ def cmd_build_qp(args, cfg):
         line = {"id": ex.document.id, "text": raw["text"]}
         if raw.get("visual") is not None:
             line["visual"] = raw["visual"]
-        line["keyphrases"] = list(ex.queries)
+        line["keyphrases"] = list(ex.keyphrases)
         lines.append(line)
     write_jsonl(args.out, lines)
     report = stats.to_dict()
@@ -314,11 +320,10 @@ def cmd_predict(args, cfg):
     from .inference import chunk_and_merge, dedup_substrings, predict_topk, write_predictions
     from .model import SpanScorer
 
+    predict_cfg = _predict_section(args, cfg)
     model, _ = SpanScorer.load(_resolve_checkpoint(args.model),
                                frozen_vectors=_load_frozen(cfg))
     items, _ = read_dataset(args.data)
-    predict_cfg = _section(cfg, "predict")
-    top_k = args.top_k if args.top_k is not None else predict_cfg.top_k
     predictions = []
     for item in items:
         doc = getattr(item, "document", item)
@@ -331,7 +336,7 @@ def cmd_predict(args, cfg):
                                 k=model.expected_logit_count(len(clipped)))
         if args.dedup:
             pred = dedup_substrings(pred)
-        predictions.append(type(pred)(pred.doc_id, pred.phrases[:top_k]))
+        predictions.append(type(pred)(pred.doc_id, pred.top(predict_cfg.top_k)))
     write_predictions(args.out, predictions)
     _write_meta(args.out, cfg, "predict",
                 {"model": args.model, "documents": len(predictions),
@@ -366,6 +371,7 @@ def cmd_baseline(args, cfg):
     from .documents import read_dataset, truncate
     from .inference import write_predictions
 
+    top_k = _predict_section(args, cfg).top_k
     items, _ = read_dataset(args.data)
     docs = [
         truncate(getattr(item, "document", item), int(cfg["train.max_doc_length"]))
@@ -375,7 +381,6 @@ def cmd_baseline(args, cfg):
         raise CliError(f"no documents in {args.data}")
     stopwords = load_stopwords(args.stopwords) if args.stopwords else None
     kwargs = {"stopwords": stopwords} if stopwords else {}
-    top_k = args.top_k if args.top_k is not None else _section(cfg, "predict").top_k
     max_len = int(cfg["model.max_span_length"])
     if args.method == "tfidf":
         stats = CorpusStats.build(docs)

@@ -101,3 +101,11 @@ class PredictConfig:
     top_k: int = 10
     chunk_len: int = MAX_DOC_LENGTH  # the model's input budget
     chunk_weight: float = 0.9
+
+    def __post_init__(self):
+        if self.top_k < 1:
+            raise ValueError("top_k must be at least 1")
+        if self.chunk_len < 1:
+            raise ValueError("chunk_len must be at least 1")
+        if not 0.0 < self.chunk_weight <= 1.0:
+            raise ValueError("chunk_weight must be in (0, 1]")

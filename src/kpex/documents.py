@@ -235,6 +235,7 @@ def read_dataset(path, require_labels=False):
     Returns (items, IngestReport). Items are LabeledDocuments when the line
     carries keyphrases, otherwise bare Documents. Documents that tokenize to
     nothing are skipped and counted, not fatal; structural problems (bad JSON,
+    a text that is not a string, keyphrases that are not a list of strings,
     wrong visual shape, duplicate ids) raise DatasetError.
     """
     items = []
@@ -248,15 +249,21 @@ def read_dataset(path, require_labels=False):
         if doc_id in seen_ids:
             raise DatasetError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
         seen_ids.add(doc_id)
+        if not isinstance(obj["text"], str):
+            raise DatasetError(f"{path}:{lineno}: text must be a string")
+        phrases = obj.get("keyphrases")
+        if phrases is not None and not (
+            isinstance(phrases, list) and all(isinstance(p, str) for p in phrases)
+        ):
+            raise DatasetError(f"{path}:{lineno}: keyphrases must be a list of strings")
         doc = make_document(doc_id, obj["text"], obj.get("visual"))
         if doc is None:
             report.skipped_empty.append(doc_id)
             continue
         if doc.zero_visual:
             report.zero_visual.append(doc_id)
-        phrases = obj.get("keyphrases")
         if phrases:
-            items.append(LabeledDocument(doc, tuple(str(p) for p in phrases)))
+            items.append(LabeledDocument(doc, tuple(phrases)))
         elif require_labels:
             report.skipped_unlabeled.append(doc_id)
             continue

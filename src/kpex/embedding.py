@@ -21,20 +21,6 @@ UNK_TOKEN = "<unk>"
 MASK_TOKEN = "<mask>"
 
 
-def position_encoding(position, dims):
-    """Sinusoidal code: dim 2p = sin(i / 10000^(2p/P)), dim 2p+1 = cos(same)."""
-    if dims < 2 or dims % 2 != 0:
-        raise ValueError("position dims must be a positive even number")
-    if position < 0:
-        raise ValueError("position must be non-negative")
-    p = np.arange(dims // 2)
-    angles = position / np.power(10000.0, 2.0 * p / dims)
-    vec = np.empty(dims)
-    vec[0::2] = np.sin(angles)
-    vec[1::2] = np.cos(angles)
-    return vec
-
-
 def position_matrix(n_tokens, dims):
     p = np.arange(dims // 2)
     positions = np.arange(n_tokens)[:, None]

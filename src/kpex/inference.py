@@ -2,25 +2,27 @@
 
 Predictions are ranked lists of (normalized phrase, score). Normalization is
 the shared tokenizer re-joined with single spaces: lowercase, punctuation
-detached, whitespace collapsed. Identical normalized phrases collapse to
-their best-scoring occurrence. For documents longer than the model's input
-budget, fixed-width chunks are scored independently and merged with
-geometrically decaying chunk weights. Near-duplicate suppression never
-touches the top quarter of the list (the protected head) and drops every
-lower phrase whose tokens form a contiguous run of a protected phrase's
-tokens; its cost is linear in the number of phrases.
+detached, whitespace collapsed. ``rank_phrases`` is the one ranking of scored
+spans, shared by plain and chunked prediction and by the baselines: identical
+phrases collapse to their best-scoring occurrence. For documents longer than
+the model's input budget, fixed-width chunks are scored independently and
+merged with geometrically decaying chunk weights. Near-duplicate
+suppression never touches the top quarter of the list (the protected head)
+and drops every lower phrase whose tokens form a contiguous run of a
+protected phrase's tokens; its cost is linear in the number of phrases.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import compress
 
 import numpy as np
 
 from .config import PredictConfig
 from .documents import tokenize
-from .fileio import read_jsonl, write_jsonl
+from .fileio import DatasetError, read_jsonl, write_jsonl
 
 
 def _stem_token(token):
@@ -58,34 +60,41 @@ class Prediction:
         return [p for p, _ in self.phrases]
 
 
-def predict_topk(distribution, doc, k):
-    """The k best phrases from a span distribution.
+def rank_phrases(doc, spans, scores, k=None):
+    """Rank scored spans of ``doc`` into (phrase, score) pairs, one per phrase.
 
-    Spans sort by probability; ties break by earlier start, then shorter
-    length. Spans sharing a normalized phrase collapse to the best one.
+    Spans sort by score, then earlier start, then shorter length; a phrase
+    keeps the score of its first span in that order. With ``k``, ranking
+    stops after k phrases. Document tokens are tokenizer output, which
+    re-tokenizes to itself, so doc.phrase(span) is already normalized.
     """
-    if k < 1:
+    if k is not None and k < 1:
         raise ValueError("k must be at least 1")
-    ranked = _collapse_spans(distribution, doc)
-    return Prediction(doc.id, tuple(ranked[:k]))
-
-
-def _collapse_spans(distribution, doc):
-    # Document tokens are tokenizer output, which re-tokenizes to itself, so
-    # doc.phrase(span) is already the normalized phrase.
-    spans = distribution.spans
+    scores = np.asarray(scores, dtype=np.float64)
     starts = np.fromiter((s.start for s in spans), dtype=np.int64, count=len(spans))
     lengths = np.fromiter((s.length for s in spans), dtype=np.int64, count=len(spans))
-    order = np.lexsort((lengths, starts, -distribution.probs))
-    order = order[distribution.mask[order]]
+    order = np.lexsort((lengths, starts, -scores))
     seen = set()
     ranked = []
-    for i, prob in zip(order.tolist(), distribution.probs[order].tolist()):
+    for i, score in zip(order.tolist(), scores[order].tolist()):
         phrase = doc.phrase(spans[i])
         if phrase not in seen:
             seen.add(phrase)
-            ranked.append((phrase, prob))
+            ranked.append((phrase, score))
+            if len(ranked) == k:
+                break
     return ranked
+
+
+def _unmasked(distribution):
+    """The spans a distribution scores, with their probabilities."""
+    mask = distribution.mask
+    return list(compress(distribution.spans, mask.tolist())), distribution.probs[mask]
+
+
+def predict_topk(distribution, doc, k):
+    """The k best phrases of a span distribution, ranked by rank_phrases."""
+    return Prediction(doc.id, tuple(rank_phrases(doc, *_unmasked(distribution), k)))
 
 
 def chunk_document(doc, chunk_len):
@@ -115,7 +124,7 @@ def chunk_and_merge(model, doc, chunk_len=PredictConfig.chunk_len,
     merged = {}
     tie_key = {}
     for p, chunk in enumerate(chunk_document(doc, chunk_len)):
-        ranked = _collapse_spans(model.distribution(chunk), chunk)
+        ranked = rank_phrases(chunk, *_unmasked(model.distribution(chunk)))
         weight = chunk_weight**p
         for rank, (phrase, score) in enumerate(ranked):
             merged[phrase] = merged.get(phrase, 0.0) + weight * score
@@ -159,9 +168,22 @@ def write_predictions(path, predictions):
     )
 
 
+def _is_pair(entry):
+    return (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+            and isinstance(entry[1], (int, float)))
+
+
 def read_predictions(path):
+    """Load the JSONL that write_predictions writes; bad lines fail with file:line."""
     predictions = []
-    for _, obj in read_jsonl(path):
-        phrases = tuple((str(s), float(v)) for s, v in obj["phrases"])
-        predictions.append(Prediction(str(obj["id"]), phrases))
+    for lineno, obj in read_jsonl(path):
+        if not isinstance(obj, dict) or "id" not in obj or "phrases" not in obj:
+            raise DatasetError(f"{path}:{lineno}: expected an object with id and phrases")
+        phrases = obj["phrases"]
+        if not isinstance(phrases, list) or not all(_is_pair(p) for p in phrases):
+            raise DatasetError(
+                f"{path}:{lineno}: phrases must be a list of [phrase, score] pairs"
+            )
+        pairs = tuple((phrase, float(score)) for phrase, score in phrases)
+        predictions.append(Prediction(str(obj["id"]), pairs))
     return predictions

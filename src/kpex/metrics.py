@@ -61,6 +61,8 @@ def evaluate(predictions, gold, depths=(1, 3, 5), f1_depths=(10,), stem=False):
     skipped and recorded. A missing prediction list counts as empty (scores
     zero), not as a skip.
     """
+    if any(d < 1 for d in (*depths, *f1_depths)):
+        raise ValueError("depths must be at least 1")
     per_depth_p = {d: [] for d in depths}
     per_depth_r = {d: [] for d in depths}
     per_f1 = {d: [] for d in f1_depths}

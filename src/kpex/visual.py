@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .documents import VISUAL_DIM, make_document, tokenize, validate_visual_rows
+from .documents import VISUAL_DIM, tokenize
 
 INLINE_TAGS = frozenset({"a", "span", "b", "i", "em", "strong", "u", "small", "sup", "sub"})
 BLOCK_TAGS = frozenset(
@@ -177,14 +177,3 @@ def load_layout_file(path, doc_id):
                 f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
             ) from exc
     return parse_layout(layout, doc_id=doc_id)
-
-
-def passthrough_features(doc_id, text, visual_rows):
-    """Ingest precomputed visual rows attached to raw text.
-
-    Validates the row count against the tokenization and the 18-float width,
-    then builds a Document. Rows are clamped to [0, 1].
-    """
-    n = len(tokenize(text))
-    validate_visual_rows(doc_id, n, visual_rows)
-    return make_document(doc_id, text, visual_rows)

@@ -3,8 +3,9 @@
 Documents paired with the queries that led clicks to them become pretraining
 examples: a query survives the filter only if its token sequence occurs
 verbatim inside the (truncated) document and is at most K tokens long. The
-surviving queries train the same span objective as gold keyphrases, with the
-target spread uniformly over every occurrence of every surviving query.
+surviving queries become the document's keyphrases, so they are aligned and
+trained exactly as gold keyphrases are: the target spreads uniformly over
+every occurrence of every surviving query.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from statistics import mean, pstdev
 from .documents import (
     MAX_DOC_LENGTH,
     MAX_SPAN_LENGTH,
-    SpanTarget,
+    LabeledDocument,
     match_phrase,
     tokenize,
     truncate,
@@ -68,13 +69,6 @@ def filter_queries(doc, queries, max_span_length=MAX_SPAN_LENGTH, blocklist=None
             continue
         kept.append((query, spans))
     return kept, dropped
-
-
-@dataclass(frozen=True, eq=False)
-class QueryPredictionExample:
-    document: object
-    queries: tuple
-    target: SpanTarget
 
 
 @dataclass
@@ -134,12 +128,14 @@ def build_qp_dataset(
     max_doc_length=MAX_DOC_LENGTH,
     blocklist=None,
 ):
-    """Join documents with their clicked queries into weak span supervision.
+    """Join documents with their clicked queries into weak supervision.
 
-    ``documents`` maps nothing special: any iterable of Documents; ids absent
-    from the log, and documents where every query drops out, are skipped.
-    Returns (examples, QueryDatasetStats). Statistics describe the kept
-    examples; document length is measured before truncation.
+    ``documents`` is any iterable of Documents; ids absent from the log, and
+    documents where every query drops out, are skipped. Returns (examples,
+    QueryDatasetStats), where each example is a LabeledDocument of the
+    truncated document and its kept queries; training.prepare_examples aligns
+    those queries to spans exactly as it aligns gold keyphrases. Statistics
+    describe the kept examples; document length is measured before truncation.
     """
     examples = []
     doc_lengths = []
@@ -159,17 +155,7 @@ def build_qp_dataset(
             dropped[reason] = dropped.get(reason, 0) + 1
         if not kept:
             continue
-        spans = sorted(
-            {span for _, occurrences in kept for span in occurrences},
-            key=lambda s: (s.length, s.start),
-        )
-        examples.append(
-            QueryPredictionExample(
-                clipped,
-                tuple(q for q, _ in kept),
-                SpanTarget(tuple(spans)),
-            )
-        )
+        examples.append(LabeledDocument(clipped, tuple(q for q, _ in kept)))
         doc_lengths.append(len(doc))
         query_counts.append(len(kept))
         doc_vocab.update(doc.tokens)

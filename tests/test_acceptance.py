@@ -16,12 +16,7 @@ import pytest
 
 from kpex.baselines import CorpusStats, build_word_graph, pagerank, tfidf_score
 from kpex.documents import Span, enumerate_spans, make_document, truncate
-from kpex.embedding import (
-    EmbeddingConfig,
-    TokenVocabulary,
-    position_encoding,
-    position_matrix,
-)
+from kpex.embedding import EmbeddingConfig, TokenVocabulary, position_matrix
 from kpex.gradcheck import finite_difference_check
 from kpex.inference import chunk_and_merge, chunk_document, predict_topk
 from kpex.metrics import evaluate, judge_agreement
@@ -40,6 +35,7 @@ from kpex.training import (
     run_training,
 )
 from kpex.weaksup import build_qp_dataset
+from test_embedding import position_encoding
 
 
 def _slim_config(dropout=0.2, **kw):
@@ -164,8 +160,8 @@ def test_criterion_06_pretraining_direction():
         pretrain_docs, log, finetune, heldout = weak_supervision_setup(
             seed=100 + seed
         )
-        qp_examples, _ = build_qp_dataset(pretrain_docs, log)
-        qp_train = [TrainingExample(ex.document, ex.target) for ex in qp_examples]
+        qp_docs, _ = build_qp_dataset(pretrain_docs, log)
+        qp_train, _ = prepare_examples(qp_docs, 5)
         tune_examples, _ = prepare_examples(finetune, 5)
         finetune_cfg = TrainingConfig(
             lr_start=3e-4, lr_end=1e-4, batch_size=8, max_epochs=10,

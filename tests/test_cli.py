@@ -24,6 +24,8 @@ DEFAULT_DIGEST = "0fcd828e52b005c1d9a626379b33a79a7066c9fe488c358686f8b803c668a8
 GOLDEN_PAGES = os.path.join(os.path.dirname(__file__), "data", "golden", "pages.jsonl")
 GOLDEN_PLAIN = "d25580cbdf2f9ba9a7cb38d984a7f87c0ad2a70dc7fe8c6b8ada6bbbf9b8e134"
 GOLDEN_CHUNKED_DEDUP = "9dc417e95f9e54a7a40242731cf91c37370063ef30038fdbc676a31a6f3c0652"
+GOLDEN_TFIDF = "4c6ecdf37d942d901549b099be844d9c161b0da75f96493b85fe12848c116c9b"
+GOLDEN_TEXTRANK = "b25340a09262dc65eadcb4540a7d99f9b91a68482d01758f8cbb1dbb0ce5c7d9"
 
 SMALL_MODEL = [
     "--set", "model.filters=8",
@@ -390,6 +392,19 @@ class TestPredictCli:
         with open(out, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
 
+    @pytest.mark.parametrize("settings,flags", [
+        ([], ["--top-k", "0"]),
+        ([], ["--top-k", "-1"]),
+        (["--set", "predict.top_k=-2"], []),
+    ])
+    def test_top_k_below_one_rejected(self, pipeline, tmp_path, capsys, settings, flags):
+        out = str(tmp_path / "p.jsonl")
+        argv = settings + ["predict", "--model", os.path.join(pipeline["run_dir"], "best"),
+                           "--data", pipeline["data"], "--out", out] + flags
+        assert main(argv) == 1
+        assert "top_k must be at least 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_missing_checkpoint(self, pipeline, tmp_path, capsys):
         argv = ["predict", "--model", str(tmp_path / "ghost"),
                 "--data", pipeline["data"], "--out", str(tmp_path / "p.jsonl")]
@@ -414,6 +429,18 @@ class TestEvaluateCli:
         assert report["precision"]["1"] == pytest.approx(1.0)
         assert report["recall"]["1"] == pytest.approx(1.0)
         assert "config_digest" in report
+
+    @pytest.mark.parametrize("flags", [
+        ["--depths", "0"], ["--depths=-1,1"], ["--f1", "0"],
+    ])
+    def test_depths_below_one_rejected(self, tmp_path, capsys, flags):
+        gold = _write_dataset(tmp_path / "gold.jsonl", n=3)
+        preds = str(tmp_path / "preds.jsonl")
+        write_jsonl(preds, [{"id": "d0", "phrases": [["w0 w1", 1.0]]}])
+        assert main(["evaluate", "--preds", preds, "--gold", gold] + flags) == 1
+        captured = capsys.readouterr()
+        assert "depths must be at least 1" in captured.err
+        assert "@" not in captured.out
 
     def test_end_to_end_numbers_in_range(self, pipeline, tmp_path):
         preds = str(tmp_path / "preds.jsonl")
@@ -444,6 +471,29 @@ class TestBaselineCli:
     def test_rejects_unknown_method(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["baseline", "--method", "rake", "--data", "x", "--out", "y"])
+
+    @pytest.mark.parametrize("top_k", ["0", "-1"])
+    def test_top_k_below_one_rejected(self, tmp_path, capsys, top_k):
+        out = str(tmp_path / "tfidf.jsonl")
+        argv = ["baseline", "--method", "tfidf", "--data", GOLDEN_PAGES,
+                "--out", out, "--top-k", top_k]
+        assert main(argv) == 1
+        assert "top_k must be at least 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("method,digest", [
+        ("tfidf", GOLDEN_TFIDF),
+        ("textrank", GOLDEN_TEXTRANK),
+    ])
+    def test_golden_baselines(self, tmp_path, method, digest):
+        # every ranked candidate of the golden corpus: score ties are common,
+        # and the last page has no candidate at all
+        out = str(tmp_path / f"{method}.jsonl")
+        argv = ["baseline", "--method", method, "--data", GOLDEN_PAGES,
+                "--out", out, "--top-k", "100000"]
+        assert main(argv) == 0
+        with open(out, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest
 
 
 class TestAgreementCli:

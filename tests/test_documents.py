@@ -238,3 +238,19 @@ class TestReadDataset:
         items, _ = read_dataset(path)
         assert items[0].visual.max() == 1.0
         assert items[0].visual.min() == 0.0
+
+    def test_non_string_text_located(self, tmp_path):
+        path = self._write(tmp_path, [
+            {"id": "a", "text": "fine"},
+            {"id": "b", "text": 5},
+        ])
+        with pytest.raises(DatasetError, match=r":2: text must be a string"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("keyphrases", ["red stapler", ["red", 5], {"red": 1}])
+    def test_keyphrases_not_a_list_of_strings_located(self, tmp_path, keyphrases):
+        path = self._write(tmp_path, [
+            {"id": "a", "text": "red stapler", "keyphrases": keyphrases},
+        ])
+        with pytest.raises(DatasetError, match=r":1: keyphrases must be a list of strings"):
+            read_dataset(path)

@@ -13,10 +13,26 @@ from kpex.embedding import (
     TokenVocabulary,
     TrainableLookup,
     embed_document,
-    position_encoding,
     position_matrix,
 )
 from kpex.fileio import DatasetError, write_jsonl
+
+
+def position_encoding(position, dims):
+    """Sinusoidal code: dim 2p = sin(i / 10000^(2p/P)), dim 2p+1 = cos(same).
+
+    A one-position oracle for ``position_matrix``.
+    """
+    if dims < 2 or dims % 2 != 0:
+        raise ValueError("position dims must be a positive even number")
+    if position < 0:
+        raise ValueError("position must be non-negative")
+    p = np.arange(dims // 2)
+    angles = position / np.power(10000.0, 2.0 * p / dims)
+    vec = np.empty(dims)
+    vec[0::2] = np.sin(angles)
+    vec[1::2] = np.cos(angles)
+    return vec
 
 
 def _doc(doc_id, tokens, offset=0, source_id=""):

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kpex.config import PredictConfig
 from kpex.documents import enumerate_spans, make_document, tokenize
 from kpex.embedding import EmbeddingConfig, TokenVocabulary
+from kpex.fileio import DatasetError, write_jsonl
 from kpex.inference import (
     Prediction,
     chunk_and_merge,
@@ -353,3 +355,29 @@ class TestPredictionIO:
     def test_top_helper(self):
         pred = Prediction("d", (("a", 0.6), ("b", 0.4)))
         assert pred.top(1) == (("a", 0.6),)
+
+    @pytest.mark.parametrize("line", [
+        {"id": "d2"},
+        {"id": "d2", "phrases": "red stapler"},
+        {"id": "d2", "phrases": [["red stapler"]]},
+        {"id": "d2", "phrases": [["red stapler", "high"]]},
+        {"phrases": []},
+    ])
+    def test_bad_line_located(self, tmp_path, line):
+        path = str(tmp_path / "preds.jsonl")
+        write_jsonl(path, [{"id": "d1", "phrases": [["desk", 0.5]]}, line])
+        with pytest.raises(DatasetError, match=r"preds\.jsonl:2: "):
+            read_predictions(path)
+
+
+class TestPredictConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("top_k", 0), ("top_k", -2), ("chunk_len", 0),
+        ("chunk_weight", 0.0), ("chunk_weight", 1.5),
+    ])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PredictConfig(**{field: value})
+
+    def test_bounds_accepted(self):
+        PredictConfig(top_k=1, chunk_len=1, chunk_weight=1.0)

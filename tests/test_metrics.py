@@ -113,6 +113,13 @@ class TestEvaluate:
                 assert report.precision[d] == pytest.approx(sum(p_vals) / len(p_vals))
                 assert report.recall[d] == pytest.approx(sum(r_vals) / len(r_vals))
 
+    @pytest.mark.parametrize("depths,f1_depths", [
+        ((0,), ()), ((-1, 1), ()), ((1,), (0,)), ((1,), (-3,)),
+    ])
+    def test_depths_below_one_rejected(self, depths, f1_depths):
+        with pytest.raises(ValueError, match="depth"):
+            evaluate({"d": ["a"]}, {"d": ["a"]}, depths=depths, f1_depths=f1_depths)
+
     def test_table_renders(self):
         report = evaluate({"d": ["a"]}, {"d": ["a"]}, depths=(1,), f1_depths=(10,))
         table = report.as_table()

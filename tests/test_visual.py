@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from kpex.documents import VISUAL_DIM, tokenize
+from kpex.documents import VISUAL_DIM, make_document, tokenize, validate_visual_rows
 from kpex.fileio import DatasetError
 from kpex.visual import (
     BLOCK_TAGS,
@@ -17,10 +17,20 @@ from kpex.visual import (
     compute_word_features,
     load_layout_file,
     parse_layout,
-    passthrough_features,
 )
 
 LAYOUT_DIR = os.path.join(os.path.dirname(__file__), "data", "layouts")
+
+
+def passthrough_features(doc_id, text, visual_rows):
+    """Ingest precomputed visual rows attached to raw text.
+
+    Validates the row count against the tokenization and the 18-float width,
+    then builds a Document. Rows are clamped to [0, 1].
+    """
+    n = len(tokenize(text))
+    validate_visual_rows(doc_id, n, visual_rows)
+    return make_document(doc_id, text, visual_rows)
 
 
 def _leaf(tag="span", box=(0, 0, 10, 10), font=12.0, bold=False, text=None):

@@ -5,6 +5,7 @@ import pytest
 
 from kpex.documents import Span, make_document
 from kpex.fileio import DatasetError, write_jsonl
+from kpex.training import prepare_examples
 from kpex.weaksup import (
     QueryDatasetStats,
     build_qp_dataset,
@@ -83,14 +84,16 @@ class TestBuildQpDataset:
         docs, log = self._corpus()
         examples, stats = build_qp_dataset(docs, log)
         assert [ex.document.id for ex in examples] == ["d1"]
-        assert examples[0].queries == ("alpha beta", "gamma")
+        assert examples[0].keyphrases == ("alpha beta", "gamma")
         assert stats.n_documents == 1
         assert stats.dropped == {"not_verbatim": 1}
 
     def test_target_uniform_over_all_occurrences(self):
         docs, log = self._corpus()
         examples, _ = build_qp_dataset(docs, log)
-        target = examples[0].target
+        [prepared], _ = prepare_examples(examples, 5)
+        assert prepared.document is examples[0].document
+        target = prepared.target
         # "alpha beta" occurs twice, "gamma" once: three spans total
         assert set(target.spans) == {Span(2, 1), Span(0, 2), Span(3, 2)}
         dense = target.dense(5, 5)
