@@ -4,8 +4,9 @@ A ``Tensor`` wraps a float64 ndarray and records the operations applied to it
 on a tape. Calling ``backward()`` on a scalar result walks the tape in reverse
 topological order and accumulates gradients into every tensor that requires
 them. The op set is deliberately small: just what the span classifier needs
-(dense algebra, windowed convolution via im2col, softmax, attention, layer
-norm, dropout, embedding lookup, and a fused softmax cross-entropy).
+(dense algebra, windowed convolution via im2col, dropout, embedding lookup,
+and three fused ops with closed-form backwards: layer norm, the attention
+core and softmax cross-entropy).
 
 float64 is the default dtype so finite-difference checks stay meaningful.
 """
@@ -21,15 +22,14 @@ __all__ = [
     "no_grad",
     "concat",
     "reshape",
-    "transpose",
     "relu",
     "matmul",
     "sliding_windows",
     "conv1d",
     "embedding_lookup",
     "dropout",
-    "softmax",
     "layer_norm",
+    "attention_core",
     "multi_head_self_attention",
     "softmax_cross_entropy",
 ]
@@ -66,7 +66,7 @@ class Tensor:
         if isinstance(data, Tensor):
             raise TypeError("cannot wrap a Tensor in a Tensor")
         arr = np.asarray(data)
-        if not np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad = None
@@ -93,8 +93,17 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def _accumulate(self, g):
+        """Add ``g`` into this tensor's gradient.
+
+        The first write stores ``g`` itself, not a copy, so gradients may
+        alias: ``add`` hands one array to both parents, and ``reshape`` a view
+        of its own gradient. That is safe because a later write rebinds
+        ``grad`` to a new sum, and nothing in ``src/`` writes ``.grad`` in
+        place; code that does must copy first.
+        """
         if self.grad is None:
-            self.grad = g.copy()
+            # np.require(g, requirements="C") without its Python overhead
+            self.grad = g if g.flags.c_contiguous else g.copy()
         else:
             self.grad = self.grad + g
 
@@ -146,9 +155,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
     def sum(self, axis=None, keepdims=False):
         return reduce_sum(self, axis=axis, keepdims=keepdims)
@@ -204,19 +210,6 @@ def mul(a, b):
     return _make(data, (a, b), backward_fn)
 
 
-def power(a, exponent):
-    """Elementwise a**exponent for a constant (non-tensor) exponent."""
-    a = _as_tensor(a)
-    e = float(exponent)
-    data = a.data**e
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * e * a.data ** (e - 1.0))
-
-    return _make(data, (a,), backward_fn)
-
-
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -269,18 +262,6 @@ def reshape(a, shape):
     def backward_fn(g):
         if a.requires_grad:
             a._accumulate(g.reshape(a.data.shape))
-
-    return _make(data, (a,), backward_fn)
-
-
-def transpose(a, axes):
-    a = _as_tensor(a)
-    data = a.data.transpose(axes)
-    inverse = np.argsort(axes)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(g.transpose(inverse))
 
     return _make(data, (a,), backward_fn)
 
@@ -392,30 +373,83 @@ def dropout(a, p, rng=None, train=False):
     return _make(data, (a,), backward_fn)
 
 
-def softmax(a, axis=-1):
-    """Numerically stable softmax along one axis (fused backward)."""
-    a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            inner = (g * data).sum(axis=axis, keepdims=True)
-            a._accumulate((g - inner) * data)
-
-    return _make(data, (a,), backward_fn)
-
-
 def layer_norm(x, scale, shift, eps=1e-5):
-    """Normalize the last axis to zero mean and unit variance, then affine."""
+    """Normalize the last axis to zero mean and unit variance, then affine.
+
+    One tape node. The backward is the closed form of Ba et al. 2016: with
+    ``normed = (x - mean) * inv`` and ``dn = g * scale``,
+    ``dx = inv * (dn - mean(dn) - normed * mean(dn * normed))``.
+    """
     x, scale, shift = _as_tensor(x), _as_tensor(scale), _as_tensor(shift)
     d = x.data.shape[-1]
-    mean = reduce_sum(x, axis=-1, keepdims=True) * (1.0 / d)
-    centered = x - mean
-    var = reduce_sum(centered * centered, axis=-1, keepdims=True) * (1.0 / d)
-    inv = power(var + eps, -0.5)
-    return centered * inv * scale + shift
+    # the composite op's expressions in its order (tests/composite_ops.py), so
+    # the values are bitwise equal to it
+    mean = x.data.sum(axis=-1, keepdims=True) * (1.0 / d)
+    centered = x.data + mean * -1.0
+    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / d)
+    inv = (var + eps) ** -0.5
+    normed = centered * inv
+    data = normed * scale.data + shift.data
+
+    def backward_fn(g):
+        if shift.requires_grad:
+            shift._accumulate(_unbroadcast(g, shift.data.shape))
+        if scale.requires_grad:
+            scale._accumulate(_unbroadcast(g * normed, scale.data.shape))
+        if x.requires_grad:
+            dn = g * scale.data
+            dx = dn - dn.mean(axis=-1, keepdims=True)
+            dx -= normed * (dn * normed).mean(axis=-1, keepdims=True)
+            dx *= inv
+            x._accumulate(_unbroadcast(dx, x.data.shape))
+
+    return _make(data, (x, scale, shift), backward_fn)
+
+
+def attention_core(q, k, v, heads):
+    """Multi-head scaled dot-product attention over (n, d) projections.
+
+    Splits q, k and v into ``heads`` heads of width dh = d / heads, weights
+    each head's values by softmax(q k^T / sqrt(dh)) over the keys, and merges
+    the heads back into an (n, d) context. One tape node with a closed-form
+    backward; ``heads`` must divide d.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    n, d = q.data.shape
+    dh = d // heads
+
+    def split(a):
+        return a.reshape(n, heads, dh).transpose(1, 0, 2)
+
+    def merge(a):
+        return a.transpose(1, 0, 2).reshape(n, d)
+
+    # as in layer_norm, the composite op's expressions in its order; each
+    # in-place step rounds exactly as its out-of-place form does
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = 1.0 / math.sqrt(dh)
+    weights = qh @ kh.transpose(0, 2, 1)
+    weights *= scale
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    data = merge(weights @ vh)
+
+    def backward_fn(g):
+        gh = split(g)
+        if v.requires_grad:
+            v._accumulate(merge(weights.transpose(0, 2, 1) @ gh))
+        if q.requires_grad or k.requires_grad:
+            # softmax backward, scores' gradient left unscaled until after the matmuls
+            gl = gh @ vh.transpose(0, 2, 1)
+            gl -= (gl * weights).sum(axis=-1, keepdims=True)
+            gl *= weights
+            if q.requires_grad:
+                q._accumulate(merge(gl @ kh) * scale)
+            if k.requires_grad:
+                k._accumulate(merge(gl.transpose(0, 2, 1) @ qh) * scale)
+
+    return _make(data, (q, k, v), backward_fn)
 
 
 def multi_head_self_attention(
@@ -448,18 +482,10 @@ def multi_head_self_attention(
     if heads < 1 or d % heads != 0:
         raise ValueError(f"model width {d} not divisible by {heads} heads")
     _check_finite("attention", x.data)
-    dh = d // heads
-
-    def split(t):
-        return transpose(reshape(t, (n, heads, dh)), (1, 0, 2))
-
-    q = split(matmul(x, wq) + bq)
-    k = split(matmul(x, wk) + bk)
-    v = split(matmul(x, wv) + bv)
-    logits = matmul(q, transpose(k, (0, 2, 1))) * (1.0 / math.sqrt(dh))
-    weights = softmax(logits, axis=-1)
-    context = reshape(transpose(matmul(weights, v), (1, 0, 2)), (n, d))
-    projected = matmul(context, wo) + bo
+    q = matmul(x, wq) + bq
+    k = matmul(x, wk) + bk
+    v = matmul(x, wv) + bv
+    projected = matmul(attention_core(q, k, v, heads), wo) + bo
     projected = dropout(projected, dropout_p, rng=rng, train=train)
     return layer_norm(x + projected, scale, shift)
 

@@ -182,7 +182,7 @@ def _load_frozen(cfg):
 
 
 def cmd_featurize(args, cfg):
-    from .fileio import write_jsonl
+    from .fileio import string_list, write_jsonl
     from .visual import LayoutError, load_layout_file
 
     names = sorted(n for n in os.listdir(args.layout_dir) if n.endswith(".json"))
@@ -201,7 +201,7 @@ def cmd_featurize(args, cfg):
             raw = json.load(fh)
         line = {"id": doc_id, "text": text, "visual": rows}
         if raw.get("keyphrases"):
-            line["keyphrases"] = [str(p) for p in raw["keyphrases"]]
+            line["keyphrases"] = string_list(raw["keyphrases"], "keyphrases", path)
         lines.append(line)
     if not lines:
         raise LayoutError("every layout produced an empty token sequence")
@@ -213,13 +213,14 @@ def cmd_featurize(args, cfg):
 
 
 def cmd_build_qp(args, cfg):
-    from .documents import read_dataset
+    from .documents import dataset_from_records
     from .fileio import read_jsonl, write_json, write_jsonl
     from .weaksup import build_qp_dataset, load_blocklist, read_query_log
 
-    items, _ = read_dataset(args.docs)
+    records = list(read_jsonl(args.docs))
+    items, _ = dataset_from_records(args.docs, records)
     docs = [getattr(item, "document", item) for item in items]
-    raw_by_id = {str(obj["id"]): obj for _, obj in read_jsonl(args.docs)}
+    raw_by_id = {str(obj["id"]): obj for _, obj in records}
     log = read_query_log(args.clicks)
     blocklist = load_blocklist(args.blocklist) if args.blocklist else None
     examples, stats = build_qp_dataset(
@@ -401,14 +402,20 @@ def cmd_baseline(args, cfg):
 
 
 def cmd_agreement(args, cfg):
-    from .fileio import read_jsonl, write_json
+    from .fileio import read_jsonl, string_list, write_json
     from .metrics import judge_agreement
 
     items = []
     for lineno, obj in read_jsonl(args.annotations):
+        where = f"{args.annotations}:{lineno}"
+        if not isinstance(obj, dict):
+            raise CliError(f"{where}: expected an object with judges")
         if "judges" not in obj:
-            raise CliError(f"{args.annotations}:{lineno}: missing judges field")
-        items.append([[str(p) for p in ranked] for ranked in obj["judges"]])
+            raise CliError(f"{where}: missing judges field")
+        if not isinstance(obj["judges"], list):
+            raise CliError(f"{where}: judges must be a list of ranked lists")
+        items.append([string_list(ranked, f"judges[{i}]", where)
+                      for i, ranked in enumerate(obj["judges"])])
     report = judge_agreement(items, depth=args.depth, mode=args.mode)
     print(
         f"agreement@{args.depth} ({args.mode}): {report.percentage:.2f}% "

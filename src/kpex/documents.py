@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import MAX_DOC_LENGTH, MAX_SPAN_LENGTH, VISUAL_DIM
-from .fileio import DatasetError, read_jsonl
+from .fileio import DatasetError, read_jsonl, string_list
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
@@ -103,26 +103,29 @@ class SpanTarget:
         return out
 
 
-def validate_visual_rows(doc_id, n_tokens, rows):
+def validate_visual_rows(doc_id, n_tokens, rows, where=None):
     """Check a raw visual feature list; returns an (n, 18) float64 array.
 
-    Values are clamped to [0, 1]; non-finite values are rejected.
+    Values are clamped to [0, 1]; non-finite values are rejected. ``where``
+    (``path:lineno``) prefixes the error when the rows come from a file.
     """
+    source = f"{where}: document {doc_id!r}" if where else f"document {doc_id!r}"
     arr = np.asarray(rows, dtype=np.float64)
     if arr.shape != (n_tokens, VISUAL_DIM):
         raise DatasetError(
-            f"document {doc_id!r}: visual features have shape {arr.shape}, "
+            f"{source}: visual features have shape {arr.shape}, "
             f"expected ({n_tokens}, {VISUAL_DIM})"
         )
     if not np.isfinite(arr).all():
-        raise DatasetError(f"document {doc_id!r}: non-finite visual feature")
+        raise DatasetError(f"{source}: non-finite visual feature")
     return np.clip(arr, 0.0, 1.0)
 
 
-def make_document(doc_id, text, visual_rows=None):
+def make_document(doc_id, text, visual_rows=None, where=None):
     """Tokenize raw text into a Document; returns None for empty token lists.
 
-    Missing visual features are zero-filled and flagged via ``zero_visual``.
+    Missing visual features are zero-filled and flagged via ``zero_visual``;
+    ``where`` locates bad visual rows in their file.
     """
     tokens = tuple(tokenize(text))
     if not tokens:
@@ -130,7 +133,7 @@ def make_document(doc_id, text, visual_rows=None):
     if visual_rows is None:
         visual = np.zeros((len(tokens), VISUAL_DIM))
         return Document(doc_id, tokens, visual, zero_visual=True)
-    visual = validate_visual_rows(doc_id, len(tokens), visual_rows)
+    visual = validate_visual_rows(doc_id, len(tokens), visual_rows, where)
     return Document(doc_id, tokens, visual)
 
 
@@ -236,27 +239,31 @@ def read_dataset(path, require_labels=False):
     carries keyphrases, otherwise bare Documents. Documents that tokenize to
     nothing are skipped and counted, not fatal; structural problems (bad JSON,
     a text that is not a string, keyphrases that are not a list of strings,
-    wrong visual shape, duplicate ids) raise DatasetError.
+    wrong visual shape, duplicate ids) raise DatasetError at ``path:lineno``.
     """
+    return dataset_from_records(path, read_jsonl(path), require_labels)
+
+
+def dataset_from_records(path, records, require_labels=False):
+    """``read_dataset`` over already parsed ``(lineno, object)`` records of ``path``."""
     items = []
     report = IngestReport()
     seen_ids = set()
-    for lineno, obj in read_jsonl(path):
+    for lineno, obj in records:
+        where = f"{path}:{lineno}"
         report.total_lines += 1
         if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-            raise DatasetError(f"{path}:{lineno}: expected an object with id and text")
+            raise DatasetError(f"{where}: expected an object with id and text")
         doc_id = str(obj["id"])
         if doc_id in seen_ids:
-            raise DatasetError(f"{path}:{lineno}: duplicate document id {doc_id!r}")
+            raise DatasetError(f"{where}: duplicate document id {doc_id!r}")
         seen_ids.add(doc_id)
         if not isinstance(obj["text"], str):
-            raise DatasetError(f"{path}:{lineno}: text must be a string")
+            raise DatasetError(f"{where}: text must be a string")
         phrases = obj.get("keyphrases")
-        if phrases is not None and not (
-            isinstance(phrases, list) and all(isinstance(p, str) for p in phrases)
-        ):
-            raise DatasetError(f"{path}:{lineno}: keyphrases must be a list of strings")
-        doc = make_document(doc_id, obj["text"], obj.get("visual"))
+        if phrases is not None:
+            string_list(phrases, "keyphrases", where)
+        doc = make_document(doc_id, obj["text"], obj.get("visual"), where)
         if doc is None:
             report.skipped_empty.append(doc_id)
             continue

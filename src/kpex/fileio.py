@@ -25,6 +25,17 @@ def read_jsonl(path):
                 ) from exc
 
 
+def string_list(value, name, where):
+    """``value`` if it is a list of strings, else DatasetError at ``where``.
+
+    ``where`` locates the record, as ``path:lineno`` for a JSONL line. A
+    string is rejected, not read as a list of one-character strings.
+    """
+    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+        return value
+    raise DatasetError(f"{where}: {name} must be a list of strings")
+
+
 def write_atomic(path, data):
     """Replace ``path`` with ``data`` (str or bytes) through one rename.
 

@@ -3,7 +3,8 @@
 Both paths minimize the same loss: cross-entropy between the joint span
 softmax and a uniform distribution over the gold (or query-matched) spans.
 Documents are truncated, grouped into fixed-size batches of similar length,
-and optimized with Adam under a geometrically decaying learning rate. Runs
+and optimized with Adam under a geometrically decaying learning rate. A
+batch's gradient is summed one document's tape at a time. Runs
 are reproducible: one seed fixes shuffling, dropout, and initialization
 downstream, so identical seeds give identical loss curves.
 """
@@ -99,12 +100,19 @@ def _length_batches(examples, batch_size, rng):
     return batches
 
 
-def _mean_loss(model, batch, train, rng):
-    total = None
-    for ex in batch:
-        loss = keyphrase_loss(model, ex, train=train, rng=rng)
-        total = loss if total is None else total + loss
-    return total * (1.0 / len(batch))
+def _backward_document(model, example, scale, rng, step):
+    """Backpropagate one document's training loss times ``scale``.
+
+    Returns the unscaled loss value. The tape is built and dropped inside this
+    call, so a batch's gradients add up in the parameters while only one
+    document's tape is alive.
+    """
+    loss = keyphrase_loss(model, example, train=True, rng=rng)
+    value = float(loss.data)
+    if not math.isfinite(value):
+        raise RuntimeError(f"non-finite training loss at step {step}")
+    (loss * scale).backward()
+    return value
 
 
 def _zero_fill_idle_banks(model, batch):
@@ -161,11 +169,11 @@ def run_training(model, examples, config, run_dir=None, log=None, checkpoint_met
         epoch_losses = []
         for batch in _length_batches(train_set, config.batch_size, rng):
             model.registry.clear_grads()
-            loss = _mean_loss(model, batch, train=True, rng=rng)
-            value = float(loss.data)
-            if not math.isfinite(value):
-                raise RuntimeError(f"non-finite training loss at step {step}")
-            loss.backward()
+            scale = 1.0 / len(batch)
+            total = 0.0  # added in order: sum() rounds differently from Python 3.12 on
+            for ex in batch:
+                total += _backward_document(model, ex, scale, rng, step)
+            value = total * scale
             _zero_fill_idle_banks(model, batch)
             optimizer.step(geometric_lr(step, total_steps, config.lr_start, config.lr_end))
             step += 1
@@ -176,8 +184,7 @@ def run_training(model, examples, config, run_dir=None, log=None, checkpoint_met
         if val_set:
             with no_grad():
                 val_loss = float(
-                    np.mean([float(_mean_loss(model, [ex], False, None).data)
-                             for ex in val_set])
+                    np.mean([float(keyphrase_loss(model, ex).data) for ex in val_set])
                 )
         stats = EpochStats(
             epoch=epoch,

@@ -21,7 +21,7 @@ from .documents import (
     tokenize,
     truncate,
 )
-from .fileio import DatasetError, read_jsonl
+from .fileio import DatasetError, read_jsonl, string_list
 
 
 def read_query_log(path):
@@ -33,7 +33,7 @@ def read_query_log(path):
         doc_id = str(obj["id"])
         if doc_id in log:
             raise DatasetError(f"{path}:{lineno}: duplicate id {doc_id!r}")
-        log[doc_id] = [str(q) for q in obj["queries"]]
+        log[doc_id] = string_list(obj["queries"], "queries", f"{path}:{lineno}")
     return log
 
 

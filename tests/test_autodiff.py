@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import composite_ops
 from kpex import autodiff as ad
 from kpex.autodiff import Tensor
 
@@ -50,7 +51,7 @@ class TestArithmetic:
     def test_pow_gradient(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.uniform(0.5, 2.0, size=(5,)), requires_grad=True)
-        check_grads(lambda: ad.power(x, -0.5).sum(), [x])
+        check_grads(lambda: composite_ops.power(x, -0.5).sum(), [x])
 
     def test_matmul_2d(self):
         rng = np.random.default_rng(2)
@@ -78,7 +79,7 @@ class TestShapeOps:
 
         def build():
             ar = ad.reshape(a, (3, 4))
-            at = ad.transpose(ar, (1, 0))  # 4x3
+            at = composite_ops.transpose(ar, (1, 0))  # 4x3
             cat = ad.concat([ar, b], axis=0)  # 6x4
             return (cat @ at).sum()
 
@@ -117,20 +118,20 @@ class TestSoftmax:
     def test_rows_normalize(self):
         rng = np.random.default_rng(7)
         x = Tensor(rng.normal(size=(5, 9)) * 10.0)
-        y = ad.softmax(x, axis=-1)
+        y = composite_ops.softmax(x, axis=-1)
         np.testing.assert_allclose(y.data.sum(axis=-1), np.ones(5), atol=1e-12)
 
     def test_shift_invariance(self):
         x = np.array([1.0, 2.0, 3.0])
-        a = ad.softmax(Tensor(x)).data
-        b = ad.softmax(Tensor(x + 1000.0)).data
+        a = composite_ops.softmax(Tensor(x)).data
+        b = composite_ops.softmax(Tensor(x + 1000.0)).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_gradient(self):
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 5)))
-        check_grads(lambda: (ad.softmax(x, axis=-1) * w).sum(), [x])
+        check_grads(lambda: (composite_ops.softmax(x, axis=-1) * w).sum(), [x])
 
 
 class TestSlidingWindowsConv:
@@ -160,7 +161,11 @@ class TestSlidingWindowsConv:
         x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
         w = Tensor(rng.normal(size=(9, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(4,)), requires_grad=True)
-        check_grads(lambda: (ad.conv1d(x, w, b) ** 2.0).sum(), [x, w, b])
+        def build():
+            y = ad.conv1d(x, w, b)
+            return (y * y).sum()
+
+        check_grads(build, [x, w, b])
 
     def test_window_longer_than_sequence(self):
         x = Tensor(np.zeros((2, 3)))
@@ -230,6 +235,39 @@ class TestLayerNorm:
         w = Tensor(rng.normal(size=(4, 6)))
         check_grads(lambda: (ad.layer_norm(x, g, s) * w).sum(), [x, g, s])
 
+    def test_matches_composite(self):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(7, 6)) * 4.0 + 1.0, requires_grad=True)
+        g = Tensor(rng.normal(size=(6,)), requires_grad=True)
+        s = Tensor(rng.normal(size=(6,)), requires_grad=True)
+        w = rng.normal(size=(7, 6))
+        fused = _values_and_grads(lambda: ad.layer_norm(x, g, s), w, [x, g, s])
+        composite = _values_and_grads(
+            lambda: composite_ops.layer_norm(x, g, s), w, [x, g, s]
+        )
+        _assert_same_values_close_grads(fused, composite)
+
+    def test_one_tape_node(self):
+        x = Tensor(np.ones((3, 4)), requires_grad=True)
+        y = ad.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+        assert y._parents[0] is x
+
+
+def _values_and_grads(build, weights, tensors):
+    """Forward values of build() and the gradients of sum(build() * weights)."""
+    for t in tensors:
+        t.grad = None
+    y = build()
+    (y * weights).sum().backward()
+    return y.data, [t.grad for t in tensors]
+
+
+def _assert_same_values_close_grads(a, b):
+    np.testing.assert_array_equal(a[0], b[0])
+    scale = max(np.abs(g).max() for g in b[1])
+    for ga, gb in zip(a[1], b[1]):
+        np.testing.assert_allclose(ga, gb, rtol=0, atol=1e-10 * scale)
+
 
 def _attention_params(rng, d):
     make = lambda *shape: Tensor(rng.normal(size=shape) * 0.3, requires_grad=True)
@@ -273,12 +311,41 @@ class TestAttention:
         p = _attention_params(rng, 8)
         x = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
         tensors = [x] + list(p.values())
+        def build():
+            y = ad.multi_head_self_attention(x, 2, **p)
+            return (y * y).sum()
+
         check_grads(
-            lambda: (ad.multi_head_self_attention(x, 2, **p) ** 2.0).sum(),
+            build,
             tensors,
             rtol=1e-4,
             atol=1e-6,
         )
+
+    def test_core_gradients(self):
+        rng = np.random.default_rng(24)
+        q, k, v = (Tensor(rng.normal(size=(5, 6)), requires_grad=True) for _ in range(3))
+        w = Tensor(rng.normal(size=(5, 6)))
+        check_grads(lambda: (ad.attention_core(q, k, v, 3) * w).sum(), [q, k, v])
+
+    @pytest.mark.parametrize("n,d,heads", [(1, 4, 1), (6, 8, 2), (9, 12, 4)])
+    def test_matches_composite(self, n, d, heads):
+        rng = np.random.default_rng(25)
+        p = _attention_params(rng, d)
+        x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+        w = rng.normal(size=(n, d))
+        tensors = [x] + list(p.values())
+
+        def build(attend):
+            return lambda: attend(
+                x, heads, **p, dropout_p=0.3, rng=np.random.default_rng(26), train=True
+            )
+
+        fused = _values_and_grads(build(ad.multi_head_self_attention), w, tensors)
+        composite = _values_and_grads(
+            build(composite_ops.multi_head_self_attention), w, tensors
+        )
+        _assert_same_values_close_grads(fused, composite)
 
     def test_head_divisibility(self):
         rng = np.random.default_rng(20)
@@ -359,6 +426,25 @@ class TestTape:
         b = Tensor(np.ones(3))
         assert (a + b).requires_grad
         assert not (b + b).requires_grad
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+    def test_shared_gradient_not_changed_by_later_accumulation(self, shape):
+        # add hands one upstream array to both parents; the first write keeps
+        # it without a copy, so a later write into either parent must rebind
+        rng = np.random.default_rng(27)
+        a = Tensor(rng.normal(size=shape), requires_grad=True)
+        b = Tensor(rng.normal(size=shape), requires_grad=True)
+        y = ad.add(a, b)
+        upstream = rng.normal(size=shape)
+        y._backward_fn(upstream)
+        assert a.grad is b.grad or np.shares_memory(a.grad, b.grad)
+        before = upstream.copy()
+        a._accumulate(np.ones(shape))
+        b._accumulate(np.full(shape, 2.0))
+        np.testing.assert_array_equal(upstream, before)
+        np.testing.assert_array_equal(a.grad, before + 1.0)
+        np.testing.assert_array_equal(b.grad, before + 2.0)
+        assert np.shape(a.grad) == shape
 
     def test_diamond_graph_single_visit(self):
         # two paths to the same parent must each contribute once

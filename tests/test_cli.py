@@ -172,6 +172,18 @@ class TestFeaturize:
         assert len(meta["config_digest"]) == 64
         assert "featurized 2 documents" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("keyphrases", ["heavy duty stapler", ["stapler", 3]])
+    def test_keyphrases_not_a_list_of_strings_located(self, tmp_path, capsys, keyphrases):
+        with open(os.path.join(LAYOUT_DIR, "product_page.json"), encoding="utf-8") as fh:
+            layout = json.load(fh)
+        layout["keyphrases"] = keyphrases
+        path = tmp_path / "product_page.json"
+        path.write_text(json.dumps(layout))
+        out = str(tmp_path / "docs.jsonl")
+        assert main(["featurize", "--layout-dir", str(tmp_path), "--out", out]) == 1
+        assert f"{path}: keyphrases must be a list of strings" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_empty_directory_fails(self, tmp_path):
         assert main(["featurize", "--layout-dir", str(tmp_path),
                      "--out", str(tmp_path / "o.jsonl")]) == 1
@@ -203,6 +215,29 @@ class TestBuildQp:
         assert stats["n_documents"] == 1
         assert stats["dropped"] == {"not_verbatim": 2}
         assert "# of Query per Doc" in capsys.readouterr().out
+
+    def test_output_bytes_pinned(self, tmp_path):
+        # raw text and visual rows are copied through as read, not re-serialized
+        visual = [[1.5, 0, -0.25] + [0.5] * 15] * 5
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text(
+            '{"id": "d1", "text": "  Alpha  beta\\tgamma alpha beta ", "visual": %s}\n'
+            '{"id": 7, "text": "alpha beta", "keyphrases": ["gold"]}\n'
+            '{"id": "d3", "text": "delta"}\n' % json.dumps(visual)
+        )
+        clicks = tmp_path / "clicks.jsonl"
+        write_jsonl(str(clicks), [
+            {"id": "d1", "queries": ["alpha beta", "gamma"]},
+            {"id": "7", "queries": ["beta"]},
+            {"id": "d3", "queries": ["zzz"]},
+        ])
+        out = str(tmp_path / "qp.jsonl")
+        assert main(["build-qp", "--docs", str(docs), "--clicks", str(clicks),
+                     "--out", out]) == 0
+        with open(out, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == (
+                "89e02abdf8d611a2917a5143b2afc1857e4dbda124846b3ec9e2a2472afb4765"
+            )
 
     def test_blocklist(self, tmp_path):
         docs, clicks = self._inputs(tmp_path)
@@ -510,11 +545,26 @@ class TestAgreementCli:
         assert blob["percentage"] == pytest.approx(200 / 3, abs=0.01)
         assert blob["pairs"] == 1
 
+    @pytest.mark.parametrize("judges", [["ab", "ab"], "ab", 5, [["a", 1]]])
+    def test_judges_not_lists_of_strings_located(self, tmp_path, capsys, judges):
+        path = str(tmp_path / "annotations.jsonl")
+        write_jsonl(path, [{"id": "d1", "judges": [["x"], ["x"]]},
+                           {"id": "d2", "judges": judges}])
+        assert main(["agreement", "--annotations", path]) == 1
+        assert f"{path}:2: judges" in capsys.readouterr().err
+
     def test_missing_judges_field(self, tmp_path, capsys):
         path = str(tmp_path / "annotations.jsonl")
         write_jsonl(path, [{"id": "d1"}])
         assert main(["agreement", "--annotations", path]) == 1
         assert "judges" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [5, "d1", None])
+    def test_line_not_an_object_located(self, tmp_path, capsys, line):
+        path = str(tmp_path / "annotations.jsonl")
+        write_jsonl(path, [{"id": "d1", "judges": [["x"], ["x"]]}, line])
+        assert main(["agreement", "--annotations", path]) == 1
+        assert f"{path}:2: expected an object with judges" in capsys.readouterr().err
 
 
 class TestGradcheckCli:

@@ -209,6 +209,18 @@ class TestReadDataset:
         with pytest.raises(DatasetError, match="visual"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("visual,message", [
+        ([[0.1]], r"visual features have shape \(1, 1\), expected \(2, 18\)"),
+        ([[float("nan")] * VISUAL_DIM] * 2, "non-finite visual feature"),
+    ], ids=["shape", "non-finite"])
+    def test_bad_visual_located(self, tmp_path, visual, message):
+        path = self._write(tmp_path, [
+            {"id": "z", "text": "fine"},
+            {"id": "a", "text": "one two", "visual": visual},
+        ])
+        with pytest.raises(DatasetError, match=r":2: document 'a': " + message):
+            read_dataset(path)
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = self._write(tmp_path, [
             {"id": "a", "text": "x"},

@@ -1,5 +1,6 @@
 """Training loop: loss values, determinism, batching, and run artifacts."""
 
+import hashlib
 import json
 import math
 import os
@@ -7,6 +8,8 @@ import os
 import numpy as np
 import pytest
 
+import composite_ops
+from kpex import autodiff
 from kpex.documents import (
     LabeledDocument,
     Span,
@@ -22,6 +25,7 @@ from kpex.training import (
     keyphrase_loss,
     prepare_examples,
     run_training,
+    _backward_document,
     _length_batches,
 )
 
@@ -242,6 +246,80 @@ class TestRunTraining:
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValueError, match="non-finite"):
                 run_training(model, _corpus(), TrainingConfig(max_epochs=1))
+
+
+class TestFirstStepPin:
+    """Values recorded before the tape changes; a forward value must not move."""
+
+    def test_first_step_train_loss(self):
+        config = TrainingConfig(max_epochs=1, batch_size=4, validation_fraction=0.0)
+        record = run_training(_model(dropout=0.1), _corpus(n_docs=4, doc_len=9), config)
+        assert record.steps == 1
+        assert record.epochs[0].train_loss.hex() == "0x1.a0f041df1339bp+1"
+
+    def test_training_forward_logits(self):
+        model = _model(dropout=0.1, layers=2)
+        doc = _corpus(n_docs=1, doc_len=9)[0].document
+        logits, _ = model.forward(doc, train=True, rng=np.random.default_rng(3))
+        assert logits.requires_grad
+        assert hashlib.sha256(logits.data.tobytes()).hexdigest() == (
+            "eab2e96cfe3c5658b7a94c91dde07ba752a6e016d76c8b127d8f37b5e897783e"
+        )
+
+
+def _batch_gradients(model, batch, per_document):
+    """Batch loss value and every parameter gradient, dropout drawn from seed 9."""
+    model.registry.clear_grads()
+    rng = np.random.default_rng(9)
+    scale = 1.0 / len(batch)
+    if per_document:
+        total = 0.0
+        for ex in batch:
+            total += _backward_document(model, ex, scale, rng, 0)
+        value = total * scale
+    else:
+        total = None
+        for ex in batch:
+            loss = keyphrase_loss(model, ex, train=True, rng=rng)
+            total = loss if total is None else total + loss
+        loss = total * scale
+        loss.backward()
+        value = float(loss.data)
+    return value, {name: p.grad for name, p in model.registry.items()}
+
+
+def _assert_close_over_model(grads, expected):
+    """Gradients agree within 1e-10 of the whole model's largest gradient."""
+    assert grads.keys() == expected.keys()
+    scale = max(np.abs(g).max() for g in expected.values())
+    for name, g in expected.items():
+        np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-10 * scale,
+                                   err_msg=name)
+
+
+class TestTapeEquivalence:
+    """The fused ops and the per-document backward against their oracles."""
+
+    @staticmethod
+    def _batch():
+        return _corpus(n_docs=2, doc_len=7, seed=5) + _corpus(n_docs=2, doc_len=11, seed=6)
+
+    def test_per_document_matches_whole_batch(self):
+        model = _model(dropout=0.1, layers=2)
+        value, grads = _batch_gradients(model, self._batch(), per_document=True)
+        expected_value, expected = _batch_gradients(model, self._batch(), per_document=False)
+        assert value.hex() == expected_value.hex()
+        _assert_close_over_model(grads, expected)
+
+    def test_fused_ops_match_composite(self, monkeypatch):
+        model = _model(dropout=0.1, layers=2)
+        value, grads = _batch_gradients(model, self._batch(), per_document=False)
+        monkeypatch.setattr(autodiff, "layer_norm", composite_ops.layer_norm)
+        monkeypatch.setattr(autodiff, "multi_head_self_attention",
+                            composite_ops.multi_head_self_attention)
+        expected_value, expected = _batch_gradients(model, self._batch(), per_document=False)
+        assert value.hex() == expected_value.hex()
+        _assert_close_over_model(grads, expected)
 
 
 class TestTrainingConfig:

@@ -167,6 +167,13 @@ class TestQueryLogIO:
         with pytest.raises(DatasetError, match="queries"):
             read_query_log(str(path))
 
+    @pytest.mark.parametrize("queries", ["one two", ["one", 5], {"one": 1}])
+    def test_queries_not_a_list_of_strings_located(self, tmp_path, queries):
+        path = tmp_path / "log.jsonl"
+        write_jsonl(str(path), [{"id": "d1", "queries": []}, {"id": "d2", "queries": queries}])
+        with pytest.raises(DatasetError, match=r":2: queries must be a list of strings"):
+            read_query_log(str(path))
+
     def test_blocklist_file(self, tmp_path):
         path = tmp_path / "block.txt"
         path.write_text("# adult terms\nFree   Stuff\n\ncasino\n")
