@@ -16,6 +16,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .documents import enumerate_spans
 from .inference import Prediction, rank_phrases
 # Unused here: the benchmark's tracer (bench/tracing.py) patches this binding.
@@ -52,16 +54,13 @@ def is_punctuation(token):
 
 
 def candidate_filter(spans, doc, stopwords=STOPWORDS):
-    """Drop spans with boundary stopwords or any punctuation token."""
-    kept = []
-    for span in spans:
-        tokens = doc.tokens[span.start : span.stop]
-        if tokens[0] in stopwords or tokens[-1] in stopwords:
-            continue
-        if any(is_punctuation(t) for t in tokens):
-            continue
-        kept.append(span)
-    return kept
+    """The rows of ``spans`` with no boundary stopword and no punctuation token."""
+    stop = np.array([t in stopwords for t in doc.tokens], dtype=bool)
+    punct = np.array([is_punctuation(t) for t in doc.tokens], dtype=np.int64)
+    punct_before = np.concatenate(([0], np.cumsum(punct)))  # punctuation in tokens[:i]
+    starts, ends = spans[:, 0], spans[:, 0] + spans[:, 1]
+    keep = ~stop[starts] & ~stop[ends - 1] & (punct_before[ends] == punct_before[starts])
+    return spans[keep]
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,18 +87,19 @@ class CorpusStats:
 
 def tfidf_score(span, doc, stats, counts=None):
     """Mean tf*idf over the span tokens; tf is count / document length."""
+    start, length = span
     counts = counts or Counter(doc.tokens)
     n = len(doc)
     total = 0.0
-    for token in doc.tokens[span.start : span.stop]:
+    for token in doc.tokens[start : start + length]:
         total += (counts[token] / n) * stats.idf(token)
-    return total / span.length
+    return total / length
 
 
 def tfidf_rank(doc, stats, max_span_length=5, top_k=10, stopwords=STOPWORDS):
     spans = candidate_filter(enumerate_spans(len(doc), max_span_length), doc, stopwords)
     counts = Counter(doc.tokens)
-    scores = [tfidf_score(s, doc, stats, counts) for s in spans]
+    scores = [tfidf_score(s, doc, stats, counts) for s in spans.tolist()]
     return Prediction(doc.id, tuple(rank_phrases(doc, spans, scores, top_k)))
 
 
@@ -198,8 +198,8 @@ def textrank_rank(
     """Rank candidate spans by the sum of their words' TextRank scores."""
     scores = textrank_scores(doc, window=window, damping=damping, stopwords=stopwords)
     spans = candidate_filter(enumerate_spans(len(doc), max_span_length), doc, stopwords)
-
     span_scores = [
-        sum(scores.get(t, 0.0) for t in doc.tokens[s.start : s.stop]) for s in spans
+        sum(scores.get(t, 0.0) for t in doc.tokens[start : start + length])
+        for start, length in spans.tolist()
     ]
     return Prediction(doc.id, tuple(rank_phrases(doc, spans, span_scores, top_k)))

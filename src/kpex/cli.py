@@ -171,10 +171,11 @@ def _load_frozen(cfg):
     from .embedding import FrozenVectors
 
     path = cfg["embedding.frozen_vectors"]
-    if str(cfg["embedding.source"]) == "frozen":
+    embedding = _section(cfg, "embedding")
+    if embedding.source == "frozen":
         if not path:
             raise CliError("embedding.source=frozen needs embedding.frozen_vectors")
-        return FrozenVectors.load(path, int(cfg["embedding.token_dim"]))
+        return FrozenVectors.load(path, embedding.token_dim)
     return None
 
 
@@ -217,6 +218,8 @@ def cmd_build_qp(args, cfg):
     from .fileio import read_jsonl, write_json, write_jsonl
     from .weaksup import build_qp_dataset, load_blocklist, read_query_log
 
+    max_span_length = _section(cfg, "model").max_span_length
+    max_doc_length = _section(cfg, "train").max_doc_length
     records = list(read_jsonl(args.docs))
     items, _ = dataset_from_records(args.docs, records)
     docs = [getattr(item, "document", item) for item in items]
@@ -226,8 +229,8 @@ def cmd_build_qp(args, cfg):
     examples, stats = build_qp_dataset(
         docs,
         log,
-        max_span_length=int(cfg["model.max_span_length"]),
-        max_doc_length=int(cfg["train.max_doc_length"]),
+        max_span_length=max_span_length,
+        max_doc_length=max_doc_length,
         blocklist=blocklist,
     )
     if not examples:
@@ -259,11 +262,20 @@ def _run_train(args, cfg, mode):
     if not items:
         raise CliError(f"no labeled documents in {args.data}")
     train_cfg = _section(cfg, "train", seed=int(cfg["seed"]))
+    ablations = _ablations(args.ablate)
     frozen = _load_frozen(cfg)
     if args.init:
-        model, _ = SpanScorer.load(_resolve_checkpoint(args.init), frozen_vectors=frozen)
+        path = _resolve_checkpoint(args.init)
+        model, _ = SpanScorer.load(path, frozen_vectors=frozen)
+        for key, value in ablations.items():
+            found = getattr(model.config, key)
+            if found != value:
+                raise CliError(
+                    f"--ablate needs model.{key}={json.dumps(value)}, but checkpoint "
+                    f"{path} has model.{key}={json.dumps(found)}"
+                )
     else:
-        model_cfg = _section(cfg, "model", **_ablations(args.ablate))
+        model_cfg = _section(cfg, "model", **ablations)
         vocab = None
         if model_cfg.embedding.source == "trainable":
             vocab = TokenVocabulary.build(
@@ -322,6 +334,7 @@ def cmd_predict(args, cfg):
     from .model import SpanScorer
 
     predict_cfg = _predict_section(args, cfg)
+    max_doc_length = _section(cfg, "train").max_doc_length
     model, _ = SpanScorer.load(_resolve_checkpoint(args.model),
                                frozen_vectors=_load_frozen(cfg))
     items, _ = read_dataset(args.data)
@@ -332,9 +345,8 @@ def cmd_predict(args, cfg):
             pred = chunk_and_merge(model, doc, predict_cfg.chunk_len,
                                    predict_cfg.chunk_weight)
         else:
-            clipped = truncate(doc, int(cfg["train.max_doc_length"]))
-            pred = predict_topk(model.distribution(clipped), clipped,
-                                k=model.expected_logit_count(len(clipped)))
+            clipped = truncate(doc, max_doc_length)
+            pred = predict_topk(model.distribution(clipped), clipped, k=None)
         if args.dedup:
             pred = dedup_substrings(pred)
         predictions.append(type(pred)(pred.doc_id, pred.top(predict_cfg.top_k)))
@@ -373,16 +385,14 @@ def cmd_baseline(args, cfg):
     from .inference import write_predictions
 
     top_k = _predict_section(args, cfg).top_k
+    max_doc_length = _section(cfg, "train").max_doc_length
+    max_len = _section(cfg, "model").max_span_length
     items, _ = read_dataset(args.data)
-    docs = [
-        truncate(getattr(item, "document", item), int(cfg["train.max_doc_length"]))
-        for item in items
-    ]
+    docs = [truncate(getattr(item, "document", item), max_doc_length) for item in items]
     if not docs:
         raise CliError(f"no documents in {args.data}")
     stopwords = load_stopwords(args.stopwords) if args.stopwords else None
     kwargs = {"stopwords": stopwords} if stopwords else {}
-    max_len = int(cfg["model.max_span_length"])
     if args.method == "tfidf":
         stats = CorpusStats.build(docs)
         predictions = [
@@ -437,16 +447,16 @@ def cmd_agreement(args, cfg):
 def cmd_gradcheck(args, cfg):
     import numpy as np
 
-    from .gradcheck import finite_difference_check
-    from .model import SpanScorer
-    from .synthetic import gradcheck_example
     from .embedding import TokenVocabulary
+    from .gradcheck import finite_difference_check, gradcheck_example
+    from .model import SpanScorer
     from .training import TrainingExample, keyphrase_loss
 
     model_cfg = _section(cfg, "model", **_ablations(args.ablate))
     if model_cfg.embedding.source != "trainable":
         raise CliError("gradcheck runs on the trainable-embedding configuration")
-    doc, target = gradcheck_example(seed=int(cfg["seed"]))
+    doc, target = gradcheck_example(seed=int(cfg["seed"]),
+                                    max_span_length=model_cfg.max_span_length)
     vocab = TokenVocabulary.build([doc], min_count=2)
     model = SpanScorer(model_cfg, vocab=vocab, seed=int(cfg["seed"]))
     # Zero-initialized biases over all-zero ReLU rows put pre-activations

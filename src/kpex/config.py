@@ -94,6 +94,8 @@ class TrainingConfig:
             raise ValueError("max_epochs must be at least 1")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must be in [0, 1)")
+        if self.max_doc_length < 1:
+            raise ValueError("max_doc_length must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,16 @@
 
 A document is a sequence of lowercased tokens plus one 18-dimensional visual
 feature row per token. Candidate keyphrases are all n-grams up to a maximum
-width K; gold phrases are aligned to the token sequence by exact token-level
-match, and the training target spreads probability uniformly over every
-occurrence of every matched phrase.
+width K, one (start, length) row each; gold phrases are aligned to the token
+sequence by exact token-level match, and the training target spreads
+probability uniformly over every occurrence of every matched phrase.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,20 +30,11 @@ def tokenize(text):
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True, order=True)
-class Span:
-    """A candidate phrase: ``length`` tokens starting at token ``start``."""
+class Span(NamedTuple):
+    """A phrase: ``length`` tokens from token ``start``; unpacks like a span row."""
 
     start: int
     length: int
-
-    def __post_init__(self):
-        if self.start < 0 or self.length < 1:
-            raise ValueError(f"invalid span ({self.start}, {self.length})")
-
-    @property
-    def stop(self):
-        return self.start + self.length
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +63,8 @@ class Document:
         return len(self.tokens)
 
     def phrase(self, span):
-        return " ".join(self.tokens[span.start : span.stop])
+        start, length = span
+        return " ".join(self.tokens[start : start + length])
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,25 +75,6 @@ class LabeledDocument:
     def __post_init__(self):
         if not self.keyphrases:
             raise ValueError(f"document {self.document.id!r} has no keyphrases")
-
-
-@dataclass(frozen=True, eq=False)
-class SpanTarget:
-    """Uniform target distribution over the matched gold spans."""
-
-    spans: tuple
-
-    def __post_init__(self):
-        if not self.spans:
-            raise ValueError("span target needs at least one span")
-
-    def dense(self, n_tokens, max_len):
-        """Target vector aligned with enumerate_spans(n_tokens, max_len)."""
-        out = np.zeros(count_spans(n_tokens, max_len))
-        mass = 1.0 / len(self.spans)
-        for span in self.spans:
-            out[span_index(n_tokens, span)] += mass
-        return out
 
 
 def validate_visual_rows(doc_id, n_tokens, rows, where=None):
@@ -147,16 +121,18 @@ def truncate(doc, max_len=MAX_DOC_LENGTH):
 
 
 def enumerate_spans(n_tokens, max_len=MAX_SPAN_LENGTH):
-    """All (start, length) spans with length <= max_len, ordered by (length, start)."""
+    """All spans up to max_len as an (M, 2) int64 array of (start, length) rows.
+
+    Rows are ordered by (length, start): row i is the span that logit i scores.
+    """
     if n_tokens < 1:
         raise ValueError("need at least one token")
     if max_len < 1:
         raise ValueError("max span length must be at least 1")
-    return [
-        Span(start, length)
-        for length in range(1, min(max_len, n_tokens) + 1)
-        for start in range(n_tokens - length + 1)
-    ]
+    widths = np.arange(1, min(max_len, n_tokens) + 1, dtype=np.int64)
+    counts = n_tokens - widths + 1
+    starts = np.concatenate([np.arange(c, dtype=np.int64) for c in counts])
+    return np.stack([starts, np.repeat(widths, counts)], axis=1)
 
 
 def count_spans(n_tokens, max_len=MAX_SPAN_LENGTH):
@@ -166,11 +142,22 @@ def count_spans(n_tokens, max_len=MAX_SPAN_LENGTH):
 
 def span_index(n_tokens, span):
     """Index of ``span`` within enumerate_spans(n_tokens, ...) ordering."""
-    k = span.length
-    if span.stop > n_tokens:
+    start, k = span
+    if start + k > n_tokens:
         raise ValueError(f"span {span} exceeds document length {n_tokens}")
     offset = (k - 1) * n_tokens - ((k - 1) * (k - 2)) // 2
-    return offset + span.start
+    return offset + start
+
+
+def span_target(n_tokens, max_len, spans):
+    """Uniform target over ``spans``, aligned with enumerate_spans(n_tokens, max_len)."""
+    if not spans:
+        raise ValueError("span target needs at least one span")
+    out = np.zeros(count_spans(n_tokens, max_len))
+    mass = 1.0 / len(spans)
+    for span in spans:
+        out[span_index(n_tokens, span)] += mass
+    return out
 
 
 def match_phrase(doc, phrase):
@@ -196,11 +183,11 @@ class LabelReport:
 
 
 def build_labels(labeled, max_len=MAX_SPAN_LENGTH):
-    """Align gold phrases to spans; returns (SpanTarget | None, LabelReport).
+    """Align gold phrases to spans; returns (sorted Spans | None, LabelReport).
 
     Phrases longer than ``max_len`` tokens are unmatchable by construction and
-    reported separately. A document where nothing matches yields target None
-    and is expected to be skipped (with a counter) by training code.
+    reported separately. A document where nothing matches yields None and is
+    expected to be skipped (with a counter) by training code.
     """
     report = LabelReport()
     spans = set()
@@ -220,7 +207,7 @@ def build_labels(labeled, max_len=MAX_SPAN_LENGTH):
             report.unmatched.append(phrase)
     if not spans:
         return None, report
-    return SpanTarget(tuple(sorted(spans, key=lambda s: (s.length, s.start)))), report
+    return tuple(sorted(spans, key=lambda s: (s.length, s.start))), report
 
 
 @dataclass

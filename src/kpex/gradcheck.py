@@ -11,10 +11,27 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import no_grad
+from .documents import MAX_SPAN_LENGTH, VISUAL_DIM, Document, Span, span_target
 
 DEFAULT_EPSILON = 1e-5
 # below this scale the comparison is effectively absolute at floor * tolerance
 RELATIVE_FLOOR = 1e-3
+
+
+def gradcheck_example(seed=0, n_tokens=12, n_types=4, max_span_length=MAX_SPAN_LENGTH):
+    """A small document and its dense span target for finite-difference checks.
+
+    Token types repeat so a min-count-2 vocabulary keeps them all, and the
+    visual rows are random so every embedding slice participates. Target
+    spans are cut to ``max_span_length`` tokens, so every one is a candidate.
+    """
+    rng = np.random.default_rng(seed)
+    tokens = tuple(f"w{i % n_types}" for i in range(n_tokens))
+    visual = rng.uniform(0.0, 1.0, size=(n_tokens, VISUAL_DIM))
+    doc = Document(f"gradcheck{seed}", tokens, visual)
+    spans = [Span(start, min(length, max_span_length)) for start, length in
+             ((1, 2), (5, 1), (4, 3))]
+    return doc, span_target(n_tokens, max_span_length, spans)
 
 
 def relative_error(a, b, floor=RELATIVE_FLOOR):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import compress
 
 import numpy as np
 
@@ -61,8 +60,9 @@ class Prediction:
 
 
 def rank_phrases(doc, spans, scores, k=None):
-    """Rank scored spans of ``doc`` into (phrase, score) pairs, one per phrase.
+    """Rank scored (start, length) rows of ``doc`` into (phrase, score) pairs.
 
+    ``spans`` is an (M, 2) array like enumerate_spans, one row per score.
     Spans sort by score, then earlier start, then shorter length; a phrase
     keeps the score of its first span in that order. With ``k``, ranking
     stops after k phrases. Document tokens are tokenizer output, which
@@ -71,13 +71,11 @@ def rank_phrases(doc, spans, scores, k=None):
     if k is not None and k < 1:
         raise ValueError("k must be at least 1")
     scores = np.asarray(scores, dtype=np.float64)
-    starts = np.fromiter((s.start for s in spans), dtype=np.int64, count=len(spans))
-    lengths = np.fromiter((s.length for s in spans), dtype=np.int64, count=len(spans))
-    order = np.lexsort((lengths, starts, -scores))
+    order = np.lexsort((spans[:, 1], spans[:, 0], -scores))
     seen = set()
     ranked = []
-    for i, score in zip(order.tolist(), scores[order].tolist()):
-        phrase = doc.phrase(spans[i])
+    for span, score in zip(spans[order].tolist(), scores[order].tolist()):
+        phrase = doc.phrase(span)
         if phrase not in seen:
             seen.add(phrase)
             ranked.append((phrase, score))
@@ -89,7 +87,7 @@ def rank_phrases(doc, spans, scores, k=None):
 def _unmasked(distribution):
     """The spans a distribution scores, with their probabilities."""
     mask = distribution.mask
-    return list(compress(distribution.spans, mask.tolist())), distribution.probs[mask]
+    return distribution.spans[mask], distribution.probs[mask]
 
 
 def predict_topk(distribution, doc, k):

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .config import EmbeddingConfig, ModelConfig
-from .documents import count_spans, enumerate_spans
+from .config import ModelConfig
+from .documents import enumerate_spans
 from .embedding import TokenVocabulary, TrainableLookup, embed_document
 from .registry import (
     ParameterRegistry,
@@ -28,20 +28,11 @@ from .registry import (
 )
 
 
-def full_scale_config():
-    """The full-size configuration: 512 filters, 8 heads, 256-dim positions."""
-    return ModelConfig(
-        filters=512,
-        heads=8,
-        embedding=EmbeddingConfig(token_dim=1024, position_dim=256, source="frozen"),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class SpanDistribution:
-    """Softmax output: candidate spans, their probabilities, and the mask."""
+    """Softmax output: the enumerate_spans rows, their probabilities, and the mask."""
 
-    spans: tuple
+    spans: np.ndarray
     probs: np.ndarray
     mask: np.ndarray
 
@@ -164,10 +155,9 @@ class SpanScorer:
         return ad.matmul(h, p["scorer/w3"]) + p["scorer/b3"]
 
     def forward(self, doc, train=False, rng=None):
-        """Logits for every candidate span, ordered by (length, start).
+        """Logits Tensor of shape (M,): logit i scores row i of enumerate_spans.
 
-        Returns (logits Tensor of shape (M,), list of Spans). Documents
-        shorter than K simply have no length-k candidates for k > n.
+        Documents shorter than K simply have no length-k candidates for k > n.
         """
         cfg = self.config
         n = len(doc)
@@ -187,15 +177,15 @@ class SpanScorer:
             grams = self._transformer(grams, train, rng)
             scores = self._scorer(grams, train, rng)
             pieces.append(ad.reshape(scores, (n - k + 1,)))
-        logits = ad.concat(pieces, axis=0) if len(pieces) > 1 else pieces[0]
-        return logits, enumerate_spans(n, cfg.max_span_length)
+        return ad.concat(pieces, axis=0) if len(pieces) > 1 else pieces[0]
 
     def distribution(self, doc, mask=None):
         """Inference-mode span probabilities (no tape, no dropout)."""
         with ad.no_grad():
-            logits, spans = self.forward(doc, train=False)
+            logits = self.forward(doc, train=False)
         probs, mask = score_spans(logits.data, mask)
-        return SpanDistribution(tuple(spans), probs, mask)
+        spans = enumerate_spans(len(doc), self.config.max_span_length)
+        return SpanDistribution(spans, probs, mask)
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -213,9 +203,6 @@ class SpanScorer:
             "embedding_tables": sum(1 for n in names if n.startswith("embedding/")),
             "total_parameters": self.registry.n_values(),
         }
-
-    def expected_logit_count(self, n_tokens):
-        return count_spans(n_tokens, self.config.max_span_length)
 
     # -- persistence ----------------------------------------------------
 

@@ -22,27 +22,23 @@ import numpy as np
 
 from .autodiff import no_grad, softmax_cross_entropy
 from .config import MAX_DOC_LENGTH, TrainingConfig  # noqa: F401  (re-exported)
-from .documents import build_labels, span_index, truncate
+from .documents import build_labels, span_target, truncate
 from .fileio import write_json
 from .optim import Adam, geometric_lr
 
 
 @dataclass(frozen=True, eq=False)
 class TrainingExample:
-    """A truncated document paired with its aligned span target."""
+    """A truncated document and its span_target distribution over candidates."""
 
     document: object
-    target: object  # SpanTarget
+    target: np.ndarray
 
 
 def keyphrase_loss(model, example, train=False, rng=None):
     """Cross-entropy of the joint span softmax against the uniform target."""
-    doc = example.document
-    logits, spans = model.forward(doc, train=train, rng=rng)
-    dense = example.target.dense(len(doc), model.config.max_span_length)
-    if len(dense) != logits.size:
-        raise ValueError("target length does not match candidate count")
-    return softmax_cross_entropy(logits, dense)
+    logits = model.forward(example.document, train=train, rng=rng)
+    return softmax_cross_entropy(logits, example.target)
 
 
 @dataclass
@@ -60,14 +56,13 @@ def prepare_examples(labeled_docs, max_span_length, max_doc_length=MAX_DOC_LENGT
     for item in labeled_docs:
         doc = truncate(item.document, max_doc_length)
         clipped = type(item)(doc, item.keyphrases)
-        target, label_report = build_labels(clipped, max_span_length)
+        spans, label_report = build_labels(clipped, max_span_length)
         report.phrases_too_long += len(label_report.too_long)
         report.phrases_unmatched += len(label_report.unmatched)
-        if target is None:
+        if spans is None:
             report.skipped_no_match.append(doc.id)
             continue
-        for span in target.spans:
-            span_index(len(doc), span)  # sanity: every span in range
+        target = span_target(len(doc), max_span_length, spans)
         examples.append(TrainingExample(doc, target))
         report.prepared += 1
     return examples, report

@@ -40,7 +40,7 @@ def read_query_log(path):
 def filter_queries(doc, queries, max_span_length=MAX_SPAN_LENGTH, blocklist=None):
     """Split queries into (kept, dropped) against a truncated document.
 
-    Kept entries are (query, occurrence spans) with duplicates collapsed;
+    Kept entries are the queries that occur verbatim, duplicates collapsed;
     dropped entries are (query, reason) with reason one of "empty",
     "blocked", "too_long", "not_verbatim", "duplicate".
     """
@@ -63,11 +63,10 @@ def filter_queries(doc, queries, max_span_length=MAX_SPAN_LENGTH, blocklist=None
         if len(tokens) > max_span_length:
             dropped.append((query, "too_long"))
             continue
-        spans = match_phrase(doc, query)
-        if not spans:
+        if not match_phrase(doc, query):
             dropped.append((query, "not_verbatim"))
             continue
-        kept.append((query, spans))
+        kept.append(query)
     return kept, dropped
 
 
@@ -155,11 +154,11 @@ def build_qp_dataset(
             dropped[reason] = dropped.get(reason, 0) + 1
         if not kept:
             continue
-        examples.append(LabeledDocument(clipped, tuple(q for q, _ in kept)))
+        examples.append(LabeledDocument(clipped, tuple(kept)))
         doc_lengths.append(len(doc))
         query_counts.append(len(kept))
         doc_vocab.update(doc.tokens)
-        for query, _ in kept:
+        for query in kept:
             tokens = tokenize(query)
             query_lengths.append(len(tokens))
             query_vocab.update(tokens)

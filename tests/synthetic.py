@@ -1,23 +1,16 @@
-"""Synthetic corpora with planted keyphrases.
+"""Synthetic corpora with planted keyphrases, and the full-scale model config.
 
 Three signal regimes back the end-to-end checks: a lexical regime where
 keyphrases come from a dedicated keyword vocabulary, a visual regime where
 the keyphrase is marked only by bold / large-font features, and a weak
 supervision regime that emits documents plus a click log of queries. All
-generators are deterministic in their seed.
+generators are deterministic in their seed. Only the tests use them.
 """
-
-from __future__ import annotations
 
 import numpy as np
 
-from .documents import (
-    VISUAL_DIM,
-    Document,
-    LabeledDocument,
-    SpanTarget,
-    Span,
-)
+from kpex.config import EmbeddingConfig, ModelConfig
+from kpex.documents import VISUAL_DIM, Document, LabeledDocument
 
 _FONT_ROWS = slice(0, 2)  # word + parent font features
 _BOLD_ROWS = slice(10, 12)  # word + parent bold flags
@@ -134,15 +127,10 @@ def weak_supervision_setup(
     )
 
 
-def gradcheck_example(seed=0, n_tokens=12, n_types=4):
-    """A small document + target for finite-difference checks.
-
-    Token types repeat so a min-count-2 vocabulary keeps them all, and the
-    visual rows are random so every embedding slice participates.
-    """
-    rng = np.random.default_rng(seed)
-    tokens = [f"w{i % n_types}" for i in range(n_tokens)]
-    visual = rng.uniform(0.0, 1.0, size=(n_tokens, VISUAL_DIM))
-    doc = _make_doc(f"gradcheck{seed}", tokens, visual)
-    target = SpanTarget((Span(1, 2), Span(5, 1), Span(4, 3)))
-    return doc, target
+def full_scale_config():
+    """The full-size configuration: 512 filters, 8 heads, 256-dim positions."""
+    return ModelConfig(
+        filters=512,
+        heads=8,
+        embedding=EmbeddingConfig(token_dim=1024, position_dim=256, source="frozen"),
+    )

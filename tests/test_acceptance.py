@@ -15,18 +15,12 @@ import numpy as np
 import pytest
 
 from kpex.baselines import CorpusStats, build_word_graph, pagerank, tfidf_score
-from kpex.documents import Span, enumerate_spans, make_document, truncate
+from kpex.documents import Span, count_spans, enumerate_spans, make_document, truncate
 from kpex.embedding import EmbeddingConfig, TokenVocabulary, position_matrix
-from kpex.gradcheck import finite_difference_check
+from kpex.gradcheck import finite_difference_check, gradcheck_example
 from kpex.inference import chunk_and_merge, chunk_document, predict_topk
 from kpex.metrics import evaluate, judge_agreement
 from kpex.model import ModelConfig, SpanDistribution, SpanScorer
-from kpex.synthetic import (
-    gradcheck_example,
-    lexical_corpus,
-    visual_corpus,
-    weak_supervision_setup,
-)
 from kpex.training import (
     TrainingConfig,
     TrainingExample,
@@ -35,6 +29,7 @@ from kpex.training import (
     run_training,
 )
 from kpex.weaksup import build_qp_dataset
+from synthetic import lexical_corpus, visual_corpus, weak_supervision_setup
 from test_embedding import position_encoding
 
 
@@ -86,7 +81,7 @@ def test_criterion_02_softmax_span_normalization():
         text = " ".join(f"w{rng.integers(0, 30)}" for _ in range(n))
         doc = make_document("d", text)
         dist = model.distribution(doc)
-        assert dist.probs.shape == (model.expected_logit_count(n),)
+        assert dist.probs.shape == (count_spans(n, 5),)
         worst_gap = max(worst_gap, abs(dist.probs.sum() - 1.0))
         assert abs(dist.probs.sum() - 1.0) <= 1e-6
         mask = rng.random(len(dist.probs)) < 0.5
@@ -233,7 +228,7 @@ class _TableModel:
 
 
 def _canned(n_tokens, probs):
-    spans = tuple(enumerate_spans(n_tokens, 5))
+    spans = enumerate_spans(n_tokens, 5)
     return SpanDistribution(
         spans, np.asarray(probs, dtype=np.float64), np.ones(len(spans), dtype=bool)
     )

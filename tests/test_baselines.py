@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kpex.baselines import (
+    STOPWORDS,
     CorpusStats,
     WordGraph,
     build_word_graph,
@@ -26,6 +29,22 @@ def _degree(graph, node):
     return sum(w for (u, _), w in graph.weights.items() if u == node)
 
 
+def _filter_oracle(spans, doc, stopwords=STOPWORDS):
+    """The per-span reference: each span's tokens checked one by one."""
+    kept = []
+    for start, length in spans.tolist():
+        tokens = doc.tokens[start : start + length]
+        if tokens[0] in stopwords or tokens[-1] in stopwords:
+            continue
+        if any(is_punctuation(t) for t in tokens):
+            continue
+        kept.append([start, length])
+    return kept
+
+
+_MIXED_TOKENS = ["the", "of", "a", "red", "stapler", "art", "651s5", ",", "-", "!", "«"]
+
+
 class TestCandidateFilter:
     def test_boundary_stopwords_dropped(self):
         doc = make_document("d", "the stapler of art")
@@ -39,7 +58,7 @@ class TestCandidateFilter:
     def test_interior_stopwords_allowed(self):
         doc = make_document("d", "state of the art")
         kept = candidate_filter(enumerate_spans(4, 4), doc)
-        assert Span(0, 4) in kept
+        assert [0, 4] in kept.tolist()
 
     def test_punctuation_anywhere_dropped(self):
         doc = make_document("d", "red , blue")
@@ -62,6 +81,19 @@ class TestCandidateFilter:
         doc = make_document("d", "red pen")
         kept = candidate_filter(enumerate_spans(2, 2), doc, stopwords=stops)
         assert {doc.phrase(s) for s in kept} == {"pen"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tokens=st.lists(st.sampled_from(_MIXED_TOKENS), min_size=1, max_size=30),
+        stopwords=st.none() | st.frozensets(st.sampled_from(_MIXED_TOKENS)),
+        max_len=st.integers(1, 6),
+    )
+    def test_matches_per_span_oracle(self, tokens, stopwords, max_len):
+        doc = make_document("d", " ".join(tokens))
+        stopwords = STOPWORDS if stopwords is None else stopwords
+        spans = enumerate_spans(len(doc), max_len)
+        kept = candidate_filter(spans, doc, stopwords)
+        assert kept.tolist() == _filter_oracle(spans, doc, stopwords)
 
 
 class TestTfidf:

@@ -247,6 +247,14 @@ class TestBuildQp:
         assert main(["build-qp", "--docs", docs, "--clicks", clicks,
                      "--out", out, "--blocklist", str(block)]) == 1  # nothing left
 
+    def test_max_span_length_below_one_rejected(self, tmp_path, capsys):
+        docs, clicks = self._inputs(tmp_path)
+        out = str(tmp_path / "qp.jsonl")
+        assert main(["--set", "model.max_span_length=0", "build-qp", "--docs", docs,
+                     "--clicks", clicks, "--out", out]) == 1
+        assert "max_span_length must be at least 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
@@ -366,6 +374,45 @@ class TestTrainCli:
         assert main(argv) == 1
         assert "unknown ablation" in capsys.readouterr().err
 
+    def test_unknown_ablation_with_init(self, pipeline, tmp_path, capsys):
+        out = str(tmp_path / "r")
+        argv = ["train", "--data", pipeline["data"], "--out", out,
+                "--init", os.path.join(pipeline["run_dir"], "best"),
+                "--ablate", "bogus_name"]
+        assert main(argv) == 1
+        assert "unknown ablation 'bogus_name'" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_ablation_contradicting_init_checkpoint(self, pipeline, tmp_path, capsys):
+        out = str(tmp_path / "r")
+        argv = ["train", "--data", pipeline["data"], "--out", out,
+                "--init", os.path.join(pipeline["run_dir"], "best"),
+                "--ablate", "no_visual"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "model.no_visual" in err and "checkpoint" in err
+        assert not os.path.exists(out)
+
+    def test_ablation_matching_init_checkpoint(self, pipeline, tmp_path):
+        first, second = str(tmp_path / "r1"), str(tmp_path / "r2")
+        ablated = SMALL_MODEL + ["--set", "train.max_epochs=1", "train",
+                                 "--data", pipeline["data"], "--ablate", "no_visual"]
+        assert main(ablated + ["--out", first]) == 0
+        assert main(ablated + ["--out", second,
+                               "--init", os.path.join(first, "best")]) == 0
+        from kpex.model import SpanScorer
+
+        model, _ = SpanScorer.load(os.path.join(second, "best.ckpt"))
+        assert model.config.no_visual is True
+
+    def test_max_doc_length_below_one_rejected(self, pipeline, tmp_path, capsys):
+        out = str(tmp_path / "r")
+        argv = ["--set", "train.max_doc_length=0",
+                "train", "--data", pipeline["data"], "--out", out]
+        assert main(argv) == 1
+        assert "max_doc_length must be at least 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestPredictCli:
     def test_predict_writes_ranked_phrases(self, pipeline, capsys):
@@ -438,6 +485,15 @@ class TestPredictCli:
                            "--data", pipeline["data"], "--out", out] + flags
         assert main(argv) == 1
         assert "top_k must be at least 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_max_doc_length_below_one_rejected(self, pipeline, tmp_path, capsys):
+        out = str(tmp_path / "p.jsonl")
+        argv = ["--set", "train.max_doc_length=0",
+                "predict", "--model", os.path.join(pipeline["run_dir"], "best"),
+                "--data", pipeline["data"], "--out", out]
+        assert main(argv) == 1
+        assert "max_doc_length must be at least 1" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_missing_checkpoint(self, pipeline, tmp_path, capsys):
@@ -516,6 +572,18 @@ class TestBaselineCli:
         assert "top_k must be at least 1" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("key,message", [
+        ("train.max_doc_length", "max_doc_length must be at least 1"),
+        ("model.max_span_length", "max_span_length must be at least 1"),
+    ])
+    def test_length_below_one_rejected(self, tmp_path, capsys, key, message):
+        out = str(tmp_path / "tfidf.jsonl")
+        argv = ["--set", f"{key}=0", "baseline", "--method", "tfidf",
+                "--data", GOLDEN_PAGES, "--out", out]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("method,digest", [
         ("tfidf", GOLDEN_TFIDF),
         ("textrank", GOLDEN_TEXTRANK),
@@ -584,6 +652,13 @@ class TestGradcheckCli:
         # all-zero conv rows and zero biases put scorer pre-activations on
         # ReLU kinks when no layer norm precedes the scorer
         argv = SMALL_MODEL + ["gradcheck", "--ablate", "no_transformer"]
+        assert main(argv) == 0
+        assert "passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("max_span_length", ["1", "2"])
+    def test_passes_with_short_max_span_length(self, capsys, max_span_length):
+        argv = SMALL_MODEL + ["--set", f"model.max_span_length={max_span_length}",
+                              "gradcheck", "--samples", "2"]
         assert main(argv) == 0
         assert "passed" in capsys.readouterr().out
 

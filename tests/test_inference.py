@@ -25,7 +25,7 @@ from kpex.model import ModelConfig, SpanDistribution, SpanScorer
 
 
 def _distribution(n_tokens, probs, max_span_length=5, mask=None):
-    spans = tuple(enumerate_spans(n_tokens, max_span_length))
+    spans = enumerate_spans(n_tokens, max_span_length)
     probs = np.asarray(probs, dtype=np.float64)
     assert len(spans) == len(probs)
     if mask is None:
@@ -57,8 +57,8 @@ def _collapse_oracle(distribution, doc):
     """Rank by (-probability, start, length), re-normalizing every span's text."""
     order = sorted(
         range(len(distribution.spans)),
-        key=lambda i: (-distribution.probs[i], distribution.spans[i].start,
-                       distribution.spans[i].length),
+        key=lambda i: (-distribution.probs[i], distribution.spans[i][0],
+                       distribution.spans[i][1]),
     )
     ranked = {}
     for i in order:

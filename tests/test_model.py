@@ -1,17 +1,19 @@
 """Span scorer: architecture shape, softmax, sharing, and persistence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from kpex.documents import Span, count_spans, make_document
+from kpex.documents import count_spans, enumerate_spans, make_document
 from kpex.embedding import EmbeddingConfig, TokenVocabulary
 from kpex.model import (
     ModelConfig,
     SpanScorer,
-    full_scale_config,
     score_spans,
 )
 from kpex.registry import save_checkpoint
+from synthetic import full_scale_config
 
 # Logits of the small 8-filter model (seed 0) with the old no_transformer=True
 # flag, recorded from the per-width forward that skipped the transformer.
@@ -116,37 +118,43 @@ class TestForward:
     def test_logit_count_12_tokens(self):
         model = _model()
         doc = _doc(12)
-        logits, spans = model.forward(doc)
+        logits = model.forward(doc)
         assert logits.shape == (50,)
-        assert len(spans) == 50
-        assert model.expected_logit_count(12) == 50
+        assert len(model.distribution(doc).spans) == 50
+        assert count_spans(12, 5) == 50
 
     def test_short_document_drops_long_banks(self):
         model = _model()
-        logits, spans = model.forward(_doc(3))
+        logits = model.forward(_doc(3))
         assert logits.shape == (count_spans(3, 5),) == (6,)
-        assert max(s.length for s in spans) == 3
+        assert model.distribution(_doc(3)).spans[:, 1].max() == 3
 
     def test_span_order_matches_enumeration(self):
-        model = _model()
-        _, spans = model.forward(_doc(6))
-        assert spans[:3] == [Span(0, 1), Span(1, 1), Span(2, 1)]
-        assert spans[-1] == Span(1, 5)
-        assert spans == sorted(spans, key=lambda s: (s.length, s.start))
+        # without a transformer, a span's logit sees only its own tokens: a
+        # change to token t moves exactly the logits of the rows covering t
+        model = _model(_small_config(layers=0, dropout=0.0))
+        doc = _doc(9)
+        before = model.forward(doc).data
+        visual = doc.visual.copy()
+        visual[4] = np.random.default_rng(0).uniform(size=visual.shape[1])
+        after = model.forward(replace(doc, visual=visual)).data
+        spans = enumerate_spans(9, 5)
+        covers = (spans[:, 0] <= 4) & (4 < spans[:, 0] + spans[:, 1])
+        np.testing.assert_array_equal(after != before, covers)
 
     def test_eval_forward_deterministic(self):
         model = _model()
         doc = _doc(9)
-        a, _ = model.forward(doc, train=False)
-        b, _ = model.forward(doc, train=False)
+        a = model.forward(doc, train=False)
+        b = model.forward(doc, train=False)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_train_dropout_varies(self):
         model = _model()
         doc = _doc(9)
         rng = np.random.default_rng(0)
-        a, _ = model.forward(doc, train=True, rng=rng)
-        b, _ = model.forward(doc, train=True, rng=rng)
+        a = model.forward(doc, train=True, rng=rng)
+        b = model.forward(doc, train=True, rng=rng)
         assert not np.array_equal(a.data, b.data)
 
     def test_distribution_sums_to_one(self):
@@ -167,7 +175,7 @@ class TestForward:
     def test_zero_layer_config(self):
         model = _model(_small_config(layers=0))
         assert model.parameter_census()["transformer_layers"] == 0
-        logits, _ = model.forward(_doc(6))
+        logits = model.forward(_doc(6))
         assert np.isfinite(logits.data).all()
 
 
@@ -194,7 +202,7 @@ class TestParameterSharing:
         from kpex.autodiff import reduce_sum
 
         model = _model()
-        logits, _ = model.forward(_doc(8), train=False)
+        logits = model.forward(_doc(8), train=False)
         reduce_sum(logits * logits).backward()
         missing = [
             name for name, p in model.registry.items() if p.grad is None
@@ -213,11 +221,11 @@ class TestPersistence:
     def test_save_load_identical_forward(self, tmp_path):
         model = _model()
         doc = _doc(10)
-        before = model.forward(doc)[0].data
+        before = model.forward(doc).data
         path = str(tmp_path / "model.ckpt")
         model.save(path, extra_metadata={"step": 7})
         loaded, meta = SpanScorer.load(path)
-        after = loaded.forward(doc)[0].data
+        after = loaded.forward(doc).data
         np.testing.assert_array_equal(before, after)
         assert meta["step"] == 7
         assert meta["format"] == "span-scorer"
@@ -259,7 +267,7 @@ class TestPersistence:
         doc = make_document("d", "red blue stapler red blue stapler red")
         # logits of the same checkpoint under the skip-the-transformer forward
         np.testing.assert_allclose(
-            loaded.forward(doc)[0].data, LEGACY_NO_TRANSFORMER_LOGITS, rtol=0, atol=1e-10
+            loaded.forward(doc).data, LEGACY_NO_TRANSFORMER_LOGITS, rtol=0, atol=1e-10
         )
 
     def test_legacy_transformer_flag_off_is_dropped(self, tmp_path):
@@ -268,7 +276,7 @@ class TestPersistence:
         loaded, _ = SpanScorer.load(path)
         assert loaded.config == model.config
         doc = _doc(7)
-        np.testing.assert_array_equal(loaded.forward(doc)[0].data, model.forward(doc)[0].data)
+        np.testing.assert_array_equal(loaded.forward(doc).data, model.forward(doc).data)
 
     def test_trainable_requires_vocab(self):
         with pytest.raises(ValueError, match="vocabulary"):

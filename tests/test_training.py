@@ -13,9 +13,10 @@ from kpex import autodiff
 from kpex.documents import (
     LabeledDocument,
     Span,
-    SpanTarget,
     count_spans,
     make_document,
+    span_index,
+    span_target,
 )
 from kpex.embedding import EmbeddingConfig, TokenVocabulary
 from kpex.model import ModelConfig, SpanScorer
@@ -55,7 +56,7 @@ def _corpus(n_docs=12, doc_len=8, seed=0):
         tokens = [f"w{rng.integers(0, 12)}" for _ in range(doc_len)]
         doc = make_document(f"doc{i}", " ".join(tokens))
         start = int(rng.integers(0, doc_len - 1))
-        examples.append(TrainingExample(doc, SpanTarget((Span(start, 2),))))
+        examples.append(TrainingExample(doc, span_target(doc_len, 5, (Span(start, 2),))))
     return examples
 
 
@@ -66,7 +67,7 @@ class TestLossValues:
         for name in ("scorer/w3", "scorer/b3"):
             model.registry[name].data[:] = 0.0
         doc = make_document("d", " ".join(["w0"] * 12))
-        ex = TrainingExample(doc, SpanTarget((Span(0, 1),)))
+        ex = TrainingExample(doc, span_target(12, 5, (Span(0, 1),)))
         loss = keyphrase_loss(model, ex)
         assert float(loss.data) == pytest.approx(math.log(50), abs=1e-9)
 
@@ -75,7 +76,7 @@ class TestLossValues:
         for name in ("scorer/w3", "scorer/b3"):
             model.registry[name].data[:] = 0.0
         doc = make_document("d", " ".join(["w0"] * 12))
-        ex = TrainingExample(doc, SpanTarget((Span(0, 1), Span(3, 2))))
+        ex = TrainingExample(doc, span_target(12, 5, (Span(0, 1), Span(3, 2))))
         loss = keyphrase_loss(model, ex)
         assert float(loss.data) == pytest.approx(math.log(50), abs=1e-9)
 
@@ -83,12 +84,8 @@ class TestLossValues:
         model = _model()
         doc = make_document("d", "w0 w1 w2")
 
-        class FakeTarget:
-            def dense(self, n, k):
-                return np.full(99, 1 / 99)
-
-        with pytest.raises(ValueError, match="candidate count"):
-            keyphrase_loss(model, TrainingExample(doc, FakeTarget()))
+        with pytest.raises(ValueError, match="target shape"):
+            keyphrase_loss(model, TrainingExample(doc, np.full(99, 1 / 99)))
 
     def test_loss_decreases_under_adam(self):
         model = _model()
@@ -108,7 +105,8 @@ class TestPrepareExamples:
         examples, report = prepare_examples([labeled], 5, max_doc_length=10)
         assert report.prepared == 1
         assert len(examples[0].document) == 10
-        assert all(s.stop <= 10 for s in examples[0].target.spans)
+        assert examples[0].target.shape == (count_spans(10, 5),)
+        assert examples[0].target[span_index(10, Span(1, 2))] == 1.0
 
     def test_unmatched_document_skipped(self):
         doc = make_document("d", "w0 w1")
@@ -131,7 +129,7 @@ class TestBatching:
         examples = []
         for i, n in enumerate((3, 9, 4, 8, 3, 9)):
             doc = make_document(f"d{i}", " ".join(["w0"] * n))
-            examples.append(TrainingExample(doc, SpanTarget((Span(0, 1),))))
+            examples.append(TrainingExample(doc, span_target(n, 5, (Span(0, 1),))))
         rng = np.random.default_rng(0)
         batches = _length_batches(examples, 2, rng)
         assert sorted(len(b) for b in batches) == [2, 2, 2]
@@ -260,7 +258,7 @@ class TestFirstStepPin:
     def test_training_forward_logits(self):
         model = _model(dropout=0.1, layers=2)
         doc = _corpus(n_docs=1, doc_len=9)[0].document
-        logits, _ = model.forward(doc, train=True, rng=np.random.default_rng(3))
+        logits = model.forward(doc, train=True, rng=np.random.default_rng(3))
         assert logits.requires_grad
         assert hashlib.sha256(logits.data.tobytes()).hexdigest() == (
             "eab2e96cfe3c5658b7a94c91dde07ba752a6e016d76c8b127d8f37b5e897783e"
