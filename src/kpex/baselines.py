@@ -85,21 +85,23 @@ class CorpusStats:
         return math.log((self.n_documents + 1) / (df + 1)) + 1.0
 
 
-def tfidf_score(span, doc, stats, counts=None):
-    """Mean tf*idf over the span tokens; tf is count / document length."""
-    start, length = span
-    counts = counts or Counter(doc.tokens)
-    n = len(doc)
-    total = 0.0
-    for token in doc.tokens[start : start + length]:
-        total += (counts[token] / n) * stats.idf(token)
-    return total / length
+def _span_sums(values, spans):
+    """Sum a per-token array over each (start, length) row, left to right."""
+    starts, lengths = spans[:, 0], spans[:, 1]
+    total = values[starts]
+    for j in range(1, lengths.max(initial=1)):
+        m = lengths > j
+        total[m] += values[starts[m] + j]
+    return total
 
 
 def tfidf_rank(doc, stats, max_span_length=5, top_k=10, stopwords=STOPWORDS):
+    """Rank candidate spans by their mean tf*idf; tf is count / document length."""
     spans = candidate_filter(enumerate_spans(len(doc), max_span_length), doc, stopwords)
     counts = Counter(doc.tokens)
-    scores = [tfidf_score(s, doc, stats, counts) for s in spans.tolist()]
+    n = len(doc)
+    values = np.array([(counts[t] / n) * stats.idf(t) for t in doc.tokens])
+    scores = _span_sums(values, spans) / spans[:, 1]
     return Prediction(doc.id, tuple(rank_phrases(doc, spans, scores, top_k)))
 
 
@@ -160,25 +162,26 @@ def pagerank(graph, damping=0.85, tol=1e-8, max_iterations=200):
     nodes = graph.nodes
     if not nodes:
         return PageRankResult({}, 0, 0.0)
-    neighbors = {v: [] for v in nodes}
-    degree = {v: 0.0 for v in nodes}
-    for (u, v), w in graph.weights.items():
-        neighbors[v].append((u, w))
-        degree[u] += w
-    scores = {v: 1.0 for v in nodes}
+    # bincount and cumsum add in input order, so each sum runs in the dict's
+    # insertion order (a matmul would not, and would move the last bits)
+    index = {v: i for i, v in enumerate(nodes)}
+    src = np.array([index[u] for u, _ in graph.weights], dtype=np.intp)
+    dst = np.array([index[v] for _, v in graph.weights], dtype=np.intp)
+    w = np.array(list(graph.weights.values()), dtype=np.float64)
+    degree = np.bincount(src, weights=w, minlength=len(nodes))
+    live = degree[src] > 0
+    src, dst = src[live], dst[live]
+    coef = w[live] / degree[src]
+    scores = np.ones(len(nodes))
     residual = float("inf")
     for iteration in range(1, max_iterations + 1):
-        updated = {}
-        for v in nodes:
-            incoming = sum(
-                w / degree[u] * scores[u] for u, w in neighbors[v] if degree[u] > 0
-            )
-            updated[v] = (1.0 - damping) + damping * incoming
-        residual = sum(abs(updated[v] - scores[v]) for v in nodes)
+        incoming = np.bincount(dst, weights=coef * scores[src], minlength=len(nodes))
+        updated = (1.0 - damping) + damping * incoming
+        residual = float(np.abs(updated - scores).cumsum()[-1])
         scores = updated
         if residual < tol:
-            return PageRankResult(scores, iteration, residual)
-    return PageRankResult(scores, max_iterations, residual)
+            return PageRankResult(dict(zip(nodes, scores.tolist())), iteration, residual)
+    return PageRankResult(dict(zip(nodes, scores.tolist())), max_iterations, residual)
 
 
 def textrank_scores(doc, window=2, damping=0.85, tol=1e-8, stopwords=STOPWORDS):
@@ -198,8 +201,5 @@ def textrank_rank(
     """Rank candidate spans by the sum of their words' TextRank scores."""
     scores = textrank_scores(doc, window=window, damping=damping, stopwords=stopwords)
     spans = candidate_filter(enumerate_spans(len(doc), max_span_length), doc, stopwords)
-    span_scores = [
-        sum(scores.get(t, 0.0) for t in doc.tokens[start : start + length])
-        for start, length in spans.tolist()
-    ]
+    span_scores = _span_sums(np.array([scores.get(t, 0.0) for t in doc.tokens]), spans)
     return Prediction(doc.id, tuple(rank_phrases(doc, spans, span_scores, top_k)))

@@ -267,13 +267,19 @@ def _run_train(args, cfg, mode):
     if args.init:
         path = _resolve_checkpoint(args.init)
         model, _ = SpanScorer.load(path, frozen_vectors=frozen)
-        for key, value in ablations.items():
-            found = getattr(model.config, key)
-            if found != value:
-                raise CliError(
-                    f"--ablate needs model.{key}={json.dumps(value)}, but checkpoint "
-                    f"{path} has model.{key}={json.dumps(found)}"
-                )
+        # the checkpoint's model: a value asked for (by --set, --config or
+        # --ablate) must match it; values left at their defaults come from it
+        requested = _section(cfg, "model", **ablations)
+        for prefix, want, found in (("model", requested, model.config),
+                                    ("embedding", requested.embedding, model.config.embedding)):
+            default = type(want)()
+            for f in fields(want):
+                value, have = getattr(want, f.name), getattr(found, f.name)
+                if f.name not in SECTIONS and value not in (getattr(default, f.name), have):
+                    raise CliError(
+                        f"requested {prefix}.{f.name}={json.dumps(value)}, but --init "
+                        f"checkpoint {path} has {prefix}.{f.name}={json.dumps(have)}"
+                    )
     else:
         model_cfg = _section(cfg, "model", **ablations)
         vocab = None
@@ -392,7 +398,7 @@ def cmd_baseline(args, cfg):
     if not docs:
         raise CliError(f"no documents in {args.data}")
     stopwords = load_stopwords(args.stopwords) if args.stopwords else None
-    kwargs = {"stopwords": stopwords} if stopwords else {}
+    kwargs = {"stopwords": stopwords} if stopwords is not None else {}
     if args.method == "tfidf":
         stats = CorpusStats.build(docs)
         predictions = [
@@ -549,7 +555,9 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--top-k", type=int)
-    p.add_argument("--stopwords", help="custom stopword list file")
+    p.add_argument("--stopwords",
+                   help="stopword list file, one word a line; it replaces the "
+                        "built-in English list, and an empty file means no stopwords")
     p.set_defaults(handler=cmd_baseline)
 
     p = sub.add_parser("agreement", help="inter-judge agreement")

@@ -14,7 +14,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from kpex.baselines import CorpusStats, build_word_graph, pagerank, tfidf_score
+from kpex.baselines import CorpusStats, build_word_graph, pagerank
 from kpex.documents import Span, count_spans, enumerate_spans, make_document, truncate
 from kpex.embedding import EmbeddingConfig, TokenVocabulary, position_matrix
 from kpex.gradcheck import finite_difference_check, gradcheck_example
@@ -30,6 +30,7 @@ from kpex.training import (
 )
 from kpex.weaksup import build_qp_dataset
 from synthetic import lexical_corpus, visual_corpus, weak_supervision_setup
+from test_baselines import tfidf_score
 from test_embedding import position_encoding
 
 

@@ -1,6 +1,9 @@
 """TFIDF and TextRank baselines over the shared candidate space."""
 
 import math
+import operator
+from collections import Counter
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,7 +13,9 @@ from hypothesis import strategies as st
 from kpex.baselines import (
     STOPWORDS,
     CorpusStats,
+    PageRankResult,
     WordGraph,
+    _span_sums,
     build_word_graph,
     candidate_filter,
     is_punctuation,
@@ -19,9 +24,9 @@ from kpex.baselines import (
     textrank_rank,
     textrank_scores,
     tfidf_rank,
-    tfidf_score,
 )
 from kpex.documents import Span, enumerate_spans, make_document
+from kpex.inference import Prediction, rank_phrases
 
 
 def _degree(graph, node):
@@ -43,6 +48,84 @@ def _filter_oracle(spans, doc, stopwords=STOPWORDS):
 
 
 _MIXED_TOKENS = ["the", "of", "a", "red", "stapler", "art", "651s5", ",", "-", "!", "«"]
+
+# The per-span and dict-loop reference implementations the numpy code in
+# kpex.baselines replaced. They must agree bit for bit: the sums run in the
+# same order. sum() is spelled out as _sum, 0 plus each term in turn, because
+# Python 3.12 made the builtin sum() of floats compensated.
+
+
+def _sum(terms):
+    return reduce(operator.add, terms, 0)
+
+
+def tfidf_score(span, doc, stats, counts=None):
+    """Mean tf*idf over the span tokens; tf is count / document length."""
+    start, length = span
+    counts = counts or Counter(doc.tokens)
+    n = len(doc)
+    total = 0.0
+    for token in doc.tokens[start : start + length]:
+        total += (counts[token] / n) * stats.idf(token)
+    return total / length
+
+
+def _pagerank_oracle(graph, damping=0.85, tol=1e-8, max_iterations=200):
+    """PageRank as a dict loop over each node's in-neighbors."""
+    if not 0.0 < damping < 1.0:
+        raise ValueError("damping must be in (0, 1)")
+    nodes = graph.nodes
+    if not nodes:
+        return PageRankResult({}, 0, 0.0)
+    neighbors = {v: [] for v in nodes}
+    degree = {v: 0.0 for v in nodes}
+    for (u, v), w in graph.weights.items():
+        neighbors[v].append((u, w))
+        degree[u] += w
+    scores = {v: 1.0 for v in nodes}
+    residual = float("inf")
+    for iteration in range(1, max_iterations + 1):
+        updated = {}
+        for v in nodes:
+            incoming = _sum(
+                w / degree[u] * scores[u] for u, w in neighbors[v] if degree[u] > 0
+            )
+            updated[v] = (1.0 - damping) + damping * incoming
+        residual = _sum(abs(updated[v] - scores[v]) for v in nodes)
+        scores = updated
+        if residual < tol:
+            return PageRankResult(scores, iteration, residual)
+    return PageRankResult(scores, max_iterations, residual)
+
+
+def _tfidf_rank_oracle(doc, stats, max_span_length=5, top_k=10, stopwords=STOPWORDS):
+    spans = candidate_filter(enumerate_spans(len(doc), max_span_length), doc, stopwords)
+    counts = Counter(doc.tokens)
+    scores = [tfidf_score(s, doc, stats, counts) for s in spans.tolist()]
+    return Prediction(doc.id, tuple(rank_phrases(doc, spans, scores, top_k)))
+
+
+def _textrank_rank_oracle(doc, max_span_length=5, top_k=10, window=2, stopwords=STOPWORDS):
+    graph = build_word_graph(doc, window=window, stopwords=stopwords)
+    scores = _pagerank_oracle(graph).scores
+    spans = candidate_filter(enumerate_spans(len(doc), max_span_length), doc, stopwords)
+    span_scores = [
+        _sum(scores.get(t, 0.0) for t in doc.tokens[start : start + length])
+        for start, length in spans.tolist()
+    ]
+    return Prediction(doc.id, tuple(rank_phrases(doc, spans, span_scores, top_k)))
+
+
+def _bits(pairs):
+    """(key, exact float bits) pairs: equal only when every value is bitwise equal."""
+    return [(key, float(value).hex()) for key, value in pairs]
+
+
+# stopwords, punctuation and repeated content types, so graphs have cycles,
+# isolated nodes and repeated edges
+_PAGE_TOKENS = ["the", "of", "and", "a", ",", "!", "-", "red", "stapler", "art",
+                "office", "pen", "blue", "651s5", "x", "y", "z", "w"]
+_pages = st.lists(st.sampled_from(_PAGE_TOKENS), min_size=1, max_size=60)
 
 
 class TestCandidateFilter:
@@ -154,6 +237,16 @@ class TestTfidf:
         stats = CorpusStats.build(docs)
         assert len(tfidf_rank(docs[0], stats, top_k=3).phrases) == 3
 
+    @settings(max_examples=200, deadline=None)
+    @given(tokens=_pages, other=_pages, max_len=st.integers(1, 5),
+           top_k=st.sampled_from([1, 10, 100000]))
+    def test_rank_matches_per_span_oracle(self, tokens, other, max_len, top_k):
+        docs = [make_document("d", " ".join(tokens)), make_document("e", " ".join(other))]
+        stats = CorpusStats.build(docs)
+        got = tfidf_rank(docs[0], stats, max_span_length=max_len, top_k=top_k)
+        want = _tfidf_rank_oracle(docs[0], stats, max_len, top_k)
+        assert _bits(got.phrases) == _bits(want.phrases)
+
 
 class TestWordGraph:
     def test_window_two_links_adjacent_only(self):
@@ -246,10 +339,41 @@ class TestPageRank:
     def test_empty_graph(self):
         result = pagerank(WordGraph((), {}))
         assert result.scores == {}
+        assert (result.iterations, result.residual) == (0, 0.0)
+
+    def test_nodes_without_edges_settle_at_one_minus_damping(self):
+        result = pagerank(WordGraph(("a", "b", "c"), {}), damping=0.85)
+        assert list(result.scores.items()) == [(v, 1.0 - 0.85) for v in "abc"]
+        assert result.iterations == 2 and result.residual == 0.0
+
+    def test_zero_degree_sources_skipped(self):
+        # a's only edge weighs 0, so a passes nothing on (no 0/0)
+        graph = WordGraph(("a", "b", "c"), {("a", "b"): 0.0, ("b", "a"): 0.0,
+                                            ("b", "c"): 1.0, ("c", "b"): 1.0})
+        got, want = pagerank(graph), _pagerank_oracle(graph)
+        assert _bits(got.scores.items()) == _bits(want.scores.items())
+        assert (got.iterations, got.residual) == (want.iterations, want.residual)
 
     def test_damping_validation(self):
-        with pytest.raises(ValueError):
-            pagerank(WordGraph(("a",), {}), damping=1.0)
+        for damping in (1.0, 0.0, -0.5, 1.5):
+            with pytest.raises(ValueError):
+                pagerank(WordGraph(("a",), {}), damping=damping)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tokens=_pages, window=st.integers(2, 4), cap=st.none() | st.integers(1, 7),
+           damping=st.sampled_from([0.5, 0.85, 0.95]), data=st.data())
+    def test_matches_dict_loop_oracle(self, tokens, window, cap, damping, data):
+        graph = build_word_graph(make_document("d", " ".join(tokens)), window=window)
+        items = list(graph.weights.items())
+        order = data.draw(st.permutations(range(len(items))))
+        graph = WordGraph(graph.nodes, dict(items[i] for i in order))
+        kwargs = {"damping": damping}
+        if cap is not None:
+            kwargs.update(tol=0.0, max_iterations=cap)
+        got, want = pagerank(graph, **kwargs), _pagerank_oracle(graph, **kwargs)
+        assert _bits(got.scores.items()) == _bits(want.scores.items())
+        assert got.iterations == want.iterations
+        assert got.residual.hex() == want.residual.hex()
 
     def test_iteration_cap_respected(self):
         doc = make_document("d", "p q r s p")
@@ -286,3 +410,19 @@ class TestTextRankRanking:
         assert scores["state of art"] == pytest.approx(
             word_scores["state"] + word_scores["art"], abs=1e-12
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(tokens=_pages, max_len=st.integers(1, 5), window=st.integers(2, 4),
+           top_k=st.sampled_from([1, 10, 100000]))
+    def test_rank_matches_per_span_oracle(self, tokens, max_len, window, top_k):
+        doc = make_document("d", " ".join(tokens))
+        got = textrank_rank(doc, max_span_length=max_len, top_k=top_k, window=window)
+        want = _textrank_rank_oracle(doc, max_len, top_k, window)
+        assert _bits(got.phrases) == _bits(want.phrases)
+
+    def test_page_without_candidates(self):
+        doc = make_document("d", "the , of !")
+        no_spans = np.zeros((0, 2), dtype=np.int64)
+        assert _span_sums(np.ones(len(doc)), no_spans).shape == (0,)
+        assert textrank_rank(doc).phrases == ()
+        assert tfidf_rank(doc, CorpusStats.build([doc])).phrases == ()

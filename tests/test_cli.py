@@ -405,6 +405,31 @@ class TestTrainCli:
         model, _ = SpanScorer.load(os.path.join(second, "best.ckpt"))
         assert model.config.no_visual is True
 
+    @pytest.mark.parametrize("key,value,found", [
+        ("model.dropout", "0.5", "0.0"),
+        ("model.filters", "16", "8"),
+        ("embedding.token_dim", "12", "6"),
+    ])
+    def test_set_contradicting_init_checkpoint(self, pipeline, tmp_path, capsys,
+                                               key, value, found):
+        out = str(tmp_path / "r")
+        argv = ["--set", f"{key}={value}", "--set", "train.max_epochs=1",
+                "train", "--data", pipeline["data"], "--out", out,
+                "--init", os.path.join(pipeline["run_dir"], "best")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{key}={value}" in err and f"{key}={found}" in err
+        assert "checkpoint" in err
+        assert not os.path.exists(out)
+
+    def test_set_matching_init_checkpoint(self, pipeline, tmp_path):
+        # the checkpoint's own non-default values may be repeated
+        out = str(tmp_path / "r")
+        argv = SMALL_MODEL + ["--set", "train.max_epochs=1", "train",
+                              "--data", pipeline["data"], "--out", out,
+                              "--init", os.path.join(pipeline["run_dir"], "best")]
+        assert main(argv) == 0
+
     def test_max_doc_length_below_one_rejected(self, pipeline, tmp_path, capsys):
         out = str(tmp_path / "r")
         argv = ["--set", "train.max_doc_length=0",
@@ -583,6 +608,19 @@ class TestBaselineCli:
         assert main(argv) == 1
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("method", ["tfidf", "textrank"])
+    def test_empty_stopwords_file_means_no_stopwords(self, tmp_path, method):
+        data = str(tmp_path / "docs.jsonl")
+        write_jsonl(data, [{"id": "d", "text": "the red stapler of the office"}])
+        stops = tmp_path / "empty.txt"
+        stops.write_text("# none\n")
+        out = str(tmp_path / "preds.jsonl")
+        assert main(["baseline", "--method", method, "--data", data, "--out", out,
+                     "--top-k", "100", "--stopwords", str(stops)]) == 0
+        (line,) = [json.loads(l) for l in open(out)]
+        phrases = [p for p, _ in line["phrases"]]
+        assert "the" in phrases and "the red stapler" in phrases
 
     @pytest.mark.parametrize("method,digest", [
         ("tfidf", GOLDEN_TFIDF),
