@@ -5,8 +5,9 @@ on a tape. Calling ``backward()`` on a scalar result walks the tape in reverse
 topological order and accumulates gradients into every tensor that requires
 them. The op set is deliberately small: just what the span classifier needs
 (dense algebra, windowed convolution via im2col, dropout, embedding lookup,
-and three fused ops with closed-form backwards: layer norm, the attention
-core and softmax cross-entropy).
+and four fused ops with closed-form backwards: the dense layer ``linear``,
+layer norm, the attention core and softmax cross-entropy). ``backward()``
+releases the tape as it walks it.
 
 float64 is the default dtype so finite-difference checks stay meaningful.
 """
@@ -24,6 +25,7 @@ __all__ = [
     "reshape",
     "relu",
     "matmul",
+    "linear",
     "sliding_windows",
     "conv1d",
     "embedding_lookup",
@@ -108,7 +110,14 @@ class Tensor:
             self.grad = self.grad + g
 
     def backward(self):
-        """Backpropagate from a scalar tensor through the recorded tape."""
+        """Backpropagate from a scalar tensor through the recorded tape.
+
+        The tape is released as the walk goes: once an interior node (one
+        with parents) has passed its gradient on, it drops that gradient,
+        its parents and its backward closure, so what only that node's
+        backward needed can be freed. Leaves keep their gradients. A second
+        backward through a released node raises RuntimeError.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         order = []
@@ -128,9 +137,15 @@ class Tensor:
                 order.append(node)
                 stack.pop()
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(order):
+        # post-order puts parents first, so popping walks children first
+        while order:
+            node = order.pop()
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
+            if node._parents:
+                node.grad = None
+                node._parents = ()
+                node._backward_fn = _released
 
     # -- operator sugar -------------------------------------------------
 
@@ -158,6 +173,12 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return reduce_sum(self, axis=axis, keepdims=keepdims)
+
+
+def _released(g):
+    raise RuntimeError(
+        "backward through a tape that an earlier backward() already released"
+    )
 
 
 def _as_tensor(x):
@@ -225,6 +246,34 @@ def matmul(a, b):
             b._accumulate(_unbroadcast(gb, b.data.shape))
 
     return _make(data, (a, b), backward_fn)
+
+
+def linear(x, weight, bias, relu=False):
+    """Dense layer ``x @ weight + bias``, then ReLU when ``relu`` is set.
+
+    One tape node and one array for what the composite op builds from
+    ``matmul``, ``add`` and ``relu``; the in-place steps round as their
+    out-of-place forms do, so the values are bitwise equal to it.
+    """
+    x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
+    data = x.data @ weight.data
+    data += bias.data
+    if relu:
+        np.maximum(data, 0.0, out=data)
+
+    def backward_fn(g):
+        if relu:
+            g = g * (data > 0.0)
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.data.shape))
+        if x.requires_grad:
+            gx = g @ weight.data.swapaxes(-1, -2)
+            x._accumulate(_unbroadcast(gx, x.data.shape))
+        if weight.requires_grad:
+            gw = x.data.swapaxes(-1, -2) @ g
+            weight._accumulate(_unbroadcast(gw, weight.data.shape))
+
+    return _make(data, (x, weight, bias), backward_fn)
 
 
 def relu(a):
@@ -330,8 +379,7 @@ def conv1d(x, weight, bias):
     if bias.data.shape != (f,):
         raise ValueError("bias shape does not match filter count")
     _check_finite("conv1d", x.data)
-    windows = sliding_windows(x, k)
-    return matmul(windows, weight) + bias
+    return linear(sliding_windows(x, k), weight, bias)
 
 
 def embedding_lookup(table, ids):
@@ -363,12 +411,14 @@ def dropout(a, p, rng=None, train=False):
         return a
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    mask = (rng.random(a.data.shape) >= p) / (1.0 - p)
-    data = a.data * mask
+    # the tape keeps the 1-byte keep flags; keep / (1 - p) rebuilds the
+    # float64 mask, the same values each time
+    keep = rng.random(a.data.shape) >= p
+    data = a.data * (keep / (1.0 - p))
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(g * mask)
+            a._accumulate(g * (keep / (1.0 - p)))
 
     return _make(data, (a,), backward_fn)
 
@@ -383,13 +433,16 @@ def layer_norm(x, scale, shift, eps=1e-5):
     x, scale, shift = _as_tensor(x), _as_tensor(scale), _as_tensor(shift)
     d = x.data.shape[-1]
     # the composite op's expressions in its order (tests/composite_ops.py), so
-    # the values are bitwise equal to it
+    # the values are bitwise equal to it: x - mean is x + mean * -1.0, as IEEE
+    # subtraction adds the negation, and each in-place step rounds exactly as
+    # its out-of-place form does
     mean = x.data.sum(axis=-1, keepdims=True) * (1.0 / d)
-    centered = x.data + mean * -1.0
-    var = (centered * centered).sum(axis=-1, keepdims=True) * (1.0 / d)
+    normed = x.data - mean
+    var = (normed * normed).sum(axis=-1, keepdims=True) * (1.0 / d)
     inv = (var + eps) ** -0.5
-    normed = centered * inv
-    data = normed * scale.data + shift.data
+    normed *= inv
+    data = normed * scale.data
+    data += shift.data
 
     def backward_fn(g):
         if shift.requires_grad:
@@ -482,10 +535,10 @@ def multi_head_self_attention(
     if heads < 1 or d % heads != 0:
         raise ValueError(f"model width {d} not divisible by {heads} heads")
     _check_finite("attention", x.data)
-    q = matmul(x, wq) + bq
-    k = matmul(x, wk) + bk
-    v = matmul(x, wv) + bv
-    projected = matmul(attention_core(q, k, v, heads), wo) + bo
+    q = linear(x, wq, bq)
+    k = linear(x, wk, bk)
+    v = linear(x, wv, bv)
+    projected = linear(attention_core(q, k, v, heads), wo, bo)
     projected = dropout(projected, dropout_p, rng=rng, train=train)
     return layer_norm(x + projected, scale, shift)
 

@@ -93,6 +93,9 @@ def load_run_config(config_path=None, overrides=(), seed=None, threads=None):
         merged["seed"] = seed
     if threads is not None:
         merged["threads"] = threads
+    n = merged["threads"]
+    if type(n) is not int or n < 0:  # not isinstance: True is an int too
+        raise CliError(f"threads must be a non-negative integer, got {n!r}")
     return merged
 
 
@@ -102,7 +105,7 @@ def config_digest(cfg):
 
 
 def _apply_threads(cfg):
-    n = int(cfg.get("threads") or 0)
+    n = cfg["threads"]
     if n > 0:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(n)
@@ -352,7 +355,9 @@ def cmd_predict(args, cfg):
                                    predict_cfg.chunk_weight)
         else:
             clipped = truncate(doc, max_doc_length)
-            pred = predict_topk(model.distribution(clipped), clipped, k=None)
+            # dedup protects the top quarter of the full list, so it needs all of it
+            pred = predict_topk(model.distribution(clipped), clipped,
+                                k=None if args.dedup else predict_cfg.top_k)
         if args.dedup:
             pred = dedup_substrings(pred)
         predictions.append(type(pred)(pred.doc_id, pred.top(predict_cfg.top_k)))

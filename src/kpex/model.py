@@ -22,6 +22,7 @@ from .documents import enumerate_spans
 from .embedding import TokenVocabulary, TrainableLookup, embed_document
 from .registry import (
     ParameterRegistry,
+    check_arrays,
     load_checkpoint,
     save_checkpoint,
     xavier_uniform,
@@ -60,56 +61,90 @@ def score_spans(logits, mask=None):
     return probs, mask
 
 
+def _normal(rng, shape):
+    return rng.normal(0.0, 0.1, size=shape)
+
+
+def _zeros(rng, shape):
+    return np.zeros(shape)
+
+
+def _ones(rng, shape):
+    return np.ones(shape)
+
+
+def _parameter_layout(config, n_tokens=0):
+    """(name, shape, init) of every parameter, in registry and draw order.
+
+    ``init(rng, shape)`` draws the initial value; ``n_tokens`` is the
+    vocabulary size, used only by trainable embeddings.
+    """
+    emb = config.embedding
+    layout = []
+    if emb.source == "trainable":
+        layout.append(("embedding/tokens", (n_tokens, emb.token_dim), _normal))
+    d_in = emb.width
+    f = config.filters
+    for k in range(1, config.max_span_length + 1):
+        layout.append((f"cnn/k{k}/weight", (k * d_in, f), xavier_uniform))
+        layout.append((f"cnn/k{k}/bias", (f,), _zeros))
+    for layer in range(config.layers):
+        base = f"transformer/layer{layer}"
+        for name in ("wq", "wk", "wv", "wo"):
+            layout.append((f"{base}/attention/{name}", (f, f), xavier_uniform))
+        for name in ("bq", "bk", "bv", "bo"):
+            layout.append((f"{base}/attention/{name}", (f,), _zeros))
+        layout.append((f"{base}/attention_norm/scale", (f,), _ones))
+        layout.append((f"{base}/attention_norm/shift", (f,), _zeros))
+        layout.append((f"{base}/ffn/w1", (f, f), xavier_uniform))
+        layout.append((f"{base}/ffn/b1", (f,), _zeros))
+        layout.append((f"{base}/ffn/w2", (f, f), xavier_uniform))
+        layout.append((f"{base}/ffn/b2", (f,), _zeros))
+        layout.append((f"{base}/ffn_norm/scale", (f,), _ones))
+        layout.append((f"{base}/ffn_norm/shift", (f,), _zeros))
+    layout.append(("scorer/w1", (f, f), xavier_uniform))
+    layout.append(("scorer/b1", (f,), _zeros))
+    layout.append(("scorer/w2", (f, f), xavier_uniform))
+    layout.append(("scorer/b2", (f,), _zeros))
+    layout.append(("scorer/w3", (f, 1), xavier_uniform))
+    layout.append(("scorer/b3", (1,), _zeros))
+    return layout
+
+
 class SpanScorer:
     """The end-to-end span classifier with a named parameter registry."""
 
-    def __init__(self, config, vocab=None, frozen_vectors=None, seed=0):
+    def __init__(self, config, vocab=None, frozen_vectors=None, seed=0, arrays=None):
+        """Parameters drawn from ``seed``, or taken from ``arrays``.
+
+        ``arrays`` maps each parameter name to its value, as load_checkpoint
+        returns them; the model keeps those arrays and draws nothing.
+        """
         self.config = config
         self.vocab = vocab
         self.frozen_vectors = frozen_vectors
-        self.registry = ParameterRegistry()
-        rng = np.random.default_rng(seed)
         emb = config.embedding
         if emb.source == "trainable":
             if vocab is None:
                 raise ValueError("trainable embeddings need a vocabulary")
-            table = self.registry.add(
-                "embedding/tokens",
-                rng.normal(0.0, 0.1, size=(len(vocab), emb.token_dim)),
-            )
-            self.source = TrainableLookup(vocab, table)
         else:
             if frozen_vectors is None:
                 raise ValueError("frozen embedding source needs loaded vectors")
             if frozen_vectors.token_dim != emb.token_dim:
                 raise ValueError("frozen vector width != embedding token_dim")
+        layout = _parameter_layout(config, len(vocab) if vocab is not None else 0)
+        if arrays is None:
+            rng = np.random.default_rng(seed)
+            arrays = {name: init(rng, shape) for name, shape, init in layout}
+        else:
+            check_arrays({name: shape for name, shape, _ in layout}, arrays)
+        self.registry = ParameterRegistry()
+        for name, _, _ in layout:
+            self.registry.add(name, arrays[name])
+        if emb.source == "trainable":
+            self.source = TrainableLookup(vocab, self.registry["embedding/tokens"])
+        else:
             self.source = frozen_vectors
-
-        d_in = emb.width
-        f = config.filters
-        for k in range(1, config.max_span_length + 1):
-            self.registry.add(f"cnn/k{k}/weight", xavier_uniform(rng, (k * d_in, f)))
-            self.registry.add(f"cnn/k{k}/bias", np.zeros(f))
-        for layer in range(config.layers):
-            base = f"transformer/layer{layer}"
-            for name in ("wq", "wk", "wv", "wo"):
-                self.registry.add(f"{base}/attention/{name}", xavier_uniform(rng, (f, f)))
-            for name in ("bq", "bk", "bv", "bo"):
-                self.registry.add(f"{base}/attention/{name}", np.zeros(f))
-            self.registry.add(f"{base}/attention_norm/scale", np.ones(f))
-            self.registry.add(f"{base}/attention_norm/shift", np.zeros(f))
-            self.registry.add(f"{base}/ffn/w1", xavier_uniform(rng, (f, f)))
-            self.registry.add(f"{base}/ffn/b1", np.zeros(f))
-            self.registry.add(f"{base}/ffn/w2", xavier_uniform(rng, (f, f)))
-            self.registry.add(f"{base}/ffn/b2", np.zeros(f))
-            self.registry.add(f"{base}/ffn_norm/scale", np.ones(f))
-            self.registry.add(f"{base}/ffn_norm/shift", np.zeros(f))
-        self.registry.add("scorer/w1", xavier_uniform(rng, (f, f)))
-        self.registry.add("scorer/b1", np.zeros(f))
-        self.registry.add("scorer/w2", xavier_uniform(rng, (f, f)))
-        self.registry.add("scorer/b2", np.zeros(f))
-        self.registry.add("scorer/w3", xavier_uniform(rng, (f, 1)))
-        self.registry.add("scorer/b3", np.zeros(1))
 
     # -- forward --------------------------------------------------------
 
@@ -135,9 +170,9 @@ class SpanScorer:
                 rng=rng,
                 train=train,
             )
-            hidden = ad.relu(ad.matmul(x, p[f"{base}/ffn/w1"]) + p[f"{base}/ffn/b1"])
+            hidden = ad.linear(x, p[f"{base}/ffn/w1"], p[f"{base}/ffn/b1"], relu=True)
             hidden = ad.dropout(hidden, cfg.dropout, rng=rng, train=train)
-            hidden = ad.matmul(hidden, p[f"{base}/ffn/w2"]) + p[f"{base}/ffn/b2"]
+            hidden = ad.linear(hidden, p[f"{base}/ffn/w2"], p[f"{base}/ffn/b2"])
             x = ad.layer_norm(
                 x + hidden,
                 p[f"{base}/ffn_norm/scale"],
@@ -148,11 +183,11 @@ class SpanScorer:
     def _scorer(self, x, train, rng):
         p = self.registry
         cfg = self.config
-        h = ad.relu(ad.matmul(x, p["scorer/w1"]) + p["scorer/b1"])
+        h = ad.linear(x, p["scorer/w1"], p["scorer/b1"], relu=True)
         h = ad.dropout(h, cfg.dropout, rng=rng, train=train)
-        h = ad.relu(ad.matmul(h, p["scorer/w2"]) + p["scorer/b2"])
+        h = ad.linear(h, p["scorer/w2"], p["scorer/b2"], relu=True)
         h = ad.dropout(h, cfg.dropout, rng=rng, train=train)
-        return ad.matmul(h, p["scorer/w3"]) + p["scorer/b3"]
+        return ad.linear(h, p["scorer/w3"], p["scorer/b3"])
 
     def forward(self, doc, train=False, rng=None):
         """Logits Tensor of shape (M,): logit i scores row i of enumerate_spans.
@@ -234,6 +269,5 @@ class SpanScorer:
             if meta.get("vocab") is not None
             else None
         )
-        model = cls(config, vocab=vocab, frozen_vectors=frozen_vectors)
-        model.registry.load_arrays(arrays)
+        model = cls(config, vocab=vocab, frozen_vectors=frozen_vectors, arrays=arrays)
         return model, meta

@@ -67,24 +67,25 @@ class ParameterRegistry:
     def n_values(self):
         return sum(t.data.size for t in self._params.values())
 
-    def load_arrays(self, arrays, strict=True):
-        """Overwrite parameter values in place; shapes must match exactly."""
-        mismatched = [
-            f"{name}: have {self._params[name].data.shape}, got {np.shape(arr)}"
-            for name, arr in arrays.items()
-            if name in self._params and self._params[name].data.shape != np.shape(arr)
-        ]
-        if mismatched:
-            raise CheckpointError("shape mismatch for " + "; ".join(mismatched))
-        missing = [n for n in self._params if n not in arrays]
-        unknown = [n for n in arrays if n not in self._params]
-        if strict and (missing or unknown):
-            raise CheckpointError(
-                f"parameter set mismatch: missing {missing}, unknown {unknown}"
-            )
-        for name, arr in arrays.items():
-            if name in self._params:
-                self._params[name].data = np.asarray(arr, dtype=np.float64).copy()
+
+def check_arrays(shapes, arrays):
+    """Raise CheckpointError unless ``arrays`` fit the name -> shape map ``shapes``.
+
+    The two name sets must be equal and every name's shape the same.
+    """
+    mismatched = [
+        f"{name}: have {shapes[name]}, got {np.shape(arr)}"
+        for name, arr in arrays.items()
+        if name in shapes and shapes[name] != np.shape(arr)
+    ]
+    if mismatched:
+        raise CheckpointError("shape mismatch for " + "; ".join(mismatched))
+    missing = [n for n in shapes if n not in arrays]
+    unknown = [n for n in arrays if n not in shapes]
+    if missing or unknown:
+        raise CheckpointError(
+            f"parameter set mismatch: missing {missing}, unknown {unknown}"
+        )
 
 
 def save_checkpoint(path, registry, metadata):

@@ -2,9 +2,9 @@
 
 ``softmax``, ``transpose`` and ``power`` are the tape ops the library had
 before ``layer_norm`` and the attention core became single fused nodes.
-``layer_norm`` and ``multi_head_self_attention`` below build those two ops
-from the small ones, as the library used to, so tests can compare the fused
-values (bitwise) and gradients (within rounding) against them.
+``linear``, ``layer_norm`` and ``multi_head_self_attention`` below build the
+fused ops from the small ones, as the library used to, so tests can compare
+the fused values (bitwise) and gradients (within rounding) against them.
 """
 
 import math
@@ -17,6 +17,7 @@ from kpex.autodiff import (
     dropout,
     matmul,
     reduce_sum,
+    relu as relu_op,
     reshape,
 )
 
@@ -59,6 +60,12 @@ def softmax(a, axis=-1):
             a._accumulate((g - inner) * data)
 
     return _make(data, (a,), backward_fn)
+
+
+def linear(x, weight, bias, relu=False):
+    """Dense layer as matmul, add and (with ``relu``) relu nodes."""
+    out = matmul(x, weight) + bias
+    return relu_op(out) if relu else out
 
 
 def layer_norm(x, scale, shift, eps=1e-5):

@@ -1,5 +1,7 @@
 """Finite-difference oracles and closed-form checks for every primitive."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,24 @@ class TestDropout:
         np.testing.assert_allclose(values, [0.0, 1.0 / 0.8])
         assert abs(y.data.mean() - 1.0) < 0.02
 
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_matches_float_mask_dropout(self, p):
+        # the float64-mask dropout the tape used to store, as the oracle
+        def float_mask_dropout(a, rng):
+            mask = (rng.random(a.data.shape) >= p) / (1.0 - p)
+            out = Tensor(a.data * mask)
+            return out, lambda g: g * mask
+
+        data = np.random.default_rng(31).normal(size=(6, 5))
+        upstream = np.random.default_rng(32).normal(size=(6, 5))
+        x = Tensor(data.copy(), requires_grad=True)
+        y = ad.dropout(x, p, rng=np.random.default_rng(33), train=True)
+        (y * upstream).sum().backward()
+        expected, expected_backward = float_mask_dropout(
+            Tensor(data.copy()), np.random.default_rng(33))
+        assert y.data.tobytes() == expected.data.tobytes()
+        assert x.grad.tobytes() == expected_backward(upstream).tobytes()
+
     def test_gradient_uses_same_mask(self):
         x = Tensor(np.ones((4, 4)), requires_grad=True)
         y = ad.dropout(x, 0.5, rng=np.random.default_rng(13), train=True)
@@ -262,11 +282,94 @@ def _values_and_grads(build, weights, tensors):
     return y.data, [t.grad for t in tensors]
 
 
-def _assert_same_values_close_grads(a, b):
+def _assert_same_values_close_grads(a, b, tol=1e-10):
     np.testing.assert_array_equal(a[0], b[0])
     scale = max(np.abs(g).max() for g in b[1])
     for ga, gb in zip(a[1], b[1]):
-        np.testing.assert_allclose(ga, gb, rtol=0, atol=1e-10 * scale)
+        np.testing.assert_allclose(ga, gb, rtol=0, atol=tol * scale)
+
+
+class TestLinear:
+    @staticmethod
+    def _operands(rng, n=5, d=4, f=3):
+        return (Tensor(rng.normal(size=(n, d)), requires_grad=True),
+                Tensor(rng.normal(size=(d, f)), requires_grad=True),
+                Tensor(rng.normal(size=(f,)), requires_grad=True))
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_matches_composite(self, relu):
+        rng = np.random.default_rng(40)
+        x, w, b = self._operands(rng, n=9, d=7, f=6)
+        weights = rng.normal(size=(9, 6))
+        fused = _values_and_grads(lambda: ad.linear(x, w, b, relu=relu), weights, [x, w, b])
+        composite = _values_and_grads(
+            lambda: composite_ops.linear(x, w, b, relu=relu), weights, [x, w, b])
+        if relu:
+            assert (fused[0] == 0.0).any() and (fused[0] > 0.0).any()
+        _assert_same_values_close_grads(fused, composite, tol=1e-12)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_gradients(self, relu):
+        rng = np.random.default_rng(41)
+        x, w, b = self._operands(rng)
+        weights = Tensor(rng.normal(size=(5, 3)))
+        check_grads(lambda: (ad.linear(x, w, b, relu=relu) * weights).sum(), [x, w, b])
+
+    def test_one_tape_node(self):
+        x, w, b = self._operands(np.random.default_rng(42))
+        y = ad.linear(x, w, b, relu=True)
+        assert y._parents == (x, w, b)
+
+
+class TestTapeRelease:
+    @staticmethod
+    def _graph():
+        rng = np.random.default_rng(43)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        b = Tensor(np.zeros(2), requires_grad=True)
+        h = ad.linear(x, w, b, relu=True)
+        y = (h * h).sum()
+        return x, w, b, h, y
+
+    def test_interior_released_leaves_keep_grads(self):
+        x, w, b, h, y = self._graph()
+        interior = [h, y._parents[0], y]
+        y.backward()
+        for t in interior:
+            assert t.grad is None
+            assert t._parents == ()
+        for t in (x, w, b):
+            assert t.grad is not None and t.grad.shape == t.shape
+        np.testing.assert_allclose(b.grad, (2.0 * h.data).sum(axis=0))
+
+    def test_released_arrays_are_freed(self):
+        x, w, b, h, y = self._graph()
+        squared = weakref.ref(y._parents[0].data)
+        del h
+        y.backward()
+        assert squared() is None
+
+    def test_second_backward_raises(self):
+        *_, y = self._graph()
+        y.backward()
+        with pytest.raises(RuntimeError, match="released"):
+            y.backward()
+
+    def test_backward_through_released_intermediate_raises(self):
+        x, w, b, h, y = self._graph()
+        y.backward()
+        grads = [t.grad.copy() for t in (x, w, b)]
+        with pytest.raises(RuntimeError, match="released"):
+            (h * 3.0).sum().backward()
+        for t, g in zip((x, w, b), grads):
+            np.testing.assert_array_equal(t.grad, g)
+
+    def test_leaf_gradients_accumulate_over_two_graphs(self):
+        x = Tensor(np.array(2.0), requires_grad=True)
+        (x * 3.0).backward()
+        (x * x).backward()
+        np.testing.assert_allclose(x.grad, 3.0 + 4.0)
 
 
 def _attention_params(rng, d):

@@ -149,6 +149,22 @@ class TestTopLevel:
         assert main(["--set", "nope=1", "--show-config"]) == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--threads", "-4"],
+        ["--set", "threads=2.5"],
+        ["--set", "threads=true"],
+        ["--set", 'threads="2"'],
+    ], ids=["negative", "float", "bool", "string"])
+    def test_threads_not_a_non_negative_int_rejected(self, capsys, flags):
+        assert main(flags + ["--show-config"]) == 1
+        captured = capsys.readouterr()
+        assert "threads" in captured.err
+        assert "digest:" not in captured.out
+
+    @pytest.mark.parametrize("flags", [[], ["--threads", "0"], ["--set", "threads=3"]])
+    def test_threads_non_negative_int_accepted(self, capsys, flags):
+        assert main(flags + ["--show-config"]) == 0
+
     def test_console_script_installed(self):
         proc = subprocess.run(
             ["kpex", "--show-config"], capture_output=True, text=True, timeout=60
@@ -498,6 +514,20 @@ class TestPredictCli:
         assert main(argv) == 0
         with open(out, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+    @pytest.mark.parametrize("flags", [[], ["--dedup"]], ids=["plain", "dedup"])
+    def test_top_k_is_a_prefix_of_the_full_list(self, golden_model, tmp_path, flags):
+        def predict(top_k):
+            out = str(tmp_path / f"preds{top_k}.jsonl")
+            argv = ["predict", "--model", golden_model, "--data", GOLDEN_PAGES,
+                    "--out", out, "--top-k", top_k] + flags
+            assert main(argv) == 0
+            return [json.loads(line) for line in open(out)]
+
+        full = predict("100000")
+        assert any(len(line["phrases"]) > 5 for line in full)
+        for k in (3, 5):
+            assert predict(str(k)) == [dict(line, phrases=line["phrases"][:k]) for line in full]
 
     @pytest.mark.parametrize("settings,flags", [
         ([], ["--top-k", "0"]),

@@ -12,7 +12,7 @@ from kpex.model import (
     SpanScorer,
     score_spans,
 )
-from kpex.registry import save_checkpoint
+from kpex.registry import CheckpointError, ParameterRegistry, save_checkpoint
 from synthetic import full_scale_config
 
 # Logits of the small 8-filter model (seed 0) with the old no_transformer=True
@@ -230,6 +230,56 @@ class TestPersistence:
         assert meta["step"] == 7
         assert meta["format"] == "span-scorer"
         assert loaded.config == model.config
+
+    def test_save_load_roundtrip_bitwise(self, tmp_path):
+        model = _model()
+        path = str(tmp_path / "model.ckpt")
+        model.save(path)
+        loaded, _ = SpanScorer.load(path)
+        assert loaded.registry.names() == model.registry.names()
+        for name, p in model.registry.items():
+            q = loaded.registry[name]
+            assert q.data.dtype == np.float64 and q.data.shape == p.data.shape
+            assert q.data.tobytes() == p.data.tobytes(), name
+            assert q.requires_grad
+        assert loaded.source.table is loaded.registry["embedding/tokens"]
+
+    def test_load_draws_no_initialization(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "model.ckpt")
+        _model().save(path)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load drew a random initialization")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        SpanScorer.load(path)
+
+    def _edited_checkpoint(self, path, edit):
+        model = _model()
+        arrays = {name: p.data for name, p in model.registry.items()}
+        edit(arrays)
+        registry = ParameterRegistry()
+        for name, array in arrays.items():
+            registry.add(name, array)
+        save_checkpoint(path, registry, {"format": "span-scorer",
+                                         "config": model.config.to_dict(),
+                                         "vocab": model.vocab.to_list()})
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda a: a.pop("scorer/b3"),
+         "parameter set mismatch: missing ['scorer/b3'], unknown []"),
+        (lambda a: a.update({"scorer/b4": np.zeros(1)}),
+         "parameter set mismatch: missing [], unknown ['scorer/b4']"),
+        (lambda a: a.update({"scorer/w3": np.zeros((1, 16)), "scorer/b3": np.zeros(2)}),
+         "shape mismatch for scorer/w3: have (16, 1), got (1, 16); "
+         "scorer/b3: have (1,), got (2,)"),
+    ], ids=["missing", "unknown", "misshaped"])
+    def test_load_error_messages(self, tmp_path, edit, message):
+        path = str(tmp_path / "edited.ckpt")
+        self._edited_checkpoint(path, edit)
+        with pytest.raises(CheckpointError) as exc:
+            SpanScorer.load(path)
+        assert str(exc.value) == message
 
     def test_config_digest_stable(self, tmp_path):
         model = _model()

@@ -312,6 +312,7 @@ class TestTapeEquivalence:
     def test_fused_ops_match_composite(self, monkeypatch):
         model = _model(dropout=0.1, layers=2)
         value, grads = _batch_gradients(model, self._batch(), per_document=False)
+        monkeypatch.setattr(autodiff, "linear", composite_ops.linear)
         monkeypatch.setattr(autodiff, "layer_norm", composite_ops.layer_norm)
         monkeypatch.setattr(autodiff, "multi_head_self_attention",
                             composite_ops.multi_head_self_attention)
