@@ -4,10 +4,11 @@ A ``Tensor`` wraps a float64 ndarray and records the operations applied to it
 on a tape. Calling ``backward()`` on a scalar result walks the tape in reverse
 topological order and accumulates gradients into every tensor that requires
 them. The op set is deliberately small: just what the span classifier needs
-(dense algebra, windowed convolution via im2col, dropout, embedding lookup,
-and four fused ops with closed-form backwards: the dense layer ``linear``,
-layer norm, the attention core and softmax cross-entropy). ``backward()``
-releases the tape as it walks it.
+(dense algebra, dropout, embedding lookup, and five fused ops with
+closed-form backwards: the dense layer ``linear``, the ReLU'd windowed
+convolution ``conv1d``, layer norm with an optional residual sum, the
+attention core and softmax cross-entropy). ``backward()`` releases the tape
+as it walks it.
 
 float64 is the default dtype so finite-difference checks stay meaningful.
 """
@@ -23,10 +24,8 @@ __all__ = [
     "no_grad",
     "concat",
     "reshape",
-    "relu",
     "matmul",
     "linear",
-    "sliding_windows",
     "conv1d",
     "embedding_lookup",
     "dropout",
@@ -276,17 +275,6 @@ def linear(x, weight, bias, relu=False):
     return _make(data, (x, weight, bias), backward_fn)
 
 
-def relu(a):
-    a = _as_tensor(a)
-    data = np.maximum(a.data, 0.0)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * (a.data > 0.0))
-
-    return _make(data, (a,), backward_fn)
-
-
 def reduce_sum(a, axis=None, keepdims=False):
     a = _as_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
@@ -332,54 +320,54 @@ def concat(tensors, axis=0):
     return _make(data, tuple(tensors), backward_fn)
 
 
-def sliding_windows(a, k):
-    """Stack the k-token windows of an (n, d) sequence into (n-k+1, k*d) rows.
-
-    Row j is the concatenation of rows j..j+k-1 of the input, which is the
-    im2col layout a width-k convolution consumes.
-    """
-    a = _as_tensor(a)
-    if a.ndim != 2:
-        raise ValueError("sliding_windows expects an (n, d) sequence")
-    n, d = a.data.shape
-    k = int(k)
-    if k < 1:
-        raise ValueError("window width must be at least 1")
-    if k > n:
-        raise ValueError(f"window width {k} exceeds sequence length {n}")
-    view = np.lib.stride_tricks.sliding_window_view(a.data, (k, d))
-    data = view.reshape(n - k + 1, k * d).copy()
-
-    def backward_fn(g):
-        if not a.requires_grad:
-            return
-        gr = g.reshape(n - k + 1, k, d)
-        ga = np.zeros_like(a.data)
-        for offset in range(k):
-            ga[offset : offset + n - k + 1] += gr[:, offset, :]
-        a._accumulate(ga)
-
-    return _make(data, (a,), backward_fn)
-
-
 def conv1d(x, weight, bias):
-    """Width-k convolution over an (n, d) sequence.
+    """ReLU'd width-k convolution over an (n, d) sequence.
 
     ``weight`` has shape (k*d, f); k is inferred from the input width. Output
-    row j scores the window starting at token j, shape (n-k+1, f).
+    row j is the ReLU'd score of the k-gram starting at token j, shape
+    (n-k+1, f). One tape node that keeps only its operands and output: the
+    forward runs ``linear(relu=True)`` on the (n-k+1, k*d) window copy (the
+    im2col layout, row j the concatenation of rows j..j+k-1) and drops that
+    copy; the backward rebuilds it from ``x`` for the weight gradient alone.
     """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if x.ndim != 2:
         raise ValueError("conv1d expects an (n, d) sequence")
     n, d = x.data.shape
     kd, f = weight.data.shape
-    if kd % d != 0:
-        raise ValueError(f"weight rows {kd} not a multiple of input width {d}")
+    if kd == 0 or kd % d != 0:
+        raise ValueError(f"weight rows {kd} not a positive multiple of input width {d}")
     k = kd // d
+    if k > n:
+        raise ValueError(f"window width {k} exceeds sequence length {n}")
     if bias.data.shape != (f,):
         raise ValueError("bias shape does not match filter count")
     _check_finite("conv1d", x.data)
-    return linear(sliding_windows(x, k), weight, bias)
+    rows = n - k + 1
+
+    def windows():
+        view = np.lib.stride_tricks.sliding_window_view(x.data, (k, d))
+        return view.reshape(rows, kd).copy()
+
+    data = windows() @ weight.data
+    data += bias.data
+    np.maximum(data, 0.0, out=data)
+
+    def backward_fn(g):
+        g = g * (data > 0.0)
+        if bias.requires_grad:
+            bias._accumulate(g.sum(axis=0))
+        if x.requires_grad:
+            # fold each window row's gradient back onto its k tokens
+            gr = (g @ weight.data.T).reshape(rows, k, d)
+            gx = np.zeros_like(x.data)
+            for offset in range(k):
+                gx[offset : offset + rows] += gr[:, offset, :]
+            x._accumulate(gx)
+        if weight.requires_grad:
+            weight._accumulate(windows().T @ g)
+
+    return _make(data, (x, weight, bias), backward_fn)
 
 
 def embedding_lookup(table, ids):
@@ -411,33 +399,40 @@ def dropout(a, p, rng=None, train=False):
         return a
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    # the tape keeps the 1-byte keep flags; keep / (1 - p) rebuilds the
-    # float64 mask, the same values each time
+    # the tape keeps the 1-byte keep flags; keep * (1 / (1 - p)) rebuilds the
+    # float64 mask, the same bytes as keep / (1 - p) and cheaper
     keep = rng.random(a.data.shape) >= p
-    data = a.data * (keep / (1.0 - p))
+    data = a.data * (keep * (1.0 / (1.0 - p)))
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(g * (keep / (1.0 - p)))
+            a._accumulate(g * (keep * (1.0 / (1.0 - p))))
 
     return _make(data, (a,), backward_fn)
 
 
-def layer_norm(x, scale, shift, eps=1e-5):
+def layer_norm(x, scale, shift, eps=1e-5, residual=None):
     """Normalize the last axis to zero mean and unit variance, then affine.
 
-    One tape node. The backward is the closed form of Ba et al. 2016: with
-    ``normed = (x - mean) * inv`` and ``dn = g * scale``,
+    With ``residual`` it normalizes ``x + residual`` without a tape node for
+    the sum. One tape node. The backward is the closed form of Ba et al. 2016:
+    with ``normed = (x - mean) * inv`` and ``dn = g * scale``,
     ``dx = inv * (dn - mean(dn) - normed * mean(dn * normed))``.
     """
     x, scale, shift = _as_tensor(x), _as_tensor(scale), _as_tensor(shift)
-    d = x.data.shape[-1]
+    parents = (x, scale, shift)
+    total = x.data
+    if residual is not None:
+        residual = _as_tensor(residual)
+        parents = (x, residual, scale, shift)
+        total = x.data + residual.data  # what add computes
+    d = total.shape[-1]
     # the composite op's expressions in its order (tests/composite_ops.py), so
     # the values are bitwise equal to it: x - mean is x + mean * -1.0, as IEEE
     # subtraction adds the negation, and each in-place step rounds exactly as
     # its out-of-place form does
-    mean = x.data.sum(axis=-1, keepdims=True) * (1.0 / d)
-    normed = x.data - mean
+    mean = total.sum(axis=-1, keepdims=True) * (1.0 / d)
+    normed = total - mean
     var = (normed * normed).sum(axis=-1, keepdims=True) * (1.0 / d)
     inv = (var + eps) ** -0.5
     normed *= inv
@@ -449,14 +444,17 @@ def layer_norm(x, scale, shift, eps=1e-5):
             shift._accumulate(_unbroadcast(g, shift.data.shape))
         if scale.requires_grad:
             scale._accumulate(_unbroadcast(g * normed, scale.data.shape))
-        if x.requires_grad:
+        summands = [t for t in parents[:-2] if t.requires_grad]
+        if summands:
             dn = g * scale.data
             dx = dn - dn.mean(axis=-1, keepdims=True)
             dx -= normed * (dn * normed).mean(axis=-1, keepdims=True)
             dx *= inv
-            x._accumulate(_unbroadcast(dx, x.data.shape))
+            # as add's backward does, one array goes to both summands
+            for t in summands:
+                t._accumulate(_unbroadcast(dx, t.data.shape))
 
-    return _make(data, (x, scale, shift), backward_fn)
+    return _make(data, parents, backward_fn)
 
 
 def attention_core(q, k, v, heads):
@@ -540,7 +538,7 @@ def multi_head_self_attention(
     v = linear(x, wv, bv)
     projected = linear(attention_core(q, k, v, heads), wo, bo)
     projected = dropout(projected, dropout_p, rng=rng, train=train)
-    return layer_norm(x + projected, scale, shift)
+    return layer_norm(x, scale, shift, residual=projected)
 
 
 def softmax_cross_entropy(logits, target):

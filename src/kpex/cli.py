@@ -41,6 +41,12 @@ ABLATIONS = {
 }
 
 
+# The keys whose default is null, and the type of a value that is not.
+_NULLABLE = {"train.total_steps": int, "embedding.frozen_vectors": str}
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string"}
+
+
 class CliError(RuntimeError):
     pass
 
@@ -93,10 +99,28 @@ def load_run_config(config_path=None, overrides=(), seed=None, threads=None):
         merged["seed"] = seed
     if threads is not None:
         merged["threads"] = threads
+    _check_types(merged)
     n = merged["threads"]
-    if type(n) is not int or n < 0:  # not isinstance: True is an int too
+    if n < 0:
         raise CliError(f"threads must be a non-negative integer, got {n!r}")
     return merged
+
+
+def _check_types(cfg):
+    """Refuse a value whose type is not its key's; nothing is coerced.
+
+    An int key takes an int, a float key an int or a float, a bool key a bool
+    and a string key a string. True is an int in Python, so a bool is refused
+    wherever a number is wanted. A ``_NULLABLE`` key may also be null.
+    """
+    for key, default in default_config().items():
+        value = cfg[key]
+        if value is None and key in _NULLABLE:
+            continue
+        kind = _NULLABLE.get(key, type(default))
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+            raise CliError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
 def config_digest(cfg):
@@ -114,9 +138,10 @@ def _apply_threads(cfg):
 def _section(cfg, prefix, **given):
     """The dataclass of section ``prefix`` built from the flat ``cfg``.
 
-    Each value is coerced to the type of the field's default; ``given``
-    fields are taken as they are. The one optional field, train.total_steps,
-    is a step count, or None when its value is falsy.
+    ``cfg`` is type-checked by load_run_config; an int given for a float
+    field becomes a float, and ``given`` fields are taken as they are. The
+    one optional field, train.total_steps, is a step count, or None when it
+    is null or 0.
     """
     for f in fields(SECTIONS[prefix]):
         key = f"{prefix}.{f.name}"
@@ -127,9 +152,9 @@ def _section(cfg, prefix, **given):
         elif key not in _NOT_KEYS:
             value = cfg[key]
             if f.default is None:
-                given[f.name] = int(value) if value else None
+                given[f.name] = value or None
             else:
-                given[f.name] = type(f.default)(value)
+                given[f.name] = float(value) if type(f.default) is float else value
     return SECTIONS[prefix](**given)
 
 
@@ -264,7 +289,7 @@ def _run_train(args, cfg, mode):
     items, ingest = read_dataset(args.data, require_labels=True)
     if not items:
         raise CliError(f"no labeled documents in {args.data}")
-    train_cfg = _section(cfg, "train", seed=int(cfg["seed"]))
+    train_cfg = _section(cfg, "train", seed=cfg["seed"])
     ablations = _ablations(args.ablate)
     frozen = _load_frozen(cfg)
     if args.init:
@@ -292,7 +317,7 @@ def _run_train(args, cfg, mode):
                 min_count=model_cfg.embedding.min_count,
             )
         model = SpanScorer(model_cfg, vocab=vocab, frozen_vectors=frozen,
-                           seed=int(cfg["seed"]))
+                           seed=cfg["seed"])
     examples, prep = prepare_examples(
         items, model.config.max_span_length, train_cfg.max_doc_length
     )
@@ -466,14 +491,14 @@ def cmd_gradcheck(args, cfg):
     model_cfg = _section(cfg, "model", **_ablations(args.ablate))
     if model_cfg.embedding.source != "trainable":
         raise CliError("gradcheck runs on the trainable-embedding configuration")
-    doc, target = gradcheck_example(seed=int(cfg["seed"]),
+    doc, target = gradcheck_example(seed=cfg["seed"],
                                     max_span_length=model_cfg.max_span_length)
     vocab = TokenVocabulary.build([doc], min_count=2)
-    model = SpanScorer(model_cfg, vocab=vocab, seed=int(cfg["seed"]))
+    model = SpanScorer(model_cfg, vocab=vocab, seed=cfg["seed"])
     # Zero-initialized biases over all-zero ReLU rows put pre-activations
     # exactly on the kink, where central differences are meaningless; move
     # them off it. Only the checked model changes, never training.
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(cfg["seed"])
     for _, p in model.registry.items():
         if p.data.ndim == 1 and not p.data.any():
             p.data[...] = rng.normal(0.0, 0.1, size=p.data.shape)
@@ -482,7 +507,7 @@ def cmd_gradcheck(args, cfg):
         lambda: keyphrase_loss(model, example),
         model.registry,
         samples_per_param=args.samples,
-        seed=int(cfg["seed"]),
+        seed=cfg["seed"],
     )
     for name in sorted(errors, key=errors.get, reverse=True):
         print(f"{errors[name]:.3e}  {name}")

@@ -174,9 +174,10 @@ class SpanScorer:
             hidden = ad.dropout(hidden, cfg.dropout, rng=rng, train=train)
             hidden = ad.linear(hidden, p[f"{base}/ffn/w2"], p[f"{base}/ffn/b2"])
             x = ad.layer_norm(
-                x + hidden,
+                x,
                 p[f"{base}/ffn_norm/scale"],
                 p[f"{base}/ffn_norm/shift"],
+                residual=hidden,
             )
         return x
 
@@ -207,7 +208,6 @@ class SpanScorer:
         for k in range(1, min(cfg.max_span_length, n) + 1):
             grams = ad.conv1d(x, self.registry[f"cnn/k{k}/weight"],
                               self.registry[f"cnn/k{k}/bias"])
-            grams = ad.relu(grams)
             grams = ad.dropout(grams, cfg.dropout, rng=rng, train=train)
             grams = self._transformer(grams, train, rng)
             scores = self._scorer(grams, train, rng)

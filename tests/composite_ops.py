@@ -1,10 +1,12 @@
 """Composite autodiff ops kept as oracles for the fused ones in ``kpex.autodiff``.
 
-``softmax``, ``transpose`` and ``power`` are the tape ops the library had
-before ``layer_norm`` and the attention core became single fused nodes.
-``linear``, ``layer_norm`` and ``multi_head_self_attention`` below build the
-fused ops from the small ones, as the library used to, so tests can compare
-the fused values (bitwise) and gradients (within rounding) against them.
+``softmax``, ``transpose``, ``power``, ``relu`` and ``sliding_windows`` are
+the tape ops the library had before ``layer_norm``, the attention core and
+``conv1d`` became single fused nodes. ``linear``, ``conv1d``, ``layer_norm``
+and ``multi_head_self_attention`` below build the fused ops from the small
+ones, as the library used to, so tests can compare the fused values (bitwise)
+and gradients (within rounding) against them. ``tape_arrays`` lists what a
+tape keeps alive, so tests can check what a fused op no longer stores.
 """
 
 import math
@@ -12,12 +14,13 @@ import math
 import numpy as np
 
 from kpex.autodiff import (
+    Tensor,
     _as_tensor,
     _make,
+    add,
     dropout,
     matmul,
     reduce_sum,
-    relu as relu_op,
     reshape,
 )
 
@@ -62,14 +65,66 @@ def softmax(a, axis=-1):
     return _make(data, (a,), backward_fn)
 
 
+def relu(a):
+    a = _as_tensor(a)
+    data = np.maximum(a.data, 0.0)
+
+    def backward_fn(g):
+        if a.requires_grad:
+            a._accumulate(g * (a.data > 0.0))
+
+    return _make(data, (a,), backward_fn)
+
+
+relu_op = relu  # linear's ``relu`` flag shadows the op's name
+
+
+def sliding_windows(a, k):
+    """Stack the k-token windows of an (n, d) sequence into (n-k+1, k*d) rows.
+
+    Row j is the concatenation of rows j..j+k-1 of the input, which is the
+    im2col layout a width-k convolution consumes.
+    """
+    a = _as_tensor(a)
+    if a.ndim != 2:
+        raise ValueError("sliding_windows expects an (n, d) sequence")
+    n, d = a.data.shape
+    k = int(k)
+    if k < 1:
+        raise ValueError("window width must be at least 1")
+    if k > n:
+        raise ValueError(f"window width {k} exceeds sequence length {n}")
+    view = np.lib.stride_tricks.sliding_window_view(a.data, (k, d))
+    data = view.reshape(n - k + 1, k * d).copy()
+
+    def backward_fn(g):
+        if not a.requires_grad:
+            return
+        gr = g.reshape(n - k + 1, k, d)
+        ga = np.zeros_like(a.data)
+        for offset in range(k):
+            ga[offset : offset + n - k + 1] += gr[:, offset, :]
+        a._accumulate(ga)
+
+    return _make(data, (a,), backward_fn)
+
+
 def linear(x, weight, bias, relu=False):
     """Dense layer as matmul, add and (with ``relu``) relu nodes."""
     out = matmul(x, weight) + bias
     return relu_op(out) if relu else out
 
 
-def layer_norm(x, scale, shift, eps=1e-5):
-    """Normalize the last axis to zero mean and unit variance, then affine."""
+def conv1d(x, weight, bias):
+    """ReLU'd width-k convolution as window, matmul, add and relu nodes."""
+    k = weight.shape[0] // x.shape[1]
+    return linear(sliding_windows(x, k), weight, bias, relu=True)
+
+
+def layer_norm(x, scale, shift, eps=1e-5, residual=None):
+    """Normalize the last axis of ``x`` (plus ``residual``), then affine."""
+    if residual is not None:
+        x = add(x, residual)
     x, scale, shift = _as_tensor(x), _as_tensor(scale), _as_tensor(shift)
     d = x.data.shape[-1]
     mean = reduce_sum(x, axis=-1, keepdims=True) * (1.0 / d)
@@ -105,3 +160,28 @@ def multi_head_self_attention(
     projected = matmul(attention_core(q, k, v, heads), wo) + bo
     projected = dropout(projected, dropout_p, rng=rng, train=train)
     return layer_norm(x + projected, scale, shift)
+
+
+def tape_arrays(root):
+    """Every ndarray the tape under ``root`` keeps alive.
+
+    Walks tensor parents and the cells of each backward closure, including
+    closures of the functions those cells hold.
+    """
+    arrays, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, Tensor):
+            stack.append(obj.data)
+            stack.extend(obj._parents)
+            stack.append(obj._backward_fn)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in obj.__closure__)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+    return arrays

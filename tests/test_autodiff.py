@@ -103,7 +103,7 @@ class TestShapeOps:
 class TestRelu:
     def test_values_and_mask(self):
         x = Tensor([[-1.0, 0.0, 2.0]], requires_grad=True)
-        y = ad.relu(x)
+        y = composite_ops.relu(x)
         np.testing.assert_array_equal(y.data, [[0, 0, 2]])
         y.sum().backward()
         np.testing.assert_array_equal(x.grad, [[0, 0, 1]])
@@ -113,7 +113,7 @@ class TestRelu:
         # keep values away from the kink where FD is one-sided
         x = Tensor(rng.normal(size=(4, 3)) + 0.2, requires_grad=True)
         x.data[np.abs(x.data) < 0.05] = 0.5
-        check_grads(lambda: (ad.relu(x) * x).sum(), [x])
+        check_grads(lambda: (composite_ops.relu(x) * x).sum(), [x])
 
 
 class TestSoftmax:
@@ -139,7 +139,7 @@ class TestSoftmax:
 class TestSlidingWindowsConv:
     def test_window_contents(self):
         x = Tensor(np.arange(8.0).reshape(4, 2))
-        w = ad.sliding_windows(x, 2)
+        w = composite_ops.sliding_windows(x, 2)
         assert w.shape == (3, 4)
         np.testing.assert_array_equal(w.data[0], [0, 1, 2, 3])
         np.testing.assert_array_equal(w.data[2], [4, 5, 6, 7])
@@ -172,7 +172,29 @@ class TestSlidingWindowsConv:
     def test_window_longer_than_sequence(self):
         x = Tensor(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="exceeds"):
-            ad.sliding_windows(x, 5)
+            ad.conv1d(x, Tensor(np.zeros((15, 4))), Tensor(np.zeros(4)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_matches_composite(self, k):
+        rng = np.random.default_rng(50 + k)
+        x = Tensor(rng.normal(size=(9, 7)), requires_grad=True)
+        w = Tensor(rng.normal(size=(k * 7, 6)) * 0.3, requires_grad=True)
+        b = Tensor(rng.normal(size=(6,)) * 0.3, requires_grad=True)
+        weights = rng.normal(size=(10 - k, 6))
+        fused = _values_and_grads(lambda: ad.conv1d(x, w, b), weights, [x, w, b])
+        composite = _values_and_grads(
+            lambda: composite_ops.conv1d(x, w, b), weights, [x, w, b])
+        assert (fused[0] == 0.0).any() and (fused[0] > 0.0).any()
+        _assert_same_values_close_grads(fused, composite, tol=1e-12)
+
+    def test_one_tape_node_without_window_copy(self):
+        rng = np.random.default_rng(55)
+        x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(12, 5)), requires_grad=True)
+        b = Tensor(np.zeros(5), requires_grad=True)
+        y = ad.conv1d(x, w, b)
+        assert y._parents == (x, w, b)
+        assert (4, 12) not in {a.shape for a in composite_ops.tape_arrays(y)}
 
     def test_rejects_non_finite(self):
         x = Tensor(np.full((4, 2), np.nan))
@@ -194,9 +216,9 @@ class TestDropout:
         np.testing.assert_allclose(values, [0.0, 1.0 / 0.8])
         assert abs(y.data.mean() - 1.0) < 0.02
 
-    @pytest.mark.parametrize("p", [0.1, 0.5])
+    @pytest.mark.parametrize("p", [0.05, 0.1, 0.2, 0.3, 1.0 / 3.0, 0.5, 0.7, 0.9, 0.99])
     def test_matches_float_mask_dropout(self, p):
-        # the float64-mask dropout the tape used to store, as the oracle
+        # the float64 keep / (1 - p) mask the tape used to store, as the oracle
         def float_mask_dropout(a, rng):
             mask = (rng.random(a.data.shape) >= p) / (1.0 - p)
             out = Tensor(a.data * mask)
@@ -271,6 +293,49 @@ class TestLayerNorm:
         x = Tensor(np.ones((3, 4)), requires_grad=True)
         y = ad.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
         assert y._parents[0] is x
+
+    @staticmethod
+    def _residual_operands(rng):
+        x = Tensor(rng.normal(size=(7, 6)) * 4.0 + 1.0, requires_grad=True)
+        y = Tensor(rng.normal(size=(7, 6)), requires_grad=True)
+        g = Tensor(rng.normal(size=(6,)), requires_grad=True)
+        s = Tensor(rng.normal(size=(6,)), requires_grad=True)
+        return x, y, g, s
+
+    def test_residual_matches_composite(self):
+        rng = np.random.default_rng(56)
+        x, y, g, s = self._residual_operands(rng)
+        w = rng.normal(size=(7, 6))
+        fused = _values_and_grads(
+            lambda: ad.layer_norm(x, g, s, residual=y), w, [x, y, g, s])
+        composite = _values_and_grads(
+            lambda: composite_ops.layer_norm(x + y, g, s), w, [x, y, g, s])
+        _assert_same_values_close_grads(fused, composite)
+        # as add's backward does, both summands get the one dx array
+        assert fused[1][0] is fused[1][1]
+
+    def test_residual_gradients(self):
+        rng = np.random.default_rng(57)
+        x, y, g, s = self._residual_operands(rng)
+        w = Tensor(rng.normal(size=(7, 6)))
+        check_grads(lambda: (ad.layer_norm(x, g, s, residual=y) * w).sum(), [x, y, g, s])
+
+    def test_residual_one_tape_node_without_sum(self):
+        x, y, g, s = self._residual_operands(np.random.default_rng(58))
+        out = ad.layer_norm(x, g, s, residual=y)
+        assert out._parents == (x, y, g, s)
+        total = (x.data + y.data).tobytes()
+        assert all(a.tobytes() != total for a in composite_ops.tape_arrays(out))
+
+    def test_residual_without_grad_is_plain_sum(self):
+        rng = np.random.default_rng(59)
+        x, y, g, s = self._residual_operands(rng)
+        y.requires_grad = False
+        out = ad.layer_norm(x, g, s, residual=y)
+        (out * 1.0).sum().backward()
+        assert y.grad is None and x.grad is not None
+        np.testing.assert_array_equal(
+            out.data, ad.layer_norm(Tensor(x.data + y.data), g, s).data)
 
 
 def _values_and_grads(build, weights, tensors):

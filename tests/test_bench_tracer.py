@@ -76,4 +76,9 @@ def test_tracer_installs_runs_and_restores(tmp_path):
     assert summary["baselines.candidate_filter.kept_ratio"] > 0
     # no ranked phrase is re-tokenized: document tokens are already normalized
     assert summary["inference.normalize_phrase.calls"] == 0
+    # the per-width metrics read conv1d's (x, weight, bias) arguments
+    for k in range(1, 6):
+        assert summary[f"model.conv.k{k}.ms"] > 0, k
+        assert summary[f"model.attention.k{k}.ms"] > 0, k
+    assert summary["autodiff.tensors_per_forward"] > 0
 

@@ -134,6 +134,62 @@ class TestConfigMerging:
         assert len(a) == 64
 
 
+class TestConfigTypes:
+    """A value of the wrong type is refused, never coerced to the key's type."""
+
+    WRONG = [
+        ("train.batch_size", 2.5),
+        ("train.max_epochs", True),
+        ("model.filters", 16.9),
+        ("model.no_visual", "no"),
+        ("seed", 3.7),
+        ("model.dropout", True),
+        ("train.lr_start", "0.01"),
+        ("train.total_steps", 1.5),
+        ("embedding.source", 3),
+    ]
+
+    @staticmethod
+    def _baseline(tmp_path, flags):
+        out = str(tmp_path / "tfidf.jsonl")
+        argv = flags + ["baseline", "--method", "tfidf", "--data", GOLDEN_PAGES,
+                        "--out", out]
+        return main(argv), out
+
+    @pytest.mark.parametrize("key,value", WRONG)
+    def test_wrong_type_in_set_rejected(self, tmp_path, capsys, key, value):
+        # --set reads a word that is not JSON, like no, as a string
+        raw = "no" if value == "no" else json.dumps(value)
+        code, out = self._baseline(tmp_path, ["--set", f"{key}={raw}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert key in err and repr(value) in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("key,value", WRONG)
+    def test_wrong_type_in_config_file_rejected(self, tmp_path, capsys, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        code, out = self._baseline(tmp_path, ["--config", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert key in err and repr(value) in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("item", [
+        "train.lr_start=1",  # an int is a valid float
+        "model.dropout=0",
+        "model.no_visual=false",
+        "train.total_steps=null",
+        "train.total_steps=40",
+        "embedding.frozen_vectors=vectors.txt",
+    ])
+    def test_right_type_accepted(self, item):
+        key, _, raw = item.partition("=")
+        cfg = load_run_config(overrides=[item])
+        assert cfg[key] == (raw if key == "embedding.frozen_vectors" else json.loads(raw))
+
+
 class TestTopLevel:
     def test_show_config(self, capsys):
         assert main(["--show-config"]) == 0

@@ -313,12 +313,32 @@ class TestTapeEquivalence:
         model = _model(dropout=0.1, layers=2)
         value, grads = _batch_gradients(model, self._batch(), per_document=False)
         monkeypatch.setattr(autodiff, "linear", composite_ops.linear)
+        monkeypatch.setattr(autodiff, "conv1d", composite_ops.conv1d)
         monkeypatch.setattr(autodiff, "layer_norm", composite_ops.layer_norm)
         monkeypatch.setattr(autodiff, "multi_head_self_attention",
                             composite_ops.multi_head_self_attention)
         expected_value, expected = _batch_gradients(model, self._batch(), per_document=False)
         assert value.hex() == expected_value.hex()
         _assert_close_over_model(grads, expected)
+
+    def test_tape_keeps_no_window_copies_or_residual_sums(self):
+        model = _model(dropout=0.1, layers=2)
+        doc = _corpus(n_docs=1, doc_len=11)[0].document
+        logits = model.forward(doc, train=True, rng=np.random.default_rng(3))
+        d = model.config.embedding.width
+        windows = {(11 - k + 1, k * d) for k in range(2, 6)}
+        assert not windows & {a.shape for a in composite_ops.tape_arrays(logits)}
+        nodes, seen, stack = [], set(), [logits]
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                nodes.append(t._backward_fn.__qualname__.split(".")[0])
+                stack.extend(p for p in t._parents if p._parents)
+        # every residual sum is inside a layer_norm node: 2 per layer per width
+        assert "add" not in nodes
+        assert nodes.count("layer_norm") == 2 * 2 * 5
+        assert nodes.count("conv1d") == 5
 
 
 class TestTrainingConfig:
