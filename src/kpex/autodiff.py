@@ -4,11 +4,11 @@ A ``Tensor`` wraps a float64 ndarray and records the operations applied to it
 on a tape. Calling ``backward()`` on a scalar result walks the tape in reverse
 topological order and accumulates gradients into every tensor that requires
 them. The op set is deliberately small: just what the span classifier needs
-(dense algebra, dropout, embedding lookup, and five fused ops with
-closed-form backwards: the dense layer ``linear``, the ReLU'd windowed
-convolution ``conv1d``, layer norm with an optional residual sum, the
-attention core and softmax cross-entropy). ``backward()`` releases the tape
-as it walks it.
+(dense algebra, embedding lookup, and five fused ops with closed-form
+backwards: the dense layer ``linear`` and the ReLU'd windowed convolution
+``conv1d``, both with optional inverted dropout on their output, layer norm
+with an optional residual sum, the attention core and softmax
+cross-entropy). ``backward()`` releases the tape as it walks it.
 
 float64 is the default dtype so finite-difference checks stay meaningful.
 """
@@ -28,7 +28,6 @@ __all__ = [
     "linear",
     "conv1d",
     "embedding_lookup",
-    "dropout",
     "layer_norm",
     "attention_core",
     "multi_head_self_attention",
@@ -247,22 +246,56 @@ def matmul(a, b):
     return _make(data, (a, b), backward_fn)
 
 
-def linear(x, weight, bias, relu=False):
+def _dropout(data, p, rng, train):
+    """Inverted dropout on ``data`` in place; returns the keep flags, or None.
+
+    Training scales kept units by 1/(1-p). Only the 1-byte keep flags are
+    kept; ``keep * (1 / (1 - p))`` rebuilds the float64 mask, the same bytes
+    as ``keep / (1 - p)`` and cheaper.
+    """
+    p = float(p)
+    if not 0.0 <= p < 1.0:
+        raise ValueError("dropout probability must be in [0, 1)")
+    if not train or p == 0.0:
+        return None
+    if rng is None:
+        raise ValueError("training-mode dropout needs an rng")
+    keep = rng.random(data.shape) >= p
+    data *= keep * (1.0 / (1.0 - p))
+    return keep
+
+
+def _dropout_relu_backward(g, data, keep, p, relu):
+    """Gradient through dropout, then through the ReLU that preceded it.
+
+    The ReLU mask is read from the post-dropout output: a dropped unit's
+    gradient is already ±0, and masking it again keeps that sign bit.
+    """
+    if keep is not None:
+        g = g * (keep * (1.0 / (1.0 - p)))
+    if relu:
+        g = g * (data > 0.0)
+    return g
+
+
+def linear(x, weight, bias, relu=False, dropout_p=0.0, rng=None, train=False):
     """Dense layer ``x @ weight + bias``, then ReLU when ``relu`` is set.
 
-    One tape node and one array for what the composite op builds from
-    ``matmul``, ``add`` and ``relu``; the in-place steps round as their
-    out-of-place forms do, so the values are bitwise equal to it.
+    In training with ``dropout_p`` > 0 it then applies inverted dropout to
+    its own output, drawing the mask from ``rng``. One tape node and one
+    array for what the composite op builds from ``matmul``, ``add``, ``relu``
+    and ``dropout``; the in-place steps round as their out-of-place forms do,
+    so the values are bitwise equal to it.
     """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     data = x.data @ weight.data
     data += bias.data
     if relu:
         np.maximum(data, 0.0, out=data)
+    keep = _dropout(data, dropout_p, rng, train)
 
     def backward_fn(g):
-        if relu:
-            g = g * (data > 0.0)
+        g = _dropout_relu_backward(g, data, keep, dropout_p, relu)
         if bias.requires_grad:
             bias._accumulate(_unbroadcast(g, bias.data.shape))
         if x.requires_grad:
@@ -320,15 +353,17 @@ def concat(tensors, axis=0):
     return _make(data, tuple(tensors), backward_fn)
 
 
-def conv1d(x, weight, bias):
+def conv1d(x, weight, bias, dropout_p=0.0, rng=None, train=False):
     """ReLU'd width-k convolution over an (n, d) sequence.
 
     ``weight`` has shape (k*d, f); k is inferred from the input width. Output
     row j is the ReLU'd score of the k-gram starting at token j, shape
-    (n-k+1, f). One tape node that keeps only its operands and output: the
+    (n-k+1, f), with inverted dropout applied as ``linear`` applies it. One
+    tape node that keeps only its operands, output and keep flags: the
     forward runs ``linear(relu=True)`` on the (n-k+1, k*d) window copy (the
     im2col layout, row j the concatenation of rows j..j+k-1) and drops that
-    copy; the backward rebuilds it from ``x`` for the weight gradient alone.
+    copy; the backward writes the weight gradient one d-row block per window
+    offset, so it needs no copy. The caller checks that ``x`` is finite.
     """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
     if x.ndim != 2:
@@ -342,19 +377,16 @@ def conv1d(x, weight, bias):
         raise ValueError(f"window width {k} exceeds sequence length {n}")
     if bias.data.shape != (f,):
         raise ValueError("bias shape does not match filter count")
-    _check_finite("conv1d", x.data)
     rows = n - k + 1
-
-    def windows():
-        view = np.lib.stride_tricks.sliding_window_view(x.data, (k, d))
-        return view.reshape(rows, kd).copy()
-
-    data = windows() @ weight.data
+    windows = np.concatenate([x.data[o : o + rows] for o in range(k)], axis=1)
+    data = windows @ weight.data
+    del windows  # freed before the dropout draw allocates
     data += bias.data
     np.maximum(data, 0.0, out=data)
+    keep = _dropout(data, dropout_p, rng, train)
 
     def backward_fn(g):
-        g = g * (data > 0.0)
+        g = _dropout_relu_backward(g, data, keep, dropout_p, True)
         if bias.requires_grad:
             bias._accumulate(g.sum(axis=0))
         if x.requires_grad:
@@ -365,7 +397,12 @@ def conv1d(x, weight, bias):
                 gx[offset : offset + rows] += gr[:, offset, :]
             x._accumulate(gx)
         if weight.requires_grad:
-            weight._accumulate(windows().T @ g)
+            # block o of windows.T @ g is x[o:o+rows].T @ g, and BLAS gives
+            # the same bytes for it (tests/test_autodiff.py checks)
+            gw = np.empty_like(weight.data)
+            for o in range(k):
+                np.matmul(x.data[o : o + rows].T, g, out=gw[o * d : (o + 1) * d])
+            weight._accumulate(gw)
 
     return _make(data, (x, weight, bias), backward_fn)
 
@@ -387,28 +424,6 @@ def embedding_lookup(table, ids):
             table._accumulate(gt)
 
     return _make(data, (table,), backward_fn)
-
-
-def dropout(a, p, rng=None, train=False):
-    """Inverted dropout: training scales kept units by 1/(1-p)."""
-    a = _as_tensor(a)
-    p = float(p)
-    if not 0.0 <= p < 1.0:
-        raise ValueError("dropout probability must be in [0, 1)")
-    if not train or p == 0.0:
-        return a
-    if rng is None:
-        raise ValueError("training-mode dropout needs an rng")
-    # the tape keeps the 1-byte keep flags; keep * (1 / (1 - p)) rebuilds the
-    # float64 mask, the same bytes as keep / (1 - p) and cheaper
-    keep = rng.random(a.data.shape) >= p
-    data = a.data * (keep * (1.0 / (1.0 - p)))
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(g * (keep * (1.0 / (1.0 - p))))
-
-    return _make(data, (a,), backward_fn)
 
 
 def layer_norm(x, scale, shift, eps=1e-5, residual=None):
@@ -493,7 +508,8 @@ def attention_core(q, k, v, heads):
         if q.requires_grad or k.requires_grad:
             # softmax backward, scores' gradient left unscaled until after the matmuls
             gl = gh @ vh.transpose(0, 2, 1)
-            gl -= (gl * weights).sum(axis=-1, keepdims=True)
+            for h in range(heads):  # one (n, n) product at a time, not (heads, n, n)
+                gl[h] -= (gl[h] * weights[h]).sum(axis=-1, keepdims=True)
             gl *= weights
             if q.requires_grad:
                 q._accumulate(merge(gl @ kh) * scale)
@@ -536,8 +552,8 @@ def multi_head_self_attention(
     q = linear(x, wq, bq)
     k = linear(x, wk, bk)
     v = linear(x, wv, bv)
-    projected = linear(attention_core(q, k, v, heads), wo, bo)
-    projected = dropout(projected, dropout_p, rng=rng, train=train)
+    projected = linear(attention_core(q, k, v, heads), wo, bo,
+                       dropout_p=dropout_p, rng=rng, train=train)
     return layer_norm(x, scale, shift, residual=projected)
 
 

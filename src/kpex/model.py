@@ -170,8 +170,8 @@ class SpanScorer:
                 rng=rng,
                 train=train,
             )
-            hidden = ad.linear(x, p[f"{base}/ffn/w1"], p[f"{base}/ffn/b1"], relu=True)
-            hidden = ad.dropout(hidden, cfg.dropout, rng=rng, train=train)
+            hidden = ad.linear(x, p[f"{base}/ffn/w1"], p[f"{base}/ffn/b1"], relu=True,
+                               dropout_p=cfg.dropout, rng=rng, train=train)
             hidden = ad.linear(hidden, p[f"{base}/ffn/w2"], p[f"{base}/ffn/b2"])
             x = ad.layer_norm(
                 x,
@@ -184,10 +184,9 @@ class SpanScorer:
     def _scorer(self, x, train, rng):
         p = self.registry
         cfg = self.config
-        h = ad.linear(x, p["scorer/w1"], p["scorer/b1"], relu=True)
-        h = ad.dropout(h, cfg.dropout, rng=rng, train=train)
-        h = ad.linear(h, p["scorer/w2"], p["scorer/b2"], relu=True)
-        h = ad.dropout(h, cfg.dropout, rng=rng, train=train)
+        drop = dict(dropout_p=cfg.dropout, rng=rng, train=train)
+        h = ad.linear(x, p["scorer/w1"], p["scorer/b1"], relu=True, **drop)
+        h = ad.linear(h, p["scorer/w2"], p["scorer/b2"], relu=True, **drop)
         return ad.linear(h, p["scorer/w3"], p["scorer/b3"])
 
     def forward(self, doc, train=False, rng=None):
@@ -204,11 +203,14 @@ class SpanScorer:
             no_position=cfg.no_position,
             no_visual=cfg.no_visual,
         )
+        # once here, not in each of the K convolutions that read x
+        if not np.isfinite(x.data).all():
+            raise ValueError("non-finite values entering conv1d")
         pieces = []
         for k in range(1, min(cfg.max_span_length, n) + 1):
             grams = ad.conv1d(x, self.registry[f"cnn/k{k}/weight"],
-                              self.registry[f"cnn/k{k}/bias"])
-            grams = ad.dropout(grams, cfg.dropout, rng=rng, train=train)
+                              self.registry[f"cnn/k{k}/bias"],
+                              dropout_p=cfg.dropout, rng=rng, train=train)
             grams = self._transformer(grams, train, rng)
             scores = self._scorer(grams, train, rng)
             pieces.append(ad.reshape(scores, (n - k + 1,)))

@@ -1,11 +1,12 @@
 """Composite autodiff ops kept as oracles for the fused ones in ``kpex.autodiff``.
 
-``softmax``, ``transpose``, ``power``, ``relu`` and ``sliding_windows`` are
-the tape ops the library had before ``layer_norm``, the attention core and
-``conv1d`` became single fused nodes. ``linear``, ``conv1d``, ``layer_norm``
-and ``multi_head_self_attention`` below build the fused ops from the small
-ones, as the library used to, so tests can compare the fused values (bitwise)
-and gradients (within rounding) against them. ``tape_arrays`` lists what a
+``softmax``, ``transpose``, ``power``, ``relu``, ``sliding_windows`` and
+``dropout`` are the tape ops the library had before ``layer_norm``, the
+attention core and ``conv1d`` became single fused nodes and dropout moved into
+``linear`` and ``conv1d``. ``linear``, ``conv1d``, ``layer_norm`` and
+``multi_head_self_attention`` below build the fused ops from the small ones,
+as the library used to, so tests can compare the fused values (bitwise) and
+gradients (within rounding) against them. ``tape_arrays`` lists what a
 tape keeps alive, so tests can check what a fused op no longer stores.
 """
 
@@ -18,7 +19,6 @@ from kpex.autodiff import (
     _as_tensor,
     _make,
     add,
-    dropout,
     matmul,
     reduce_sum,
     reshape,
@@ -109,16 +109,39 @@ def sliding_windows(a, k):
     return _make(data, (a,), backward_fn)
 
 
-def linear(x, weight, bias, relu=False):
-    """Dense layer as matmul, add and (with ``relu``) relu nodes."""
+def dropout(a, p, rng=None, train=False):
+    """Inverted dropout: training scales kept units by 1/(1-p)."""
+    a = _as_tensor(a)
+    p = float(p)
+    if not 0.0 <= p < 1.0:
+        raise ValueError("dropout probability must be in [0, 1)")
+    if not train or p == 0.0:
+        return a
+    if rng is None:
+        raise ValueError("training-mode dropout needs an rng")
+    keep = rng.random(a.data.shape) >= p
+    data = a.data * (keep * (1.0 / (1.0 - p)))
+
+    def backward_fn(g):
+        if a.requires_grad:
+            a._accumulate(g * (keep * (1.0 / (1.0 - p))))
+
+    return _make(data, (a,), backward_fn)
+
+
+def linear(x, weight, bias, relu=False, dropout_p=0.0, rng=None, train=False):
+    """Dense layer as matmul, add, (with ``relu``) relu and dropout nodes."""
     out = matmul(x, weight) + bias
-    return relu_op(out) if relu else out
+    if relu:
+        out = relu_op(out)
+    return dropout(out, dropout_p, rng=rng, train=train)
 
 
-def conv1d(x, weight, bias):
-    """ReLU'd width-k convolution as window, matmul, add and relu nodes."""
+def conv1d(x, weight, bias, dropout_p=0.0, rng=None, train=False):
+    """ReLU'd width-k convolution as window, matmul, add, relu and dropout nodes."""
     k = weight.shape[0] // x.shape[1]
-    return linear(sliding_windows(x, k), weight, bias, relu=True)
+    return linear(sliding_windows(x, k), weight, bias, relu=True,
+                  dropout_p=dropout_p, rng=rng, train=train)
 
 
 def layer_norm(x, scale, shift, eps=1e-5, residual=None):

@@ -9,6 +9,8 @@ import composite_ops
 from kpex import autodiff as ad
 from kpex.autodiff import Tensor
 
+DROPOUT_PS = [0.05, 0.1, 0.2, 0.3, 1.0 / 3.0, 0.5, 0.7, 0.9, 0.99]
+
 
 def numeric_grad(build, tensor, eps=1e-6):
     """Central-difference gradient of build() w.r.t. one tensor's data."""
@@ -196,27 +198,71 @@ class TestSlidingWindowsConv:
         assert y._parents == (x, w, b)
         assert (4, 12) not in {a.shape for a in composite_ops.tape_arrays(y)}
 
-    def test_rejects_non_finite(self):
-        x = Tensor(np.full((4, 2), np.nan))
-        with pytest.raises(ValueError, match="non-finite"):
-            ad.conv1d(x, Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+    @pytest.mark.parametrize("p", DROPOUT_PS)
+    def test_dropout_matches_composite(self, p):
+        # values and gradients bitwise equal to window, matmul, add, relu, dropout
+        rng = np.random.default_rng(60)
+        x = Tensor(rng.normal(size=(9, 7)), requires_grad=True)
+        w = Tensor(rng.normal(size=(21, 6)) * 0.3, requires_grad=True)
+        b = Tensor(rng.normal(size=(6,)) * 0.3, requires_grad=True)
+        weights = rng.normal(size=(7, 6))
+
+        def build(conv):
+            return lambda: conv(x, w, b, dropout_p=p, rng=np.random.default_rng(61),
+                                train=True)
+
+        fused = _values_and_grads(build(ad.conv1d), weights, [x, w, b])
+        composite = _values_and_grads(build(composite_ops.conv1d), weights, [x, w, b])
+        _assert_bitwise(fused, composite)
+
+    @pytest.mark.parametrize("n", [5, 16, 64, 130, 192, 256, 300])
+    def test_weight_gradient_blocks_match_windows(self, n):
+        # conv1d writes windows.T @ g one d-row block per offset; the model's
+        # widths (d=114, f=64) and the benchmark's page lengths
+        rng = np.random.default_rng(n)
+        x = Tensor(rng.normal(size=(n, 114)))
+        for k in range(1, 6):
+            w = Tensor(rng.normal(size=(k * 114, 64)) * 0.05, requires_grad=True)
+            b = Tensor(np.zeros(64))
+            y = ad.conv1d(x, w, b)
+            upstream = rng.normal(size=y.shape)
+            (y * upstream).sum().backward()
+            windows = composite_ops.sliding_windows(x, k).data
+            expected = windows.T @ (upstream * (y.data > 0.0))
+            assert w.grad.tobytes() == expected.tobytes(), k
+
+
+def _identity_linear(x, p, rng=None, train=True):
+    """``linear`` as a bare dropout: x @ I + 0 is exactly x.
+
+    Its input gradient matches a bare dropout's except in the sign of zeros,
+    which the identity matmul turns to +0.
+    """
+    d = x.shape[1]
+    return ad.linear(x, np.eye(d), np.zeros(d), dropout_p=p, rng=rng, train=train)
 
 
 class TestDropout:
+    """Inverted dropout as ``linear`` and ``conv1d`` apply it to their output."""
+
     def test_identity_when_disabled(self):
-        x = Tensor(np.ones((3, 3)))
-        assert ad.dropout(x, 0.2, train=False) is x
-        assert ad.dropout(x, 0.0, rng=np.random.default_rng(0), train=True) is x
+        x = Tensor(np.random.default_rng(11).normal(size=(3, 3)))
+        plain = _identity_linear(x, 0.0, train=False).data
+        assert _identity_linear(x, 0.2, train=False).data.tobytes() == plain.tobytes()
+        rng = np.random.default_rng(0)
+        assert _identity_linear(x, 0.0, rng=rng).data.tobytes() == plain.tobytes()
+        # p = 0 draws nothing, so the rest of the stream does not shift
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_inverted_scaling(self):
         rng = np.random.default_rng(12)
         x = Tensor(np.ones((200, 50)))
-        y = ad.dropout(x, 0.2, rng=rng, train=True)
+        y = _identity_linear(x, 0.2, rng=rng)
         values = np.unique(y.data)
         np.testing.assert_allclose(values, [0.0, 1.0 / 0.8])
         assert abs(y.data.mean() - 1.0) < 0.02
 
-    @pytest.mark.parametrize("p", [0.05, 0.1, 0.2, 0.3, 1.0 / 3.0, 0.5, 0.7, 0.9, 0.99])
+    @pytest.mark.parametrize("p", DROPOUT_PS)
     def test_matches_float_mask_dropout(self, p):
         # the float64 keep / (1 - p) mask the tape used to store, as the oracle
         def float_mask_dropout(a, rng):
@@ -226,23 +272,44 @@ class TestDropout:
 
         data = np.random.default_rng(31).normal(size=(6, 5))
         upstream = np.random.default_rng(32).normal(size=(6, 5))
-        x = Tensor(data.copy(), requires_grad=True)
-        y = ad.dropout(x, p, rng=np.random.default_rng(33), train=True)
-        (y * upstream).sum().backward()
         expected, expected_backward = float_mask_dropout(
             Tensor(data.copy()), np.random.default_rng(33))
-        assert y.data.tobytes() == expected.data.tobytes()
+        # the steps linear and conv1d run after their product and ReLU
+        out = data.copy()
+        keep = ad._dropout(out, p, np.random.default_rng(33), True)
+        assert out.tobytes() == expected.data.tobytes()
+        grad = ad._dropout_relu_backward(upstream, out, keep, p, relu=False)
+        assert grad.tobytes() == expected_backward(upstream).tobytes()
+        # and so does the oracle op the tests keep
+        x = Tensor(data.copy(), requires_grad=True)
+        z = composite_ops.dropout(x, p, rng=np.random.default_rng(33), train=True)
+        (z * upstream).sum().backward()
+        assert z.data.tobytes() == expected.data.tobytes()
         assert x.grad.tobytes() == expected_backward(upstream).tobytes()
 
     def test_gradient_uses_same_mask(self):
         x = Tensor(np.ones((4, 4)), requires_grad=True)
-        y = ad.dropout(x, 0.5, rng=np.random.default_rng(13), train=True)
+        y = _identity_linear(x, 0.5, rng=np.random.default_rng(13))
         y.sum().backward()
         np.testing.assert_array_equal((x.grad > 0), (y.data > 0))
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
-            ad.dropout(Tensor(np.ones(3)), 1.0, train=True)
+            _identity_linear(Tensor(np.ones((1, 3))), 1.0)
+        with pytest.raises(ValueError, match="rng"):
+            _identity_linear(Tensor(np.ones((1, 3))), 0.5)
+
+    def test_node_keeps_only_keep_flags(self):
+        rng = np.random.default_rng(34)
+        x = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        b = Tensor(np.zeros(5), requires_grad=True)
+        for y in (ad.linear(x, w, b, relu=True, dropout_p=0.3, rng=rng, train=True),
+                  ad.conv1d(x, w, b, dropout_p=0.3, rng=rng, train=True)):
+            assert y._parents == (x, w, b)
+            own = {id(a) for a in (x.data, w.data, b.data, y.data)}
+            extra = [a for a in composite_ops.tape_arrays(y) if id(a) not in own]
+            assert [a.dtype for a in extra] == [np.bool_]
 
 
 class TestEmbeddingLookup:
@@ -347,6 +414,12 @@ def _values_and_grads(build, weights, tensors):
     return y.data, [t.grad for t in tensors]
 
 
+def _assert_bitwise(a, b):
+    assert a[0].tobytes() == b[0].tobytes()
+    for ga, gb in zip(a[1], b[1]):
+        assert ga.tobytes() == gb.tobytes()
+
+
 def _assert_same_values_close_grads(a, b, tol=1e-10):
     np.testing.assert_array_equal(a[0], b[0])
     scale = max(np.abs(g).max() for g in b[1])
@@ -372,6 +445,24 @@ class TestLinear:
         if relu:
             assert (fused[0] == 0.0).any() and (fused[0] > 0.0).any()
         _assert_same_values_close_grads(fused, composite, tol=1e-12)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("p", DROPOUT_PS)
+    def test_dropout_matches_composite(self, p, relu):
+        # values and gradients bitwise equal to matmul, add, relu, dropout nodes
+        rng = np.random.default_rng(44)
+        x, w, b = self._operands(rng, n=9, d=7, f=6)
+        weights = rng.normal(size=(9, 6))
+
+        def build(dense):
+            return lambda: dense(x, w, b, relu=relu, dropout_p=p,
+                                 rng=np.random.default_rng(45), train=True)
+
+        fused = _values_and_grads(build(ad.linear), weights, [x, w, b])
+        composite = _values_and_grads(build(composite_ops.linear), weights, [x, w, b])
+        pre = x.data @ w.data + b.data
+        assert (pre < 0.0).any() and (pre > 0.0).any()
+        _assert_bitwise(fused, composite)
 
     @pytest.mark.parametrize("relu", [False, True])
     def test_gradients(self, relu):

@@ -178,6 +178,13 @@ class TestForward:
         logits = model.forward(_doc(6))
         assert np.isfinite(logits.data).all()
 
+    def test_rejects_non_finite_embedding(self):
+        # without a transformer no later check would see the NaN
+        model = _model(_small_config(layers=0))
+        model.registry["embedding/tokens"].data[:] = np.nan
+        with pytest.raises(ValueError, match="non-finite values entering conv1d"):
+            model.forward(_doc(6))
+
 
 class TestParameterSharing:
     def test_census(self):

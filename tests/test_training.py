@@ -247,13 +247,36 @@ class TestRunTraining:
 
 
 class TestFirstStepPin:
-    """Values recorded before the tape changes; a forward value must not move."""
+    """Values recorded before the tape changes; no forward value or gradient bit may move.
+
+    The epoch-1 loss of a 1-step run sees only the forward. The gradient
+    digest sees every bit of every gradient; the epoch-2 loss sees them only
+    through Adam's steps, which divide out a uniform scale.
+    """
 
     def test_first_step_train_loss(self):
         config = TrainingConfig(max_epochs=1, batch_size=4, validation_fraction=0.0)
         record = run_training(_model(dropout=0.1), _corpus(n_docs=4, doc_len=9), config)
         assert record.steps == 1
         assert record.epochs[0].train_loss.hex() == "0x1.a0f041df1339bp+1"
+
+    def test_first_batch_gradients(self):
+        model = _model(dropout=0.1, layers=2)
+        value, grads = _batch_gradients(model, TestTapeEquivalence._batch(), per_document=True)
+        digest = hashlib.sha256()
+        for name, g in grads.items():
+            digest.update(name.encode() + g.tobytes())
+        assert value.hex() == "0x1.a32bc41530b4fp+1"
+        assert digest.hexdigest() == (
+            "0b6724cf6b1dfe288899a66c7dbe4905b897e48e363d1786e140177d43965ef6"
+        )
+
+    def test_second_epoch_train_loss(self):
+        config = TrainingConfig(max_epochs=2, batch_size=2, validation_fraction=0.0)
+        record = run_training(_model(dropout=0.1, layers=2), TestTapeEquivalence._batch(),
+                              config)
+        assert record.steps == 4
+        assert record.epochs[1].train_loss.hex() == "0x1.b1f2d4acc2468p+1"
 
     def test_training_forward_logits(self):
         model = _model(dropout=0.1, layers=2)
@@ -295,6 +318,18 @@ def _assert_close_over_model(grads, expected):
                                    err_msg=name)
 
 
+def _tape_ops(root):
+    """The op name of every interior node on the tape under ``root``."""
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            nodes.append(t._backward_fn.__qualname__.split(".")[0])
+            stack.extend(p for p in t._parents if p._parents)
+    return nodes
+
+
 class TestTapeEquivalence:
     """The fused ops and the per-document backward against their oracles."""
 
@@ -328,17 +363,25 @@ class TestTapeEquivalence:
         d = model.config.embedding.width
         windows = {(11 - k + 1, k * d) for k in range(2, 6)}
         assert not windows & {a.shape for a in composite_ops.tape_arrays(logits)}
-        nodes, seen, stack = [], set(), [logits]
-        while stack:
-            t = stack.pop()
-            if id(t) not in seen:
-                seen.add(id(t))
-                nodes.append(t._backward_fn.__qualname__.split(".")[0])
-                stack.extend(p for p in t._parents if p._parents)
+        nodes = _tape_ops(logits)
         # every residual sum is inside a layer_norm node: 2 per layer per width
         assert "add" not in nodes
         assert nodes.count("layer_norm") == 2 * 2 * 5
         assert nodes.count("conv1d") == 5
+
+    def test_tape_has_no_dropout_nodes(self):
+        # each dropout is folded into the linear or conv1d node it follows;
+        # per width: conv1d, q/k/v, attention_core, wo, 2 layer_norm, 2 ffn,
+        # 3 scorer linear, reshape; plus concat, embedding_lookup and the
+        # embedding's concat
+        model = _model(dropout=0.1)
+        doc = _corpus(n_docs=1, doc_len=11)[0].document
+        nodes = _tape_ops(model.forward(doc, train=True, rng=np.random.default_rng(3)))
+        assert len(nodes) == 73
+        assert {op: nodes.count(op) for op in set(nodes)} == {
+            "conv1d": 5, "linear": 45, "attention_core": 5, "layer_norm": 10,
+            "reshape": 5, "concat": 2, "embedding_lookup": 1,
+        }
 
 
 class TestTrainingConfig:
