@@ -378,7 +378,10 @@ def conv1d(x, weight, bias, dropout_p=0.0, rng=None, train=False):
     if bias.data.shape != (f,):
         raise ValueError("bias shape does not match filter count")
     rows = n - k + 1
-    windows = np.concatenate([x.data[o : o + rows] for o in range(k)], axis=1)
+    # one strided copy: k*d values read on from row j of a C-contiguous x are
+    # rows j..j+k-1 (the ndarray constructor makes as_strided's view, faster)
+    xc = np.ascontiguousarray(x.data)
+    windows = np.ndarray((rows, kd), xc.dtype, xc, 0, xc.strides).copy()
     data = windows @ weight.data
     del windows  # freed before the dropout draw allocates
     data += bias.data

@@ -7,6 +7,13 @@ tf*idf over the span's tokens; TextRank runs PageRank-style propagation over
 a word co-occurrence graph and sums word scores over the span. The scored
 spans are ranked by ``inference.rank_phrases``, the ranking and tie-break of
 ``predict``.
+
+Both rank a block of documents at a time (``tfidf_block``, ``textrank_block``;
+``kpex baseline`` passes ``BLOCK_DOCUMENTS`` at a time). A block tests each
+distinct token once for punctuation (and, for TFIDF, idf), and TextRank runs
+PageRank over all its word graphs in one power iteration (``pagerank_block``).
+Every score is bitwise that of the document ranked alone, which is what
+``tfidf_rank``, ``textrank_rank`` and ``pagerank`` do: each is a block of one.
 """
 
 from __future__ import annotations
@@ -38,6 +45,9 @@ yourselves
 
 _WORD_RE = re.compile(r"\w")
 
+# documents the CLI ranks at a time, which bounds a block's graphs and edge arrays
+BLOCK_DOCUMENTS = 256
+
 
 def load_stopwords(path):
     words = set()
@@ -53,10 +63,26 @@ def is_punctuation(token):
     return not _WORD_RE.search(token)
 
 
-def candidate_filter(spans, doc, stopwords=STOPWORDS):
-    """The rows of ``spans`` with no boundary stopword and no punctuation token."""
+def _types(docs):
+    """The distinct tokens of ``docs``."""
+    return set().union(*(doc.tokens for doc in docs))
+
+
+def _punctuation(types):
+    """The punctuation tokens among the token types ``types``."""
+    return frozenset(t for t in types if is_punctuation(t))
+
+
+def candidate_filter(spans, doc, stopwords=STOPWORDS, punctuation=None):
+    """The rows of ``spans`` with no boundary stopword and no punctuation token.
+
+    ``punctuation`` holds every punctuation token of ``doc`` and no word
+    token; by default it is found from the document's own token types.
+    """
+    if punctuation is None:
+        punctuation = _punctuation(set(doc.tokens))
     stop = np.array([t in stopwords for t in doc.tokens], dtype=bool)
-    punct = np.array([is_punctuation(t) for t in doc.tokens], dtype=np.int64)
+    punct = np.array([t in punctuation for t in doc.tokens], dtype=np.int64)
     punct_before = np.concatenate(([0], np.cumsum(punct)))  # punctuation in tokens[:i]
     starts, ends = spans[:, 0], spans[:, 0] + spans[:, 1]
     keep = ~stop[starts] & ~stop[ends - 1] & (punct_before[ends] == punct_before[starts])
@@ -95,14 +121,26 @@ def _span_sums(values, spans):
     return total
 
 
+def tfidf_block(docs, stats, max_span_length=5, top_k=10, stopwords=STOPWORDS):
+    """``tfidf_rank`` of each document; idf is computed once per token type."""
+    types = _types(docs)
+    idf = {t: stats.idf(t) for t in types}
+    punctuation = _punctuation(types)
+    predictions = []
+    for doc in docs:
+        spans = candidate_filter(
+            enumerate_spans(len(doc), max_span_length), doc, stopwords, punctuation)
+        counts = Counter(doc.tokens)
+        n = len(doc)
+        values = np.array([(counts[t] / n) * idf[t] for t in doc.tokens])
+        scores = _span_sums(values, spans) / spans[:, 1]
+        predictions.append(Prediction(doc.id, tuple(rank_phrases(doc, spans, scores, top_k))))
+    return predictions
+
+
 def tfidf_rank(doc, stats, max_span_length=5, top_k=10, stopwords=STOPWORDS):
     """Rank candidate spans by their mean tf*idf; tf is count / document length."""
-    spans = candidate_filter(enumerate_spans(len(doc), max_span_length), doc, stopwords)
-    counts = Counter(doc.tokens)
-    n = len(doc)
-    values = np.array([(counts[t] / n) * stats.idf(t) for t in doc.tokens])
-    scores = _span_sums(values, spans) / spans[:, 1]
-    return Prediction(doc.id, tuple(rank_phrases(doc, spans, scores, top_k)))
+    return tfidf_block([doc], stats, max_span_length, top_k, stopwords)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,21 +151,23 @@ class WordGraph:
     weights: dict  # (u, v) -> weight, stored both ways
 
 
-def build_word_graph(doc, window=2, stopwords=STOPWORDS):
+def build_word_graph(doc, window=2, stopwords=STOPWORDS, punctuation=None):
     """Connect candidate words co-occurring within ``window`` text positions.
 
     Two words co-occur when their token positions in the original text differ
     by less than ``window`` (the classic convention: window=2 links adjacent
     words). Candidates are non-stopword, non-punctuation token types; each
     co-occurrence adds 1 to the symmetric edge weight and self-loops (a type
-    next to itself) are skipped.
+    next to itself) are skipped. ``punctuation`` is as for candidate_filter.
     """
     if window < 2:
         raise ValueError("window must be at least 2")
+    if punctuation is None:
+        punctuation = _punctuation(set(doc.tokens))
     positions = [
         (i, t)
         for i, t in enumerate(doc.tokens)
-        if t not in stopwords and not is_punctuation(t)
+        if t not in stopwords and t not in punctuation
     ]
     nodes = tuple(sorted({t for _, t in positions}))
     weights = {}
@@ -157,37 +197,104 @@ def pagerank(graph, damping=0.85, tol=1e-8, max_iterations=200):
     iterated from all-ones until the L1 change drops below ``tol``. Isolated
     nodes settle at 1 - d.
     """
+    return pagerank_block([graph], damping, tol, max_iterations)[0]
+
+
+def pagerank_block(graphs, damping=0.85, tol=1e-8, max_iterations=200):
+    """``pagerank`` of each of the ``graphs``, run as one power iteration.
+
+    ``graphs`` is any iterable, read once up front; only each graph's nodes
+    are kept from it. Node indices are offset per graph, so no sum mixes
+    graphs. bincount adds in input order, so one bincount over every edge
+    sums each node's in-flow in its graph's dict order, and one over every
+    node sums each graph's L1 change in node order: the sums of the graph
+    run alone, left to right (a matmul or a pairwise sum would not keep that
+    order, and would move the last bits). A graph leaves the iteration where
+    it converges, so its scores, ``iterations`` and ``residual`` are bitwise
+    those of a block of one.
+    """
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must be in (0, 1)")
-    nodes = graph.nodes
-    if not nodes:
-        return PageRankResult({}, 0, 0.0)
-    # bincount and cumsum add in input order, so each sum runs in the dict's
-    # insertion order (a matmul would not, and would move the last bits)
-    index = {v: i for i, v in enumerate(nodes)}
-    src = np.array([index[u] for u, _ in graph.weights], dtype=np.intp)
-    dst = np.array([index[v] for _, v in graph.weights], dtype=np.intp)
-    w = np.array(list(graph.weights.values()), dtype=np.float64)
-    degree = np.bincount(src, weights=w, minlength=len(nodes))
+    node_lists, src, dst, w = [], [], [], []
+    offset = 0
+    for graph in graphs:  # a generator's graphs are freed as they are read
+        node_lists.append(graph.nodes)
+        if not graph.nodes:
+            continue
+        index = {v: offset + i for i, v in enumerate(graph.nodes)}
+        offset += len(graph.nodes)
+        weights = graph.weights
+        heads, tails = zip(*weights) if weights else ((), ())
+        src.append(np.fromiter(map(index.__getitem__, heads), np.intp, len(weights)))
+        dst.append(np.fromiter(map(index.__getitem__, tails), np.intp, len(weights)))
+        w.append(np.fromiter(weights.values(), np.float64, len(weights)))
+    results = [PageRankResult({}, 0, 0.0) for _ in node_lists]
+    active = [g for g, nodes in enumerate(node_lists) if nodes]
+    if not active:
+        return results
+    sizes = np.array([len(node_lists[g]) for g in active])
+    src, dst, w = np.concatenate(src), np.concatenate(dst), np.concatenate(w)
+    graph_of = np.repeat(np.arange(len(active)), sizes)  # each node's graph
+    degree = np.bincount(src, weights=w, minlength=len(graph_of))
     live = degree[src] > 0
     src, dst = src[live], dst[live]
     coef = w[live] / degree[src]
-    scores = np.ones(len(nodes))
-    residual = float("inf")
+    scores = np.ones(len(graph_of))
+    residual = np.full(len(active), np.inf)
+
+    def finish(done, iterations):
+        ends = np.cumsum(sizes).tolist()
+        for r in np.flatnonzero(done).tolist():
+            nodes = node_lists[active[r]]
+            values = scores[ends[r] - len(nodes) : ends[r]].tolist()
+            results[active[r]] = PageRankResult(
+                dict(zip(nodes, values)), iterations, float(residual[r]))
+
     for iteration in range(1, max_iterations + 1):
-        incoming = np.bincount(dst, weights=coef * scores[src], minlength=len(nodes))
+        incoming = np.bincount(dst, weights=coef * scores[src], minlength=len(scores))
         updated = (1.0 - damping) + damping * incoming
-        residual = float(np.abs(updated - scores).cumsum()[-1])
+        residual = np.bincount(graph_of, weights=np.abs(updated - scores),
+                               minlength=len(sizes))
         scores = updated
-        if residual < tol:
-            return PageRankResult(dict(zip(nodes, scores.tolist())), iteration, residual)
-    return PageRankResult(dict(zip(nodes, scores.tolist())), max_iterations, residual)
+        done = residual < tol
+        if not done.any():
+            continue
+        finish(done, iteration)
+        if done.all():
+            return results
+        # drop the converged graphs' nodes and edges, renumbering the rest
+        keep = ~done[graph_of]
+        renumber = np.cumsum(keep) - 1
+        edges = keep[dst]
+        src, dst, coef = renumber[src[edges]], renumber[dst[edges]], coef[edges]
+        graph_of = (np.cumsum(~done) - 1)[graph_of[keep]]
+        scores = scores[keep]
+        active = [g for g, d in zip(active, done.tolist()) if not d]
+        sizes, residual = sizes[~done], residual[~done]
+    finish(np.ones(len(active), dtype=bool), max_iterations)
+    return results
 
 
 def textrank_scores(doc, window=2, damping=0.85, tol=1e-8, stopwords=STOPWORDS):
     """Converged word scores for one document (empty dict if no candidates)."""
     graph = build_word_graph(doc, window=window, stopwords=stopwords)
     return pagerank(graph, damping=damping, tol=tol).scores
+
+
+def textrank_block(docs, max_span_length=5, top_k=10, window=2, damping=0.85,
+                   stopwords=STOPWORDS):
+    """``textrank_rank`` of each document, with one PageRank over all graphs."""
+    punctuation = _punctuation(_types(docs))
+    graphs = (build_word_graph(doc, window, stopwords, punctuation) for doc in docs)
+    predictions = []
+    for doc, result in zip(docs, pagerank_block(graphs, damping=damping)):
+        spans = candidate_filter(
+            enumerate_spans(len(doc), max_span_length), doc, stopwords, punctuation)
+        scores = result.scores
+        span_scores = _span_sums(np.array([scores.get(t, 0.0) for t in doc.tokens]), spans)
+        predictions.append(
+            Prediction(doc.id, tuple(rank_phrases(doc, spans, span_scores, top_k))))
+    return predictions
 
 
 def textrank_rank(
@@ -199,7 +306,4 @@ def textrank_rank(
     stopwords=STOPWORDS,
 ):
     """Rank candidate spans by the sum of their words' TextRank scores."""
-    scores = textrank_scores(doc, window=window, damping=damping, stopwords=stopwords)
-    spans = candidate_filter(enumerate_spans(len(doc), max_span_length), doc, stopwords)
-    span_scores = _span_sums(np.array([scores.get(t, 0.0) for t in doc.tokens]), spans)
-    return Prediction(doc.id, tuple(rank_phrases(doc, spans, span_scores, top_k)))
+    return textrank_block([doc], max_span_length, top_k, window, damping, stopwords)[0]

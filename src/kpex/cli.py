@@ -416,7 +416,9 @@ def cmd_evaluate(args, cfg):
 
 
 def cmd_baseline(args, cfg):
-    from .baselines import CorpusStats, load_stopwords, textrank_rank, tfidf_rank
+    from .baselines import (
+        BLOCK_DOCUMENTS, CorpusStats, load_stopwords, textrank_block, tfidf_block,
+    )
     from .documents import read_dataset, truncate
     from .inference import write_predictions
 
@@ -431,15 +433,16 @@ def cmd_baseline(args, cfg):
     kwargs = {"stopwords": stopwords} if stopwords is not None else {}
     if args.method == "tfidf":
         stats = CorpusStats.build(docs)
-        predictions = [
-            tfidf_rank(d, stats, max_span_length=max_len, top_k=top_k, **kwargs)
-            for d in docs
-        ]
+
+        def rank(block):
+            return tfidf_block(block, stats, max_span_length=max_len, top_k=top_k, **kwargs)
     else:
-        predictions = [
-            textrank_rank(d, max_span_length=max_len, top_k=top_k, **kwargs)
-            for d in docs
-        ]
+        def rank(block):
+            return textrank_block(block, max_span_length=max_len, top_k=top_k, **kwargs)
+    predictions = [
+        p for start in range(0, len(docs), BLOCK_DOCUMENTS)
+        for p in rank(docs[start : start + BLOCK_DOCUMENTS])
+    ]
     write_predictions(args.out, predictions)
     _write_meta(args.out, cfg, f"baseline:{args.method}",
                 {"documents": len(predictions)})

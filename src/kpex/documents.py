@@ -84,7 +84,12 @@ def validate_visual_rows(doc_id, n_tokens, rows, where=None):
     (``path:lineno``) prefixes the error when the rows come from a file.
     """
     source = f"{where}: document {doc_id!r}" if where else f"document {doc_id!r}"
-    arr = np.asarray(rows, dtype=np.float64)
+    try:
+        arr = np.asarray(rows, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # ragged rows or a non-number
+        raise DatasetError(
+            f"{source}: visual features must be {n_tokens} rows of {VISUAL_DIM} numbers"
+        ) from exc
     if arr.shape != (n_tokens, VISUAL_DIM):
         raise DatasetError(
             f"{source}: visual features have shape {arr.shape}, "

@@ -110,11 +110,16 @@ class FrozenVectors:
         for lineno, obj in read_jsonl(path):
             if "id" not in obj or "vectors" not in obj:
                 raise DatasetError(f"{path}:{lineno}: expected id and vectors")
-            arr = np.asarray(obj["vectors"], dtype=np.float64)
+            source = f"{path}:{lineno}: document {str(obj['id'])!r}"
+            try:
+                arr = np.asarray(obj["vectors"], dtype=np.float64)
+            except (TypeError, ValueError) as exc:  # ragged rows or a non-number
+                raise DatasetError(
+                    f"{source}: vectors must be rows of {token_dim} numbers"
+                ) from exc
             if arr.ndim != 2 or arr.shape[1] != token_dim:
                 raise DatasetError(
-                    f"{path}:{lineno}: vectors must be (n, {token_dim}), "
-                    f"got {arr.shape}"
+                    f"{source}: vectors must be (n, {token_dim}), got {arr.shape}"
                 )
             by_id[str(obj["id"])] = arr
         return cls(by_id, token_dim)

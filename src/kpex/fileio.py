@@ -36,16 +36,17 @@ def string_list(value, name, where):
     raise DatasetError(f"{where}: {name} must be a list of strings")
 
 
-def write_atomic(path, data):
-    """Replace ``path`` with ``data`` (str or bytes) through one rename.
+def write_atomic(path, chunks):
+    """Replace ``path`` with the concatenated byte ``chunks`` through one rename.
 
-    The temporary file is made by ``open``, so both get the usual
-    0o666-minus-umask mode.
+    ``chunks`` is any iterable of bytes-like objects, written as it is
+    consumed, so no joined copy of the contents is held. The temporary file
+    is made by ``open``, so both get the usual 0o666-minus-umask mode.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -54,8 +55,8 @@ def write_atomic(path, data):
 
 
 def write_jsonl(path, objects):
-    write_atomic(path, "".join(json.dumps(obj) + "\n" for obj in objects))
+    write_atomic(path, ((json.dumps(obj) + "\n").encode("utf-8") for obj in objects))
 
 
 def write_json(path, obj):
-    write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, [(json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")])

@@ -59,28 +59,37 @@ class Prediction:
         return [p for p, _ in self.phrases]
 
 
+# spans converted per phrase wanted, in each slice of a top-k ranking
+RANK_SLICE_PER_PHRASE = 4
+
+
 def rank_phrases(doc, spans, scores, k=None):
     """Rank scored (start, length) rows of ``doc`` into (phrase, score) pairs.
 
     ``spans`` is an (M, 2) array like enumerate_spans, one row per score.
     Spans sort by score, then earlier start, then shorter length; a phrase
     keeps the score of its first span in that order. With ``k``, ranking
-    stops after k phrases. Document tokens are tokenizer output, which
-    re-tokenizes to itself, so doc.phrase(span) is already normalized.
+    stops after k phrases, and the sorted spans go to Python a slice of
+    ``RANK_SLICE_PER_PHRASE * k`` at a time. Document tokens are tokenizer
+    output, which re-tokenizes to itself, so doc.phrase(span) is already
+    normalized.
     """
     if k is not None and k < 1:
         raise ValueError("k must be at least 1")
     scores = np.asarray(scores, dtype=np.float64)
     order = np.lexsort((spans[:, 1], spans[:, 0], -scores))
+    step = max(len(order), 1) if k is None else RANK_SLICE_PER_PHRASE * k
     seen = set()
     ranked = []
-    for span, score in zip(spans[order].tolist(), scores[order].tolist()):
-        phrase = doc.phrase(span)
-        if phrase not in seen:
-            seen.add(phrase)
-            ranked.append((phrase, score))
-            if len(ranked) == k:
-                break
+    for lo in range(0, len(order), step):
+        part = order[lo : lo + step]
+        for span, score in zip(spans[part].tolist(), scores[part].tolist()):
+            phrase = doc.phrase(span)
+            if phrase not in seen:
+                seen.add(phrase)
+                ranked.append((phrase, score))
+                if len(ranked) == k:
+                    return ranked
     return ranked
 
 

@@ -10,6 +10,7 @@ payload. Round-trips are exact.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -88,56 +89,63 @@ def check_arrays(shapes, arrays):
         )
 
 
-def save_checkpoint(path, registry, metadata):
-    """Serialize registry + metadata to ``path`` (written atomically)."""
+def _checkpoint_chunks(registry, metadata):
+    """The bytes of a checkpoint, in order; arrays go out as views, not copies."""
     meta_bytes = json.dumps(metadata, sort_keys=True).encode("utf-8")
-    parts = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
-    parts.append(struct.pack("<Q", len(meta_bytes)))
-    parts.append(meta_bytes)
-    items = list(registry.items())
-    parts.append(struct.pack("<Q", len(items)))
-    for name, tensor in items:
+    yield MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(meta_bytes))
+    yield meta_bytes
+    yield struct.pack("<Q", len(registry))
+    for name, tensor in registry.items():
         name_bytes = name.encode("utf-8")
         arr = np.ascontiguousarray(tensor.data, dtype="<f8")
-        parts.append(struct.pack("<H", len(name_bytes)))
-        parts.append(name_bytes)
-        parts.append(struct.pack("<B", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        parts.append(arr.tobytes())
-    write_atomic(path, b"".join(parts))
+        yield struct.pack("<H", len(name_bytes)) + name_bytes
+        yield struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape)
+        yield arr.data
+
+
+def save_checkpoint(path, registry, metadata):
+    """Serialize registry + metadata to ``path`` (written atomically)."""
+    write_atomic(path, _checkpoint_chunks(registry, metadata))
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (metadata dict, name -> float64 array)."""
+    """Read a checkpoint; returns (metadata dict, name -> float64 array).
+
+    The file is read record by record, each array straight into its final
+    buffer, so no copy of the whole file is held.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    offset = 0
+        remaining = os.fstat(fh.fileno()).st_size
 
-    def take(n):
-        nonlocal offset
-        if offset + n > len(blob):
-            raise CheckpointError(f"truncated checkpoint {path}")
-        piece = blob[offset : offset + n]
-        offset += n
-        return piece
+        def claim(n):
+            nonlocal remaining
+            if n > remaining:
+                raise CheckpointError(f"truncated checkpoint {path}")
+            remaining -= n
 
-    if take(4) != MAGIC:
-        raise CheckpointError(f"{path} is not a checkpoint file")
-    (version,) = struct.unpack("<I", take(4))
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    (meta_len,) = struct.unpack("<Q", take(8))
-    metadata = json.loads(take(meta_len).decode("utf-8"))
-    (n_records,) = struct.unpack("<Q", take(8))
-    arrays = {}
-    for _ in range(n_records):
-        (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
-        (ndim,) = struct.unpack("<B", take(1))
-        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim)) if ndim else ()
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        data = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape)
-        arrays[name] = data.astype(np.float64)
-    if offset != len(blob):
-        raise CheckpointError(f"trailing bytes in checkpoint {path}")
+        def take(n):
+            claim(n)
+            return fh.read(n)
+
+        if take(4) != MAGIC:
+            raise CheckpointError(f"{path} is not a checkpoint file")
+        (version,) = struct.unpack("<I", take(4))
+        if version != FORMAT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        (meta_len,) = struct.unpack("<Q", take(8))
+        metadata = json.loads(take(meta_len).decode("utf-8"))
+        (n_records,) = struct.unpack("<Q", take(8))
+        arrays = {}
+        for _ in range(n_records):
+            (name_len,) = struct.unpack("<H", take(2))
+            name = take(name_len).decode("utf-8")
+            (ndim,) = struct.unpack("<B", take(1))
+            shape = struct.unpack(f"<{ndim}Q", take(8 * ndim)) if ndim else ()
+            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+            claim(8 * count)  # before allocating: a bad shape fails as truncated
+            data = np.empty(shape, dtype="<f8")
+            fh.readinto(data)
+            arrays[name] = data.astype(np.float64, copy=False)
+        if remaining:
+            raise CheckpointError(f"trailing bytes in checkpoint {path}")
     return metadata, arrays

@@ -215,6 +215,19 @@ class TestSlidingWindowsConv:
         composite = _values_and_grads(build(composite_ops.conv1d), weights, [x, w, b])
         _assert_bitwise(fused, composite)
 
+    @pytest.mark.parametrize("n", [5, 16, 64, 256, 1088])
+    def test_forward_matches_concat_window_copy(self, n):
+        # conv1d copies its windows out of x's buffer in one strided copy; the
+        # output bytes are those of the concatenated k row slices
+        rng = np.random.default_rng(100 + n)
+        x = rng.normal(size=(n, 114))
+        for k in range(1, 6):
+            w = rng.normal(size=(k * 114, 64)) * 0.05
+            b = rng.normal(size=64) * 0.05
+            windows = np.concatenate([x[o : o + n - k + 1] for o in range(k)], axis=1)
+            expected = np.maximum(windows @ w + b, 0.0)
+            assert ad.conv1d(x, w, b).data.tobytes() == expected.tobytes(), k
+
     @pytest.mark.parametrize("n", [5, 16, 64, 130, 192, 256, 300])
     def test_weight_gradient_blocks_match_windows(self, n):
         # conv1d writes windows.T @ g one d-row block per offset; the model's

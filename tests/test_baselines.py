@@ -21,8 +21,11 @@ from kpex.baselines import (
     is_punctuation,
     load_stopwords,
     pagerank,
+    pagerank_block,
+    textrank_block,
     textrank_rank,
     textrank_scores,
+    tfidf_block,
     tfidf_rank,
 )
 from kpex.documents import Span, enumerate_spans, make_document
@@ -96,6 +99,31 @@ def _pagerank_oracle(graph, damping=0.85, tol=1e-8, max_iterations=200):
         if residual < tol:
             return PageRankResult(scores, iteration, residual)
     return PageRankResult(scores, max_iterations, residual)
+
+
+def _pagerank_loop(graph, damping=0.85, tol=1e-8, max_iterations=200):
+    """PageRank of one graph alone, as numpy ops over its own edge list."""
+    nodes = graph.nodes
+    if not nodes:
+        return PageRankResult({}, 0, 0.0)
+    index = {v: i for i, v in enumerate(nodes)}
+    src = np.array([index[u] for u, _ in graph.weights], dtype=np.intp)
+    dst = np.array([index[v] for _, v in graph.weights], dtype=np.intp)
+    w = np.array(list(graph.weights.values()), dtype=np.float64)
+    degree = np.bincount(src, weights=w, minlength=len(nodes))
+    live = degree[src] > 0
+    src, dst = src[live], dst[live]
+    coef = w[live] / degree[src]
+    scores = np.ones(len(nodes))
+    residual = float("inf")
+    for iteration in range(1, max_iterations + 1):
+        incoming = np.bincount(dst, weights=coef * scores[src], minlength=len(nodes))
+        updated = (1.0 - damping) + damping * incoming
+        residual = float(np.abs(updated - scores).cumsum()[-1])
+        scores = updated
+        if residual < tol:
+            return PageRankResult(dict(zip(nodes, scores.tolist())), iteration, residual)
+    return PageRankResult(dict(zip(nodes, scores.tolist())), max_iterations, residual)
 
 
 def _tfidf_rank_oracle(doc, stats, max_span_length=5, top_k=10, stopwords=STOPWORDS):
@@ -379,6 +407,118 @@ class TestPageRank:
         doc = make_document("d", "p q r s p")
         result = pagerank(build_word_graph(doc), tol=0.0, max_iterations=7)
         assert result.iterations == 7
+
+
+def _result_bits(result):
+    return (_bits(result.scores.items()), result.iterations, result.residual.hex())
+
+
+def _assert_block_matches_loop(graphs, **kwargs):
+    got = pagerank_block(graphs, **kwargs)
+    assert len(got) == len(graphs)
+    for g, (result, graph) in enumerate(zip(got, graphs)):
+        assert _result_bits(result) == _result_bits(_pagerank_loop(graph, **kwargs)), g
+    return got
+
+
+def _graph(text, window=2):
+    return build_word_graph(make_document("d", text), window=window)
+
+
+_BLOCK_TEXTS = [
+    "x y z x",  # a triangle: converges at once
+    "c l1 c l2 c l3 c l4 c",  # a star
+    "alpha beta gamma delta epsilon alpha zeta beta",
+    "p q r s p q t u v w p",
+    "the red the",  # one isolated node
+]
+
+
+class TestPageRankBlock:
+    """One power iteration over a block equals each graph run alone, bitwise."""
+
+    def test_empty_graphs_in_block(self):
+        empty = WordGraph((), {})
+        got = _assert_block_matches_loop([empty, _graph("x y z x"), empty])
+        assert (got[0].scores, got[0].iterations, got[0].residual) == ({}, 0, 0.0)
+        assert pagerank_block([]) == []
+        assert [r.iterations for r in pagerank_block([empty, empty])] == [0, 0]
+
+    def test_isolated_nodes(self):
+        graphs = [WordGraph(("a", "b", "c"), {}), _graph("the red the"),
+                  WordGraph(("a", "b", "c", "d"), {("b", "c"): 2.0, ("c", "b"): 2.0})]
+        _assert_block_matches_loop(graphs)
+
+    def test_graphs_converge_at_different_iterations(self):
+        graphs = [_graph(t) for t in _BLOCK_TEXTS]
+        got = _assert_block_matches_loop(graphs)
+        assert len({r.iterations for r in got}) >= 4
+        # the order of a block's graphs changes none of their results
+        for result, graph in zip(pagerank_block(graphs[::-1]), graphs[::-1]):
+            assert _result_bits(result) == _result_bits(_pagerank_loop(graph))
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 7, 40])
+    def test_tol_zero_runs_max_iterations(self, cap):
+        graphs = [_graph(t) for t in _BLOCK_TEXTS] + [WordGraph((), {})]
+        got = _assert_block_matches_loop(graphs, tol=0.0, max_iterations=cap)
+        assert [r.iterations for r in got[:-1]] == [cap] * len(_BLOCK_TEXTS)
+
+    def test_zero_degree_sources_skipped(self):
+        graph = WordGraph(("a", "b", "c"), {("a", "b"): 0.0, ("b", "a"): 0.0,
+                                            ("b", "c"): 1.0, ("c", "b"): 1.0})
+        _assert_block_matches_loop([graph, _graph("p q r s p"), graph])
+
+    def test_damping_validation(self):
+        with pytest.raises(ValueError):
+            pagerank_block([WordGraph((), {})], damping=1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pages=st.lists(_pages, min_size=1, max_size=6), window=st.integers(2, 4),
+           cap=st.none() | st.integers(0, 9), damping=st.sampled_from([0.5, 0.85, 0.95]))
+    def test_matches_per_graph_loop(self, pages, window, cap, damping):
+        graphs = [_graph(" ".join(tokens), window) for tokens in pages]
+        kwargs = {"damping": damping}
+        if cap is not None:
+            kwargs.update(tol=0.0, max_iterations=cap)
+        _assert_block_matches_loop(graphs, **kwargs)
+
+
+class TestRankBlocks:
+    """A block's predictions are bitwise those of its documents ranked alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pages=st.lists(_pages, min_size=1, max_size=5), max_len=st.integers(1, 5),
+           window=st.integers(2, 4), top_k=st.sampled_from([1, 10, 100000]))
+    def test_textrank_block_matches_oracle(self, pages, max_len, window, top_k):
+        docs = [make_document(f"d{i}", " ".join(t)) for i, t in enumerate(pages)]
+        got = textrank_block(docs, max_span_length=max_len, top_k=top_k, window=window)
+        for pred, doc in zip(got, docs):
+            want = _textrank_rank_oracle(doc, max_len, top_k, window)
+            assert pred.doc_id == doc.id
+            assert _bits(pred.phrases) == _bits(want.phrases)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pages=st.lists(_pages, min_size=1, max_size=5), max_len=st.integers(1, 5),
+           top_k=st.sampled_from([1, 10, 100000]))
+    def test_tfidf_block_matches_oracle(self, pages, max_len, top_k):
+        docs = [make_document(f"d{i}", " ".join(t)) for i, t in enumerate(pages)]
+        stats = CorpusStats.build(docs[1:] + docs[:1])
+        got = tfidf_block(docs, stats, max_span_length=max_len, top_k=top_k)
+        for pred, doc in zip(got, docs):
+            want = _tfidf_rank_oracle(doc, stats, max_len, top_k)
+            assert pred.doc_id == doc.id
+            assert _bits(pred.phrases) == _bits(want.phrases)
+
+    def test_custom_stopwords_and_punctuation_set(self):
+        docs = [make_document("a", "the red stapler , of the office"),
+                make_document("b", "red ! pen")]
+        stop = frozenset({"red"})
+        assert textrank_block(docs, stopwords=stop)[1].phrase_list() == ["pen"]
+        spans = enumerate_spans(len(docs[1]), 5)
+        # a superset of the document's punctuation filters the same rows
+        np.testing.assert_array_equal(
+            candidate_filter(spans, docs[1], stop, frozenset({"!", ","})),
+            candidate_filter(spans, docs[1], stop))
 
 
 class TestTextRankRanking:

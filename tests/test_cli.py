@@ -670,6 +670,15 @@ class TestBaselineCli:
             meta = json.load(open(out + ".meta.json"))
             assert meta["command"] == f"baseline:{method}"
 
+    def test_ragged_visual_rows_located(self, tmp_path, capsys):
+        data = str(tmp_path / "docs.jsonl")
+        write_jsonl(data, [{"id": "d", "text": "red stapler",
+                            "visual": [[0.5] * 18, [0.5] * 17]}])
+        out = str(tmp_path / "tfidf.jsonl")
+        assert main(["baseline", "--method", "tfidf", "--data", data, "--out", out]) == 1
+        assert f"{data}:1: document 'd': visual" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_rejects_unknown_method(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["baseline", "--method", "rake", "--data", "x", "--out", "y"])

@@ -223,6 +223,16 @@ class TestReadDataset:
         with pytest.raises(DatasetError, match=r":2: document 'a': " + message):
             read_dataset(path)
 
+    def test_ragged_visual_rows_located(self, tmp_path):
+        # numpy's own "inhomogeneous shape" error names no file or document
+        visual = [[0.1] * VISUAL_DIM, [0.1] * (VISUAL_DIM - 1)]
+        path = self._write(tmp_path, [
+            {"id": "z", "text": "fine"},
+            {"id": "a", "text": "one two", "visual": visual},
+        ])
+        with pytest.raises(DatasetError, match=r"data.jsonl:2: document 'a': visual"):
+            read_dataset(path)
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = self._write(tmp_path, [
             {"id": "a", "text": "x"},

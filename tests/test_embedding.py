@@ -243,6 +243,14 @@ class TestFrozenVectors:
         with pytest.raises(DatasetError, match="fewer"):
             frozen.vectors_for(_doc("d1", ["a", "b", "c"]))
 
+    def test_ragged_rows_located(self, tmp_path):
+        path = self._write(tmp_path, [
+            {"id": "d0", "vectors": [[0.0, 1.0]]},
+            {"id": "d1", "vectors": [[0.0, 1.0], [0.0]]},
+        ])
+        with pytest.raises(DatasetError, match=r"vectors.jsonl:2: document 'd1': vectors"):
+            FrozenVectors.load(path, token_dim=2)
+
     def test_wrong_width_rejected(self, tmp_path):
         path = self._write(tmp_path, [{"id": "d1", "vectors": [[0.0, 1.0]]}])
         with pytest.raises(DatasetError, match="vectors"):

@@ -12,12 +12,14 @@ from kpex.documents import enumerate_spans, make_document, tokenize
 from kpex.embedding import EmbeddingConfig, TokenVocabulary
 from kpex.fileio import DatasetError, write_jsonl
 from kpex.inference import (
+    RANK_SLICE_PER_PHRASE,
     Prediction,
     chunk_and_merge,
     chunk_document,
     dedup_substrings,
     normalize_phrase,
     predict_topk,
+    rank_phrases,
     read_predictions,
     write_predictions,
 )
@@ -165,6 +167,42 @@ class TestPredictTopk:
         dist = _distribution(len(doc), probs / probs.sum(), mask=mask)
         pred = predict_topk(dist, doc, k=len(spans))
         assert pred.phrases == _collapse_oracle(dist, doc)
+
+
+class TestRankPhrasesPrefix:
+    """With k, rank_phrases converts the sorted spans a slice at a time and
+    stops at k phrases; the result is the first k of the full ranking."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        tokens=st.lists(st.sampled_from("abcde"), min_size=1, max_size=40),
+        levels=st.lists(st.integers(0, 3), min_size=1, max_size=50),
+        max_len=st.integers(1, 5),
+    )
+    def test_equals_first_k_of_full_ranking(self, tokens, levels, max_len):
+        # a five-word vocabulary repeats phrases; few score levels make ties
+        doc = make_document("d", " ".join(tokens))
+        spans = enumerate_spans(len(doc), max_len)
+        scores = np.array([levels[i % len(levels)] / 3.0 for i in range(len(spans))])
+        full = rank_phrases(doc, spans, scores)
+        for k in range(1, len(full) + 2):
+            assert rank_phrases(doc, spans, scores, k) == full[:k], k
+
+    @pytest.mark.parametrize("repeats", [
+        2 * RANK_SLICE_PER_PHRASE - 2,  # the second phrase one before a slice's end
+        2 * RANK_SLICE_PER_PHRASE - 1,  # ... as its last span
+        2 * RANK_SLICE_PER_PHRASE,  # ... as the next slice's first span
+        5 * RANK_SLICE_PER_PHRASE,  # ... several slices on
+    ])
+    def test_phrase_found_across_slice_ends(self, repeats):
+        # "x" repeated fills the first slices; "y" and "z" rank after it
+        doc = make_document("d", " ".join(["x"] * repeats + ["y", "z"]))
+        spans = enumerate_spans(len(doc), 1)
+        scores = np.concatenate([np.linspace(1.0, 0.5, repeats), [0.25, 0.125]])
+        full = rank_phrases(doc, spans, scores)
+        assert [p for p, _ in full] == ["x", "y", "z"]
+        for k in (1, 2, 3, 4):
+            assert rank_phrases(doc, spans, scores, k) == full[:k], k
 
 
 class TestChunkDocument:

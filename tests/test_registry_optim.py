@@ -1,13 +1,20 @@
 """Parameter registry, checkpoint format, Adam, and the gradient checker."""
 
+import json
+import os
+import struct
+
 import numpy as np
 import pytest
 
 from kpex import autodiff as ad
 from kpex.autodiff import Tensor
+from kpex.fileio import write_atomic
 from kpex.gradcheck import finite_difference_check
 from kpex.optim import Adam, MissingGradientError, geometric_lr
 from kpex.registry import (
+    FORMAT_VERSION,
+    MAGIC,
     CheckpointError,
     ParameterRegistry,
     check_arrays,
@@ -56,7 +63,78 @@ class TestRegistry:
         assert np.abs(w).max() > bound * 0.9
 
 
+def _joined_checkpoint(registry, metadata):
+    """The checkpoint bytes built as one joined blob, every field in turn."""
+    meta_bytes = json.dumps(metadata, sort_keys=True).encode("utf-8")
+    parts = [MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<Q", len(meta_bytes)),
+             meta_bytes, struct.pack("<Q", len(registry))]
+    for name, tensor in registry.items():
+        name_bytes = name.encode("utf-8")
+        arr = np.ascontiguousarray(tensor.data, dtype="<f8")
+        parts += [struct.pack("<H", len(name_bytes)), name_bytes,
+                  struct.pack("<B", arr.ndim), struct.pack(f"<{arr.ndim}Q", *arr.shape),
+                  arr.tobytes()]
+    return b"".join(parts)
+
+
+def _odd_registry():
+    rng = np.random.default_rng(3)
+    reg = ParameterRegistry()
+    reg.add("a/w", rng.normal(size=(5, 3)))
+    reg.add("a/wT", rng.normal(size=(3, 4)).T)  # not C-contiguous
+    reg.add("s", rng.normal(size=()))
+    reg.add("empty", np.zeros((0, 3)))
+    reg.add("é/b", rng.normal(size=(7,)))
+    return reg
+
+
 class TestCheckpoint:
+    def test_bytes_equal_joined_blob(self, tmp_path):
+        reg = _odd_registry()
+        meta = {"config": {"filters": 64}, "vocab": ["a", "ü"]}
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, reg, meta)
+        with open(path, "rb") as fh:
+            assert fh.read() == _joined_checkpoint(reg, meta)
+        loaded_meta, arrays = load_checkpoint(path)
+        assert loaded_meta == meta
+        assert list(arrays) == reg.names()
+        for name, tensor in reg.items():
+            want = np.ascontiguousarray(tensor.data)
+            assert arrays[name].dtype == np.float64
+            assert arrays[name].tobytes() == want.tobytes() and arrays[name].shape == want.shape
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        reg = _odd_registry()
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, reg, {})
+        with open(path, "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(CheckpointError, match="trailing bytes"):
+            load_checkpoint(path)
+
+    def test_huge_shape_fails_as_truncated(self, tmp_path):
+        # a corrupt shape is caught against the file size, before allocating
+        reg = ParameterRegistry()
+        reg.add("w", np.ones(3))
+        blob = bytearray(_joined_checkpoint(reg, {}))
+        shape_at = len(blob) - 3 * 8 - 8
+        blob[shape_at : shape_at + 8] = struct.pack("<Q", 2**60)
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(str(path))
+
+    def test_every_truncation_rejected(self, tmp_path):
+        reg = ParameterRegistry()
+        reg.add("w", np.ones((2, 2)))
+        blob = _joined_checkpoint(reg, {"k": 1})
+        path = tmp_path / "model.ckpt"
+        for cut in range(4, len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointError, match="truncated"):
+                load_checkpoint(str(path))
+
     def test_exact_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
         reg = ParameterRegistry()
@@ -92,6 +170,27 @@ class TestCheckpoint:
             fh.write(blob[:-8])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
+
+
+class TestWriteAtomic:
+    def test_writes_chunks_in_order(self, tmp_path):
+        path = str(tmp_path / "out.bin")
+        write_atomic(path, (bytes([i]) * i for i in range(1, 4)))
+        with open(path, "rb") as fh:
+            assert fh.read() == b"\x01\x02\x02\x03\x03\x03"
+
+    def test_failing_chunks_leave_old_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+
+        def chunks():
+            yield b"new"
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            write_atomic(str(path), chunks())
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["out.bin"]
 
 
 class TestAdam:
