@@ -3,18 +3,21 @@
 A ``Tensor`` wraps a float64 ndarray and records the operations applied to it
 on a tape. Calling ``backward()`` on a scalar result walks the tape in reverse
 topological order and accumulates gradients into every tensor that requires
-them. The op set is deliberately small: just what the span classifier needs
-(dense algebra, embedding lookup, and five fused ops with closed-form
-backwards: the dense layer ``linear`` and the ReLU'd windowed convolution
-``conv1d``, both with optional inverted dropout on their output, layer norm
-with an optional residual sum, the attention core and softmax
-cross-entropy). ``backward()`` releases the tape as it walks it.
+them. The op set is just what the span classifier calls: ``concat`` and
+``reshape`` to assemble arrays, embedding lookup, and five fused ops with
+closed-form backwards: the dense layer ``linear`` and the ReLU'd windowed
+convolution ``conv1d``, both with optional inverted dropout on their output,
+layer norm with an optional residual sum, the attention core and softmax
+cross-entropy. There is no operator sugar on ``Tensor``; the generic ops the
+tests build composite oracles from live in ``tests/composite_ops.py``.
+``backward()`` releases the tape as it walks it.
 
 float64 is the default dtype so finite-difference checks stay meaningful.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -24,7 +27,6 @@ __all__ = [
     "no_grad",
     "concat",
     "reshape",
-    "matmul",
     "linear",
     "conv1d",
     "embedding_lookup",
@@ -37,19 +39,15 @@ __all__ = [
 _grad_enabled = True
 
 
-class no_grad:
+@contextlib.contextmanager
+def no_grad():
     """Context manager that disables tape recording inside its block."""
-
-    def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
-        return False
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
 
 
 def _check_finite(name, arr):
@@ -82,22 +80,12 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
-    def item(self):
-        return float(self.data)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
     def _accumulate(self, g):
         """Add ``g`` into this tensor's gradient.
 
         The first write stores ``g`` itself, not a copy, so gradients may
-        alias: ``add`` hands one array to both parents, and ``reshape`` a view
-        of its own gradient. That is safe because a later write rebinds
+        alias: ``layer_norm`` hands one array to both summands, and ``reshape``
+        a view of its own gradient. That is safe because a later write rebinds
         ``grad`` to a new sum, and nothing in ``src/`` writes ``.grad`` in
         place; code that does must copy first.
         """
@@ -107,8 +95,11 @@ class Tensor:
         else:
             self.grad = self.grad + g
 
-    def backward(self):
-        """Backpropagate from a scalar tensor through the recorded tape.
+    def backward(self, seed=1.0):
+        """Backpropagate ``seed`` from a scalar tensor through the recorded tape.
+
+        The gradients are those of ``seed`` times this tensor; ``seed`` is the
+        starting gradient, so no tape node is needed to scale a loss.
 
         The tape is released as the walk goes: once an interior node (one
         with parents) has passed its gradient on, it drops that gradient,
@@ -134,7 +125,7 @@ class Tensor:
             if not advanced:
                 order.append(node)
                 stack.pop()
-        self._accumulate(np.ones_like(self.data))
+        self._accumulate(np.full_like(self.data, seed))
         # post-order puts parents first, so popping walks children first
         while order:
             node = order.pop()
@@ -144,33 +135,6 @@ class Tensor:
                 node.grad = None
                 node._parents = ()
                 node._backward_fn = _released
-
-    # -- operator sugar -------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(_as_tensor(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), mul(self, -1.0))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
 
 
 def _released(g):
@@ -191,59 +155,6 @@ def _make(data, parents, backward_fn):
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
     return out
-
-
-def _unbroadcast(g, shape):
-    """Sum a gradient over the axes numpy broadcasting introduced."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
-def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data + b.data
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return _make(data, (a, b), backward_fn)
-
-
-def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    data = a.data * b.data
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _make(data, (a, b), backward_fn)
-
-
-def matmul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError("matmul expects operands with at least 2 dimensions")
-    data = a.data @ b.data
-
-    def backward_fn(g):
-        if a.requires_grad:
-            ga = g @ b.data.swapaxes(-1, -2)
-            a._accumulate(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = a.data.swapaxes(-1, -2) @ g
-            b._accumulate(_unbroadcast(gb, b.data.shape))
-
-    return _make(data, (a, b), backward_fn)
 
 
 def _dropout(data, p, rng, train):
@@ -279,15 +190,17 @@ def _dropout_relu_backward(g, data, keep, p, relu):
 
 
 def linear(x, weight, bias, relu=False, dropout_p=0.0, rng=None, train=False):
-    """Dense layer ``x @ weight + bias``, then ReLU when ``relu`` is set.
+    """Dense layer ``x @ weight + bias`` over (n, d) rows, then ReLU when ``relu`` is set.
 
     In training with ``dropout_p`` > 0 it then applies inverted dropout to
     its own output, drawing the mask from ``rng``. One tape node and one
-    array for what the composite op builds from ``matmul``, ``add``, ``relu``
-    and ``dropout``; the in-place steps round as their out-of-place forms do,
-    so the values are bitwise equal to it.
+    array for what the composite op in ``tests/composite_ops.py`` builds from
+    ``matmul``, ``add``, ``relu`` and ``dropout``; the in-place steps round as
+    their out-of-place forms do, so the values are bitwise equal to it.
     """
     x, weight, bias = _as_tensor(x), _as_tensor(weight), _as_tensor(bias)
+    if x.ndim != 2:
+        raise ValueError("linear expects (n, d) input")
     data = x.data @ weight.data
     data += bias.data
     if relu:
@@ -297,32 +210,13 @@ def linear(x, weight, bias, relu=False, dropout_p=0.0, rng=None, train=False):
     def backward_fn(g):
         g = _dropout_relu_backward(g, data, keep, dropout_p, relu)
         if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.data.shape))
+            bias._accumulate(g.sum(axis=0))
         if x.requires_grad:
-            gx = g @ weight.data.swapaxes(-1, -2)
-            x._accumulate(_unbroadcast(gx, x.data.shape))
+            x._accumulate(g @ weight.data.T)
         if weight.requires_grad:
-            gw = x.data.swapaxes(-1, -2) @ g
-            weight._accumulate(_unbroadcast(gw, weight.data.shape))
+            weight._accumulate(x.data.T @ g)
 
     return _make(data, (x, weight, bias), backward_fn)
-
-
-def reduce_sum(a, axis=None, keepdims=False):
-    a = _as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward_fn(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-            return
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-
-    return _make(data, (a,), backward_fn)
 
 
 def reshape(a, shape):
@@ -338,8 +232,6 @@ def reshape(a, shape):
 
 def concat(tensors, axis=0):
     tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ValueError("concat of an empty sequence")
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum(sizes)[:-1]
@@ -430,7 +322,7 @@ def embedding_lookup(table, ids):
 
 
 def layer_norm(x, scale, shift, eps=1e-5, residual=None):
-    """Normalize the last axis to zero mean and unit variance, then affine.
+    """Normalize each row of (n, d) ``x`` to zero mean and unit variance, then affine.
 
     With ``residual`` it normalizes ``x + residual`` without a tape node for
     the sum. One tape node. The backward is the closed form of Ba et al. 2016:
@@ -438,12 +330,14 @@ def layer_norm(x, scale, shift, eps=1e-5, residual=None):
     ``dx = inv * (dn - mean(dn) - normed * mean(dn * normed))``.
     """
     x, scale, shift = _as_tensor(x), _as_tensor(scale), _as_tensor(shift)
+    if x.ndim != 2:
+        raise ValueError("layer_norm expects (n, d) input")
     parents = (x, scale, shift)
     total = x.data
     if residual is not None:
         residual = _as_tensor(residual)
         parents = (x, residual, scale, shift)
-        total = x.data + residual.data  # what add computes
+        total = x.data + residual.data
     d = total.shape[-1]
     # the composite op's expressions in its order (tests/composite_ops.py), so
     # the values are bitwise equal to it: x - mean is x + mean * -1.0, as IEEE
@@ -459,18 +353,18 @@ def layer_norm(x, scale, shift, eps=1e-5, residual=None):
 
     def backward_fn(g):
         if shift.requires_grad:
-            shift._accumulate(_unbroadcast(g, shift.data.shape))
+            shift._accumulate(g.sum(axis=0))
         if scale.requires_grad:
-            scale._accumulate(_unbroadcast(g * normed, scale.data.shape))
+            scale._accumulate((g * normed).sum(axis=0))
         summands = [t for t in parents[:-2] if t.requires_grad]
         if summands:
             dn = g * scale.data
             dx = dn - dn.mean(axis=-1, keepdims=True)
             dx -= normed * (dn * normed).mean(axis=-1, keepdims=True)
             dx *= inv
-            # as add's backward does, one array goes to both summands
+            # as the composite add's backward does, one array goes to both summands
             for t in summands:
-                t._accumulate(_unbroadcast(dx, t.data.shape))
+                t._accumulate(dx)
 
     return _make(data, parents, backward_fn)
 
@@ -522,23 +416,8 @@ def attention_core(q, k, v, heads):
     return _make(data, (q, k, v), backward_fn)
 
 
-def multi_head_self_attention(
-    x,
-    heads,
-    wq,
-    bq,
-    wk,
-    bk,
-    wv,
-    bv,
-    wo,
-    bo,
-    scale,
-    shift,
-    dropout_p=0.0,
-    rng=None,
-    train=False,
-):
+def multi_head_self_attention(x, heads, wq, bq, wk, bk, wv, bv, wo, bo, scale, shift,
+                              dropout_p=0.0, rng=None, train=False):
     """Self-attention sublayer: layer_norm(x + dropout(proj(attend(x)))).
 
     Each output row mixes value projections with softmax weights, so with the

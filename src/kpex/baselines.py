@@ -275,12 +275,6 @@ def pagerank_block(graphs, damping=0.85, tol=1e-8, max_iterations=200):
     return results
 
 
-def textrank_scores(doc, window=2, damping=0.85, tol=1e-8, stopwords=STOPWORDS):
-    """Converged word scores for one document (empty dict if no candidates)."""
-    graph = build_word_graph(doc, window=window, stopwords=stopwords)
-    return pagerank(graph, damping=damping, tol=tol).scores
-
-
 def textrank_block(docs, max_span_length=5, top_k=10, window=2, damping=0.85,
                    stopwords=STOPWORDS):
     """``textrank_rank`` of each document, with one PageRank over all graphs."""

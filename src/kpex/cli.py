@@ -212,7 +212,7 @@ def _load_frozen(cfg):
 
 def cmd_featurize(args, cfg):
     from .fileio import string_list, write_jsonl
-    from .visual import LayoutError, load_layout_file
+    from .visual import LayoutError, load_layout_file, parse_layout
 
     names = sorted(n for n in os.listdir(args.layout_dir) if n.endswith(".json"))
     if not names:
@@ -222,15 +222,15 @@ def cmd_featurize(args, cfg):
     for name in names:
         path = os.path.join(args.layout_dir, name)
         doc_id = os.path.splitext(name)[0]
-        text, rows = load_layout_file(path, doc_id)
+        layout = load_layout_file(path)
+        text, rows = parse_layout(layout, doc_id)
         if not rows:
             skipped.append(doc_id)
             continue
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
         line = {"id": doc_id, "text": text, "visual": rows}
-        if raw.get("keyphrases"):
-            line["keyphrases"] = string_list(raw["keyphrases"], "keyphrases", path)
+        keyphrases = layout.get("keyphrases")  # null is no field, and so is []
+        if keyphrases is not None and string_list(keyphrases, "keyphrases", path):
+            line["keyphrases"] = keyphrases
         lines.append(line)
     if not lines:
         raise LayoutError("every layout produced an empty token sequence")

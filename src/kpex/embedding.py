@@ -14,7 +14,6 @@ from collections import Counter
 import numpy as np
 
 from .autodiff import Tensor, concat, embedding_lookup
-from .config import EmbeddingConfig  # noqa: F401  (re-exported)
 from .fileio import DatasetError, read_jsonl
 
 UNK_TOKEN = "<unk>"
@@ -53,19 +52,8 @@ class TokenVocabulary:
         kept = sorted(t for t, c in counts.items() if c >= min_count)
         return cls(kept)
 
-    @property
-    def unk_id(self):
-        return 0
-
-    @property
-    def mask_id(self):
-        return 1
-
     def __len__(self):
         return len(self._tokens)
-
-    def __contains__(self, token):
-        return token in self._index
 
     def lookup(self, token):
         return self._index.get(token, 0)
@@ -108,7 +96,7 @@ class FrozenVectors:
     def load(cls, path, token_dim):
         by_id = {}
         for lineno, obj in read_jsonl(path):
-            if "id" not in obj or "vectors" not in obj:
+            if not isinstance(obj, dict) or "id" not in obj or "vectors" not in obj:
                 raise DatasetError(f"{path}:{lineno}: expected id and vectors")
             source = f"{path}:{lineno}: document {str(obj['id'])!r}"
             try:

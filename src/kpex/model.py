@@ -122,7 +122,6 @@ class SpanScorer:
         """
         self.config = config
         self.vocab = vocab
-        self.frozen_vectors = frozen_vectors
         emb = config.embedding
         if emb.source == "trainable":
             if vocab is None:
@@ -223,23 +222,6 @@ class SpanScorer:
         probs, mask = score_spans(logits.data, mask)
         spans = enumerate_spans(len(doc), self.config.max_span_length)
         return SpanDistribution(spans, probs, mask)
-
-    # -- bookkeeping ----------------------------------------------------
-
-    def parameter_census(self):
-        """Counts of parameter groups, for asserting weight sharing."""
-        names = self.registry.names()
-        cnn_banks = {n.split("/")[1] for n in names if n.startswith("cnn/")}
-        transformer_layers = {
-            n.split("/")[1] for n in names if n.startswith("transformer/")
-        }
-        return {
-            "cnn_banks": len(cnn_banks),
-            "transformer_layers": len(transformer_layers),
-            "scorer_sets": 1,
-            "embedding_tables": sum(1 for n in names if n.startswith("embedding/")),
-            "total_parameters": self.registry.n_values(),
-        }
 
     # -- persistence ----------------------------------------------------
 

@@ -49,14 +49,8 @@ class ParameterRegistry:
     def __getitem__(self, name):
         return self._params[name]
 
-    def __contains__(self, name):
-        return name in self._params
-
     def __len__(self):
         return len(self._params)
-
-    def names(self):
-        return list(self._params)
 
     def items(self):
         return self._params.items()
@@ -64,9 +58,6 @@ class ParameterRegistry:
     def clear_grads(self):
         for t in self._params.values():
             t.grad = None
-
-    def n_values(self):
-        return sum(t.data.size for t in self._params.values())
 
 
 def check_arrays(shapes, arrays):

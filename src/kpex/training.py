@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .autodiff import no_grad, softmax_cross_entropy
-from .config import MAX_DOC_LENGTH, TrainingConfig  # noqa: F401  (re-exported)
+from .config import MAX_DOC_LENGTH
 from .documents import build_labels, span_target, truncate
 from .fileio import write_json
 from .optim import Adam, geometric_lr
@@ -106,7 +106,7 @@ def _backward_document(model, example, scale, rng, step):
     value = float(loss.data)
     if not math.isfinite(value):
         raise RuntimeError(f"non-finite training loss at step {step}")
-    (loss * scale).backward()
+    loss.backward(scale)
     return value
 
 

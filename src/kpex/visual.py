@@ -167,13 +167,12 @@ def parse_layout(layout, doc_id="layout"):
     return text, np.stack(rows).tolist()
 
 
-def load_layout_file(path, doc_id):
-    """Read and parse a layout JSON file; JSON errors keep line/column info."""
+def load_layout_file(path):
+    """Read a layout JSON file for ``parse_layout``; JSON errors keep line/column info."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            layout = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise LayoutError(
                 f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
             ) from exc
-    return parse_layout(layout, doc_id=doc_id)

@@ -1,28 +1,90 @@
 """Composite autodiff ops kept as oracles for the fused ones in ``kpex.autodiff``.
 
-``softmax``, ``transpose``, ``power``, ``relu``, ``sliding_windows`` and
-``dropout`` are the tape ops the library had before ``layer_norm``, the
-attention core and ``conv1d`` became single fused nodes and dropout moved into
-``linear`` and ``conv1d``. ``linear``, ``conv1d``, ``layer_norm`` and
-``multi_head_self_attention`` below build the fused ops from the small ones,
-as the library used to, so tests can compare the fused values (bitwise) and
-gradients (within rounding) against them. ``tape_arrays`` lists what a
-tape keeps alive, so tests can check what a fused op no longer stores.
+``add``, ``mul``, ``matmul`` and ``reduce_sum`` are the generic tape ops the
+library no longer needs; ``Tensor`` has no operator methods, so tests call them
+by name for ``+``, ``*``, ``@`` and ``.sum()``. ``softmax``, ``transpose``,
+``power``, ``relu``, ``sliding_windows`` and ``dropout`` are the ops the
+library had before its fused nodes. ``linear``, ``conv1d``, ``layer_norm`` and
+``multi_head_self_attention`` build the fused ops from the small ones, as the
+library used to, so tests can compare the fused values (bitwise) and gradients
+(within rounding) against them. ``tape_arrays`` lists what a tape keeps alive.
 """
 
 import math
 
 import numpy as np
 
-from kpex.autodiff import (
-    Tensor,
-    _as_tensor,
-    _make,
-    add,
-    matmul,
-    reduce_sum,
-    reshape,
-)
+from kpex.autodiff import Tensor, _as_tensor, _make, reshape
+
+
+def _unbroadcast(g, shape):
+    """Sum a gradient over the axes numpy broadcasting introduced."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for ax, n in enumerate(shape):
+        if n == 1 and g.shape[ax] != 1:
+            g = g.sum(axis=ax, keepdims=True)
+    return g
+
+
+def add(a, b):
+    a, b = _as_tensor(a), _as_tensor(b)
+    data = a.data + b.data
+
+    def backward_fn(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.data.shape))
+
+    return _make(data, (a, b), backward_fn)
+
+
+def mul(a, b):
+    a, b = _as_tensor(a), _as_tensor(b)
+    data = a.data * b.data
+
+    def backward_fn(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+
+    return _make(data, (a, b), backward_fn)
+
+
+def matmul(a, b):
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValueError("matmul expects operands with at least 2 dimensions")
+    data = a.data @ b.data
+
+    def backward_fn(g):
+        if a.requires_grad:
+            ga = g @ b.data.swapaxes(-1, -2)
+            a._accumulate(_unbroadcast(ga, a.data.shape))
+        if b.requires_grad:
+            gb = a.data.swapaxes(-1, -2) @ g
+            b._accumulate(_unbroadcast(gb, b.data.shape))
+
+    return _make(data, (a, b), backward_fn)
+
+
+def reduce_sum(a, axis=None, keepdims=False):
+    a = _as_tensor(a)
+    data = a.data.sum(axis=axis, keepdims=keepdims)
+
+    def backward_fn(g):
+        if not a.requires_grad:
+            return
+        if axis is None:
+            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+            return
+        if not keepdims:
+            g = np.expand_dims(g, axis)
+        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+
+    return _make(data, (a,), backward_fn)
 
 
 def power(a, exponent):
@@ -131,7 +193,7 @@ def dropout(a, p, rng=None, train=False):
 
 def linear(x, weight, bias, relu=False, dropout_p=0.0, rng=None, train=False):
     """Dense layer as matmul, add, (with ``relu``) relu and dropout nodes."""
-    out = matmul(x, weight) + bias
+    out = add(matmul(x, weight), bias)
     if relu:
         out = relu_op(out)
     return dropout(out, dropout_p, rng=rng, train=train)
@@ -150,11 +212,11 @@ def layer_norm(x, scale, shift, eps=1e-5, residual=None):
         x = add(x, residual)
     x, scale, shift = _as_tensor(x), _as_tensor(scale), _as_tensor(shift)
     d = x.data.shape[-1]
-    mean = reduce_sum(x, axis=-1, keepdims=True) * (1.0 / d)
-    centered = x - mean
-    var = reduce_sum(centered * centered, axis=-1, keepdims=True) * (1.0 / d)
-    inv = power(var + eps, -0.5)
-    return centered * inv * scale + shift
+    mean = mul(reduce_sum(x, axis=-1, keepdims=True), 1.0 / d)
+    centered = add(x, mul(mean, -1.0))
+    var = mul(reduce_sum(mul(centered, centered), axis=-1, keepdims=True), 1.0 / d)
+    inv = power(add(var, eps), -0.5)
+    return add(mul(mul(centered, inv), scale), shift)
 
 
 def attention_core(q, k, v, heads):
@@ -166,7 +228,7 @@ def attention_core(q, k, v, heads):
         return transpose(reshape(t, (n, heads, dh)), (1, 0, 2))
 
     q, k, v = split(q), split(k), split(v)
-    logits = matmul(q, transpose(k, (0, 2, 1))) * (1.0 / math.sqrt(dh))
+    logits = mul(matmul(q, transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
     weights = softmax(logits, axis=-1)
     return reshape(transpose(matmul(weights, v), (1, 0, 2)), (n, d))
 
@@ -177,12 +239,12 @@ def multi_head_self_attention(
 ):
     """Self-attention sublayer: layer_norm(x + dropout(proj(attend(x))))."""
     x = _as_tensor(x)
-    q = matmul(x, wq) + bq
-    k = matmul(x, wk) + bk
-    v = matmul(x, wv) + bv
-    projected = matmul(attention_core(q, k, v, heads), wo) + bo
+    q = add(matmul(x, wq), bq)
+    k = add(matmul(x, wk), bk)
+    v = add(matmul(x, wv), bv)
+    projected = add(matmul(attention_core(q, k, v, heads), wo), bo)
     projected = dropout(projected, dropout_p, rng=rng, train=train)
-    return layer_norm(x + projected, scale, shift)
+    return layer_norm(add(x, projected), scale, shift)
 
 
 def tape_arrays(root):

@@ -15,14 +15,14 @@ import numpy as np
 import pytest
 
 from kpex.baselines import CorpusStats, build_word_graph, pagerank
+from kpex.config import EmbeddingConfig, TrainingConfig
 from kpex.documents import Span, count_spans, enumerate_spans, make_document, truncate
-from kpex.embedding import EmbeddingConfig, TokenVocabulary, position_matrix
+from kpex.embedding import TokenVocabulary, position_matrix
 from kpex.gradcheck import finite_difference_check, gradcheck_example
 from kpex.inference import chunk_and_merge, chunk_document, predict_topk
 from kpex.metrics import evaluate, judge_agreement
 from kpex.model import ModelConfig, SpanDistribution, SpanScorer
 from kpex.training import (
-    TrainingConfig,
     TrainingExample,
     keyphrase_loss,
     prepare_examples,
@@ -32,6 +32,7 @@ from kpex.weaksup import build_qp_dataset
 from synthetic import lexical_corpus, visual_corpus, weak_supervision_setup
 from test_baselines import tfidf_score
 from test_embedding import position_encoding
+from test_model import parameter_census
 
 
 def _slim_config(dropout=0.2, **kw):
@@ -96,9 +97,9 @@ def test_criterion_02_softmax_span_normalization():
 
 def test_criterion_03_parameter_sharing_audit():
     """Exactly 5 CNN banks, 1 transformer set, 1 scorer set."""
-    census = SpanScorer(
+    census = parameter_census(SpanScorer(
         ModelConfig(), vocab=TokenVocabulary(("a", "b")), seed=0
-    ).parameter_census()
+    ))
     print(f"criterion 3: census {census}")
     assert census["cnn_banks"] == 5
     assert census["transformer_layers"] == 1

@@ -24,7 +24,6 @@ from kpex.baselines import (
     pagerank_block,
     textrank_block,
     textrank_rank,
-    textrank_scores,
     tfidf_block,
     tfidf_rank,
 )
@@ -142,6 +141,12 @@ def _textrank_rank_oracle(doc, max_span_length=5, top_k=10, window=2, stopwords=
         for start, length in spans.tolist()
     ]
     return Prediction(doc.id, tuple(rank_phrases(doc, spans, span_scores, top_k)))
+
+
+def textrank_scores(doc, window=2, damping=0.85, tol=1e-8, stopwords=STOPWORDS):
+    """Converged word scores for one document (empty dict if no candidates)."""
+    graph = build_word_graph(doc, window=window, stopwords=stopwords)
+    return pagerank(graph, damping=damping, tol=tol).scores
 
 
 def _bits(pairs):

@@ -12,8 +12,9 @@ import os
 import numpy as np
 
 from kpex import cli
+from kpex.config import EmbeddingConfig
 from kpex.documents import read_dataset
-from kpex.embedding import EmbeddingConfig, TokenVocabulary
+from kpex.embedding import TokenVocabulary
 from kpex.fileio import write_jsonl
 from kpex.model import ModelConfig, SpanScorer
 

@@ -244,17 +244,30 @@ class TestFeaturize:
         assert len(meta["config_digest"]) == 64
         assert "featurized 2 documents" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("keyphrases", ["heavy duty stapler", ["stapler", 3]])
-    def test_keyphrases_not_a_list_of_strings_located(self, tmp_path, capsys, keyphrases):
+    @staticmethod
+    def _layout_with(tmp_path, keyphrases):
         with open(os.path.join(LAYOUT_DIR, "product_page.json"), encoding="utf-8") as fh:
             layout = json.load(fh)
         layout["keyphrases"] = keyphrases
         path = tmp_path / "product_page.json"
         path.write_text(json.dumps(layout))
+        return path
+
+    @pytest.mark.parametrize("keyphrases", [
+        "heavy duty stapler", ["stapler", 3], "", 0, {}, False])
+    def test_keyphrases_not_a_list_of_strings_located(self, tmp_path, capsys, keyphrases):
+        path = self._layout_with(tmp_path, keyphrases)
         out = str(tmp_path / "docs.jsonl")
         assert main(["featurize", "--layout-dir", str(tmp_path), "--out", out]) == 1
         assert f"{path}: keyphrases must be a list of strings" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("keyphrases", [None, []])
+    def test_null_or_empty_keyphrases_write_no_field(self, tmp_path, keyphrases):
+        self._layout_with(tmp_path, keyphrases)
+        out = str(tmp_path / "docs.jsonl")
+        assert main(["featurize", "--layout-dir", str(tmp_path), "--out", out]) == 0
+        assert "keyphrases" not in json.loads(open(out).read())
 
     def test_empty_directory_fails(self, tmp_path):
         assert main(["featurize", "--layout-dir", str(tmp_path),
@@ -402,6 +415,16 @@ class TestTrainCli:
                      "--out", str(tmp_path / "r")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_non_object_frozen_vectors_line_exits_one(self, pipeline, tmp_path, capsys):
+        vectors = tmp_path / "vectors.jsonl"
+        vectors.write_text('"id vectors"\n')
+        argv = SMALL_MODEL + [
+            "--set", "embedding.source=frozen", "--set", f"embedding.frozen_vectors={vectors}",
+            "train", "--data", pipeline["data"], "--out", str(tmp_path / "r"),
+        ]
+        assert main(argv) == 1
+        assert f"{vectors}:1: expected id and vectors" in capsys.readouterr().err
+
     def test_ablate_no_transformer(self, pipeline, tmp_path):
         run_dir = str(tmp_path / "r")
         argv = SMALL_MODEL + [
@@ -536,7 +559,8 @@ class TestPredictCli:
 
     @pytest.mark.parametrize("chunked", [[], ["--chunked"]])
     def test_frozen_vectors_for_id_with_hash(self, tmp_path, chunked):
-        from kpex.embedding import EmbeddingConfig, FrozenVectors
+        from kpex.config import EmbeddingConfig
+        from kpex.embedding import FrozenVectors
         from kpex.model import ModelConfig, SpanScorer
 
         doc_id = "https://x.com/p#top"

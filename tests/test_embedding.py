@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from composite_ops import mul, reduce_sum
 from kpex.autodiff import Tensor
+from kpex.config import EmbeddingConfig
 from kpex.documents import Document, make_document
 from kpex.embedding import (
-    EmbeddingConfig,
+    MASK_TOKEN,
+    UNK_TOKEN,
     FrozenVectors,
     TokenVocabulary,
     TrainableLookup,
@@ -90,13 +93,13 @@ class TestTokenVocabulary:
 
     def test_min_count_threshold(self):
         vocab = TokenVocabulary.build(self._docs(), min_count=2)
-        assert "red" in vocab and "blue" in vocab and "stapler" in vocab
-        assert "green" not in vocab and "once" not in vocab
+        assert all(vocab.lookup(t) > 1 for t in ("red", "blue", "stapler"))
+        assert vocab.lookup("green") == vocab.lookup("once") == 0
         assert len(vocab) == 5  # unk, mask, blue, red, stapler
 
     def test_reserved_ids(self):
         vocab = TokenVocabulary.build(self._docs())
-        assert vocab.unk_id == 0 and vocab.mask_id == 1
+        assert vocab.lookup(UNK_TOKEN) == 0 and vocab.lookup(MASK_TOKEN) == 1
         assert vocab.lookup("green") == 0
         assert vocab.lookup("red") >= 2
 
@@ -179,9 +182,7 @@ class TestEmbedDocument:
     def test_gradient_reaches_table(self):
         doc, config, source = self._setup()
         emb = embed_document(doc, config, source)
-        from kpex.autodiff import reduce_sum
-
-        reduce_sum(emb * emb).backward()
+        reduce_sum(mul(emb, emb)).backward()
         assert source.table.grad is not None
         # the unused mask row gets zero gradient
         np.testing.assert_array_equal(source.table.grad[1], np.zeros(6))
@@ -250,6 +251,12 @@ class TestFrozenVectors:
         ])
         with pytest.raises(DatasetError, match=r"vectors.jsonl:2: document 'd1': vectors"):
             FrozenVectors.load(path, token_dim=2)
+
+    @pytest.mark.parametrize("line", [5, "id vectors", ["id", "vectors"]])
+    def test_non_object_line_located(self, tmp_path, line):
+        path = self._write(tmp_path, [{"id": "d0", "vectors": [[0.0]]}, line])
+        with pytest.raises(DatasetError, match=r"vectors.jsonl:2: expected id and vectors"):
+            FrozenVectors.load(path, token_dim=1)
 
     def test_wrong_width_rejected(self, tmp_path):
         path = self._write(tmp_path, [{"id": "d1", "vectors": [[0.0, 1.0]]}])

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kpex.config import PredictConfig
+from kpex.config import EmbeddingConfig, PredictConfig
 from kpex.documents import enumerate_spans, make_document, tokenize
-from kpex.embedding import EmbeddingConfig, TokenVocabulary
+from kpex.embedding import TokenVocabulary
 from kpex.fileio import DatasetError, write_jsonl
 from kpex.inference import (
     RANK_SLICE_PER_PHRASE,

@@ -10,6 +10,7 @@ import pytest
 
 import composite_ops
 from kpex import autodiff
+from kpex.config import EmbeddingConfig, TrainingConfig
 from kpex.documents import (
     LabeledDocument,
     Span,
@@ -18,10 +19,9 @@ from kpex.documents import (
     span_index,
     span_target,
 )
-from kpex.embedding import EmbeddingConfig, TokenVocabulary
+from kpex.embedding import TokenVocabulary
 from kpex.model import ModelConfig, SpanScorer
 from kpex.training import (
-    TrainingConfig,
     TrainingExample,
     keyphrase_loss,
     prepare_examples,
@@ -302,8 +302,8 @@ def _batch_gradients(model, batch, per_document):
         total = None
         for ex in batch:
             loss = keyphrase_loss(model, ex, train=True, rng=rng)
-            total = loss if total is None else total + loss
-        loss = total * scale
+            total = loss if total is None else composite_ops.add(total, loss)
+        loss = composite_ops.mul(total, scale)
         loss.backward()
         value = float(loss.data)
     return value, {name: p.grad for name, p in model.registry.items()}
@@ -343,6 +343,18 @@ class TestTapeEquivalence:
         expected_value, expected = _batch_gradients(model, self._batch(), per_document=False)
         assert value.hex() == expected_value.hex()
         _assert_close_over_model(grads, expected)
+
+    def test_seeded_backward_matches_scaling_node(self):
+        # backward(scale) seeds what a mul-by-scale node's backward passed on
+        model = _model(dropout=0.1, layers=2)
+        example = self._batch()[-1]
+        grads = []
+        for backward in (lambda loss: loss.backward(1.0 / 3.0),
+                         lambda loss: composite_ops.mul(loss, 1.0 / 3.0).backward()):
+            model.registry.clear_grads()
+            backward(keyphrase_loss(model, example, train=True, rng=np.random.default_rng(9)))
+            grads.append({name: p.grad.tobytes() for name, p in model.registry.items()})
+        assert grads[0] == grads[1]
 
     def test_fused_ops_match_composite(self, monkeypatch):
         model = _model(dropout=0.1, layers=2)

@@ -211,11 +211,11 @@ class TestLoadLayoutFile:
         path = tmp_path / "bad.json"
         path.write_text('{"page": [1, 2],\n "root": oops}')
         with pytest.raises(LayoutError, match=":2:"):
-            load_layout_file(str(path), "bad")
+            load_layout_file(str(path))
 
     def test_fixture_roundtrip(self):
         path = os.path.join(LAYOUT_DIR, "product_page.json")
-        text, rows = load_layout_file(path, "p")
+        text, rows = parse_layout(load_layout_file(path), "p")
         assert len(rows) == 20
         assert "stapler" in text.lower()
 
