@@ -1,16 +1,18 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 A ``Tensor`` wraps a float64 ndarray and records the operations applied to it
-on a tape. Calling ``backward()`` on a scalar result walks the tape in reverse
-topological order and accumulates gradients into every tensor that requires
-them. The op set is just what the span classifier calls: ``concat`` and
-``reshape`` to assemble arrays, embedding lookup, and five fused ops with
-closed-form backwards: the dense layer ``linear`` and the ReLU'd windowed
-convolution ``conv1d``, both with optional inverted dropout on their output,
-layer norm with an optional residual sum, the attention core and softmax
-cross-entropy. There is no operator sugar on ``Tensor``; the generic ops the
-tests build composite oracles from live in ``tests/composite_ops.py``.
-``backward()`` releases the tape as it walks it.
+on a tape. Calling ``backward()`` on a scalar result walks the tape's nodes in
+the reverse of the order they were recorded in and accumulates gradients into
+every tensor that requires them. The op set is just what the span classifier
+calls: ``concat`` and ``reshape`` to assemble arrays, embedding lookup, and
+five fused ops with closed-form backwards: the dense layer ``linear`` and the
+ReLU'd windowed convolution ``conv1d``, both with optional inverted dropout on
+their output; ``residual_layer_norm``, a residual sublayer's output projection,
+dropout, residual sum and layer norm in one node; the attention core, whose
+backward runs one head at a time; and softmax cross-entropy. There is no
+operator sugar on ``Tensor``; the generic ops the tests build composite oracles
+from live in ``tests/composite_ops.py``. ``backward()`` releases the tape as it
+walks it.
 
 float64 is the default dtype so finite-difference checks stay meaningful.
 """
@@ -18,6 +20,7 @@ float64 is the default dtype so finite-difference checks stay meaningful.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 
 import numpy as np
@@ -30,13 +33,14 @@ __all__ = [
     "linear",
     "conv1d",
     "embedding_lookup",
-    "layer_norm",
+    "residual_layer_norm",
     "attention_core",
     "multi_head_self_attention",
     "softmax_cross_entropy",
 ]
 
 _grad_enabled = True
+_creation = itertools.count()  # numbers interior nodes in the order _make records them
 
 
 @contextlib.contextmanager
@@ -58,7 +62,7 @@ def _check_finite(name, arr):
 class Tensor:
     """A node in the computation graph backed by a numpy array."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_seq")
 
     def __init__(self, data, requires_grad=False):
         if isinstance(data, Tensor):
@@ -84,10 +88,11 @@ class Tensor:
         """Add ``g`` into this tensor's gradient.
 
         The first write stores ``g`` itself, not a copy, so gradients may
-        alias: ``layer_norm`` hands one array to both summands, and ``reshape``
-        a view of its own gradient. That is safe because a later write rebinds
-        ``grad`` to a new sum, and nothing in ``src/`` writes ``.grad`` in
-        place; code that does must copy first.
+        alias: ``residual_layer_norm`` hands ``x`` the array it goes on to
+        backpropagate through its projection, and ``reshape`` a view of its
+        own gradient. That is safe because a later write rebinds ``grad`` to a
+        new sum, and nothing in ``src/`` writes ``.grad`` in place; code that
+        does must copy first.
         """
         if self.grad is None:
             # np.require(g, requirements="C") without its Python overhead
@@ -101,35 +106,29 @@ class Tensor:
         The gradients are those of ``seed`` times this tensor; ``seed`` is the
         starting gradient, so no tape node is needed to scale a loss.
 
-        The tape is released as the walk goes: once an interior node (one
-        with parents) has passed its gradient on, it drops that gradient,
-        its parents and its backward closure, so what only that node's
-        backward needed can be freed. Leaves keep their gradients. A second
-        backward through a released node raises RuntimeError.
+        The walk runs nodes latest-recorded first, by the number ``_make``
+        gives each: every consumer of a node was recorded after it, so each
+        node passes its gradient on only once all of it has arrived. The tape
+        is released as the walk goes: once an interior node (one with parents)
+        has passed its gradient on, it drops that gradient, its parents and
+        its backward closure, so what only that node's backward needed can be
+        freed. Leaves keep their gradients. A second backward through a
+        released node raises RuntimeError.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
-        order = []
-        seen = set()
-        stack = [(self, iter(self._parents))]
-        seen.add(id(self))
-        while stack:
-            node, parents = stack[-1]
-            advanced = False
-            for p in parents:
-                if id(p) not in seen and p.requires_grad:
-                    seen.add(id(p))
-                    stack.append((p, iter(p._parents)))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
         self._accumulate(np.full_like(self.data, seed))
-        # post-order puts parents first, so popping walks children first
-        while order:
-            node = order.pop()
-            if node._backward_fn is not None and node.grad is not None:
+        if self._backward_fn is None:
+            return
+        nodes, stack = {self._seq: self}, [self]
+        while stack:
+            for p in stack.pop()._parents:
+                if p._backward_fn is not None and p._seq not in nodes:
+                    nodes[p._seq] = p
+                    stack.append(p)
+        for seq in sorted(nodes, reverse=True):
+            node = nodes.pop(seq)
+            if node.grad is not None:
                 node._backward_fn(node.grad)
             if node._parents:
                 node.grad = None
@@ -150,10 +149,14 @@ def _as_tensor(x):
 def _make(data, parents, backward_fn):
     """Build an op result; skips tape recording when no parent needs grads."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = tuple(parents)
+                out._backward_fn = backward_fn
+                out._seq = next(_creation)
+                break
     return out
 
 
@@ -321,32 +324,37 @@ def embedding_lookup(table, ids):
     return _make(data, (table,), backward_fn)
 
 
-def layer_norm(x, scale, shift, eps=1e-5, residual=None):
-    """Normalize each row of (n, d) ``x`` to zero mean and unit variance, then affine.
+def residual_layer_norm(x, h, weight, bias, scale, shift, dropout_p=0.0, rng=None,
+                        train=False):
+    """Residual sublayer output ``layer_norm(x + dropout(h @ weight + bias))`` over (n, d) rows.
 
-    With ``residual`` it normalizes ``x + residual`` without a tape node for
-    the sum. One tape node. The backward is the closed form of Ba et al. 2016:
-    with ``normed = (x - mean) * inv`` and ``dn = g * scale``,
-    ``dx = inv * (dn - mean(dn) - normed * mean(dn * normed))``.
+    The projection and its inverted dropout run as ``linear`` runs them, then
+    each row of the sum is normalized to zero mean and unit variance (with
+    1e-5 added to the variance) and given the affine ``scale`` and ``shift``.
+    One tape node that keeps only its operands, output, keep flags, the
+    normalized rows and their inverse deviations: neither the projection nor
+    the sum. The layer-norm backward is the closed form of Ba et al. 2016:
+    with sum ``t``, ``normed = (t - mean) * inv`` and ``dn = g * scale``,
+    ``dt = inv * (dn - mean(dn) - normed * mean(dn * normed))``. ``dt`` goes
+    to ``x`` and, back through dropout, to the projection.
     """
-    x, scale, shift = _as_tensor(x), _as_tensor(scale), _as_tensor(shift)
-    if x.ndim != 2:
-        raise ValueError("layer_norm expects (n, d) input")
-    parents = (x, scale, shift)
-    total = x.data
-    if residual is not None:
-        residual = _as_tensor(residual)
-        parents = (x, residual, scale, shift)
-        total = x.data + residual.data
-    d = total.shape[-1]
-    # the composite op's expressions in its order (tests/composite_ops.py), so
-    # the values are bitwise equal to it: x - mean is x + mean * -1.0, as IEEE
-    # subtraction adds the negation, and each in-place step rounds exactly as
-    # its out-of-place form does
-    mean = total.sum(axis=-1, keepdims=True) * (1.0 / d)
-    normed = total - mean
+    x, h, weight, bias = _as_tensor(x), _as_tensor(h), _as_tensor(weight), _as_tensor(bias)
+    scale, shift = _as_tensor(scale), _as_tensor(shift)
+    if x.ndim != 2 or h.ndim != 2:
+        raise ValueError("residual_layer_norm expects (n, d) input")
+    projected = h.data @ weight.data
+    projected += bias.data
+    keep = _dropout(projected, dropout_p, rng, train)
+    normed = x.data + projected  # the sum ``t``, normalized in place below
+    del projected
+    d = normed.shape[-1]
+    # the composite ops' expressions in their order (tests/composite_ops.py),
+    # so the values are bitwise equal to them: t - mean is t + mean * -1.0, as
+    # IEEE subtraction adds the negation, and each in-place step rounds
+    # exactly as its out-of-place form does
+    normed -= normed.sum(axis=-1, keepdims=True) * (1.0 / d)
     var = (normed * normed).sum(axis=-1, keepdims=True) * (1.0 / d)
-    inv = (var + eps) ** -0.5
+    inv = (var + 1e-5) ** -0.5
     normed *= inv
     data = normed * scale.data
     data += shift.data
@@ -356,17 +364,22 @@ def layer_norm(x, scale, shift, eps=1e-5, residual=None):
             shift._accumulate(g.sum(axis=0))
         if scale.requires_grad:
             scale._accumulate((g * normed).sum(axis=0))
-        summands = [t for t in parents[:-2] if t.requires_grad]
-        if summands:
-            dn = g * scale.data
-            dx = dn - dn.mean(axis=-1, keepdims=True)
-            dx -= normed * (dn * normed).mean(axis=-1, keepdims=True)
-            dx *= inv
-            # as the composite add's backward does, one array goes to both summands
-            for t in summands:
-                t._accumulate(dx)
+        dn = g * scale.data
+        # sum / d is the bytes np.mean gives for float64, without its wrapper
+        dt = dn - dn.sum(axis=-1, keepdims=True) / d
+        dt -= normed * ((dn * normed).sum(axis=-1, keepdims=True) / d)
+        dt *= inv
+        if x.requires_grad:
+            x._accumulate(dt)
+        g = _dropout_relu_backward(dt, None, keep, dropout_p, False)
+        if bias.requires_grad:
+            bias._accumulate(g.sum(axis=0))
+        if h.requires_grad:
+            h._accumulate(g @ weight.data.T)
+        if weight.requires_grad:
+            weight._accumulate(h.data.T @ g)
 
-    return _make(data, parents, backward_fn)
+    return _make(data, (x, h, weight, bias, scale, shift), backward_fn)
 
 
 def attention_core(q, k, v, heads):
@@ -387,8 +400,8 @@ def attention_core(q, k, v, heads):
     def merge(a):
         return a.transpose(1, 0, 2).reshape(n, d)
 
-    # as in layer_norm, the composite op's expressions in its order; each
-    # in-place step rounds exactly as its out-of-place form does
+    # as in residual_layer_norm, the composite op's expressions in its order;
+    # each in-place step rounds exactly as its out-of-place form does
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = 1.0 / math.sqrt(dh)
     weights = qh @ kh.transpose(0, 2, 1)
@@ -403,15 +416,23 @@ def attention_core(q, k, v, heads):
         if v.requires_grad:
             v._accumulate(merge(weights.transpose(0, 2, 1) @ gh))
         if q.requires_grad or k.requires_grad:
-            # softmax backward, scores' gradient left unscaled until after the matmuls
-            gl = gh @ vh.transpose(0, 2, 1)
-            for h in range(heads):  # one (n, n) product at a time, not (heads, n, n)
-                gl[h] -= (gl[h] * weights[h]).sum(axis=-1, keepdims=True)
-            gl *= weights
+            # the softmax backward one head at a time, so the scores' gradient
+            # is (n, n), not (heads, n, n); each head's products write straight
+            # into the merged (n, d) layout, scaled only after the matmuls
+            gq, gk = np.empty((n, d)), np.empty((n, d))
+            gqh, gkh = split(gq), split(gk)
+            for h in range(heads):
+                gl = gh[h] @ vh[h].T
+                gl -= (gl * weights[h]).sum(axis=-1, keepdims=True)
+                gl *= weights[h]
+                np.matmul(gl, kh[h], out=gqh[h])
+                np.matmul(gl.T, qh[h], out=gkh[h])
             if q.requires_grad:
-                q._accumulate(merge(gl @ kh) * scale)
+                gq *= scale
+                q._accumulate(gq)
             if k.requires_grad:
-                k._accumulate(merge(gl.transpose(0, 2, 1) @ qh) * scale)
+                gk *= scale
+                k._accumulate(gk)
 
     return _make(data, (q, k, v), backward_fn)
 
@@ -420,8 +441,10 @@ def multi_head_self_attention(x, heads, wq, bq, wk, bk, wv, bv, wo, bo, scale, s
                               dropout_p=0.0, rng=None, train=False):
     """Self-attention sublayer: layer_norm(x + dropout(proj(attend(x)))).
 
-    Each output row mixes value projections with softmax weights, so with the
-    value and output projections zeroed the sublayer reduces to layer_norm(x).
+    The output projection, its dropout, the residual sum and the layer norm
+    are one ``residual_layer_norm`` node. Each output row mixes value
+    projections with softmax weights, so with the value and output
+    projections zeroed the sublayer reduces to layer_norm(x).
     """
     x = _as_tensor(x)
     if x.ndim != 2:
@@ -434,9 +457,8 @@ def multi_head_self_attention(x, heads, wq, bq, wk, bk, wv, bv, wo, bo, scale, s
     q = linear(x, wq, bq)
     k = linear(x, wk, bk)
     v = linear(x, wv, bv)
-    projected = linear(attention_core(q, k, v, heads), wo, bo,
-                       dropout_p=dropout_p, rng=rng, train=train)
-    return layer_norm(x, scale, shift, residual=projected)
+    return residual_layer_norm(x, attention_core(q, k, v, heads), wo, bo, scale, shift,
+                               dropout_p=dropout_p, rng=rng, train=train)
 
 
 def softmax_cross_entropy(logits, target):

@@ -188,6 +188,12 @@ def _write_meta(out_path, cfg, command, extra=None):
     write_json(out_path + ".meta.json", meta)
 
 
+def _report_empty(ingest):
+    """Say on stderr how many documents were dropped for tokenizing to nothing."""
+    if ingest.skipped_empty:
+        print(f"skipped: {len(ingest.skipped_empty)} empty", file=sys.stderr)
+
+
 def _resolve_checkpoint(path):
     for candidate in (path, path + ".ckpt"):
         if os.path.isfile(candidate):
@@ -371,7 +377,8 @@ def cmd_predict(args, cfg):
     max_doc_length = _section(cfg, "train").max_doc_length
     model, _ = SpanScorer.load(_resolve_checkpoint(args.model),
                                frozen_vectors=_load_frozen(cfg))
-    items, _ = read_dataset(args.data)
+    items, ingest = read_dataset(args.data)
+    _report_empty(ingest)
     predictions = []
     for item in items:
         doc = getattr(item, "document", item)
@@ -425,7 +432,8 @@ def cmd_baseline(args, cfg):
     top_k = _predict_section(args, cfg).top_k
     max_doc_length = _section(cfg, "train").max_doc_length
     max_len = _section(cfg, "model").max_span_length
-    items, _ = read_dataset(args.data)
+    items, ingest = read_dataset(args.data)
+    _report_empty(ingest)
     docs = [truncate(getattr(item, "document", item), max_doc_length) for item in items]
     if not docs:
         raise CliError(f"no documents in {args.data}")

@@ -171,12 +171,13 @@ class SpanScorer:
             )
             hidden = ad.linear(x, p[f"{base}/ffn/w1"], p[f"{base}/ffn/b1"], relu=True,
                                dropout_p=cfg.dropout, rng=rng, train=train)
-            hidden = ad.linear(hidden, p[f"{base}/ffn/w2"], p[f"{base}/ffn/b2"])
-            x = ad.layer_norm(
+            x = ad.residual_layer_norm(
                 x,
+                hidden,
+                p[f"{base}/ffn/w2"],
+                p[f"{base}/ffn/b2"],
                 p[f"{base}/ffn_norm/scale"],
                 p[f"{base}/ffn_norm/shift"],
-                residual=hidden,
             )
         return x
 

@@ -4,10 +4,12 @@
 library no longer needs; ``Tensor`` has no operator methods, so tests call them
 by name for ``+``, ``*``, ``@`` and ``.sum()``. ``softmax``, ``transpose``,
 ``power``, ``relu``, ``sliding_windows`` and ``dropout`` are the ops the
-library had before its fused nodes. ``linear``, ``conv1d``, ``layer_norm`` and
-``multi_head_self_attention`` build the fused ops from the small ones, as the
-library used to, so tests can compare the fused values (bitwise) and gradients
-(within rounding) against them. ``tape_arrays`` lists what a tape keeps alive.
+library had before its fused nodes. ``linear``, ``conv1d``, ``layer_norm``,
+``residual_layer_norm`` and ``multi_head_self_attention`` build the fused ops
+from the small ones, as the library used to, so tests can compare the fused
+values (bitwise) and gradients (within rounding) against them.
+``tape_arrays`` lists what a tape keeps alive, and ``depth_first_backward`` is
+the walk ``Tensor.backward`` made before it walked in creation order.
 """
 
 import math
@@ -219,6 +221,13 @@ def layer_norm(x, scale, shift, eps=1e-5, residual=None):
     return add(mul(mul(centered, inv), scale), shift)
 
 
+def residual_layer_norm(x, h, weight, bias, scale, shift,
+                        dropout_p=0.0, rng=None, train=False):
+    """layer_norm(x + dropout(h @ weight + bias)) as linear, dropout, add and layer_norm nodes."""
+    projected = linear(h, weight, bias, dropout_p=dropout_p, rng=rng, train=train)
+    return layer_norm(add(x, projected), scale, shift)
+
+
 def attention_core(q, k, v, heads):
     """Head split, scaled scores, softmax, weighted sum and head merge."""
     n, d = q.shape
@@ -242,9 +251,8 @@ def multi_head_self_attention(
     q = add(matmul(x, wq), bq)
     k = add(matmul(x, wk), bk)
     v = add(matmul(x, wv), bv)
-    projected = add(matmul(attention_core(q, k, v, heads), wo), bo)
-    projected = dropout(projected, dropout_p, rng=rng, train=train)
-    return layer_norm(add(x, projected), scale, shift)
+    return residual_layer_norm(x, attention_core(q, k, v, heads), wo, bo, scale, shift,
+                               dropout_p=dropout_p, rng=rng, train=train)
 
 
 def tape_arrays(root):
@@ -270,3 +278,32 @@ def tape_arrays(root):
         elif isinstance(obj, (tuple, list)):
             stack.extend(obj)
     return arrays
+
+
+def depth_first_backward(root, seed=1.0):
+    """``root.backward(seed)`` as a depth-first walk of the tape.
+
+    Post-order puts parents first, so popping the order walks children first.
+    A parameter that several nodes feed sums its gradients in walk order, so
+    this walk is the oracle that a different walk must match bit for bit.
+    """
+    order, seen = [], {id(root)}
+    stack = [(root, iter(root._parents))]
+    while stack:
+        node, parents = stack[-1]
+        for p in parents:
+            if id(p) not in seen and p.requires_grad:
+                seen.add(id(p))
+                stack.append((p, iter(p._parents)))
+                break
+        else:
+            order.append(node)
+            stack.pop()
+    root._accumulate(np.full_like(root.data, seed))
+    while order:
+        node = order.pop()
+        if node._backward_fn is not None and node.grad is not None:
+            node._backward_fn(node.grad)
+        if node._parents:
+            node.grad = None
+            node._parents = ()

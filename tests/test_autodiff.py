@@ -345,11 +345,23 @@ class TestEmbeddingLookup:
             ad.embedding_lookup(table, np.array([4]))
 
 
+def _plain_layer_norm(x, scale, shift):
+    """The library's layer norm alone: ``residual_layer_norm`` over a zero projection.
+
+    ``x + (0 @ 0 + 0)`` is ``x`` bit for bit unless ``x`` holds -0.0.
+    """
+    n, d = x.shape
+    return ad.residual_layer_norm(x, np.zeros((n, d)), np.zeros((d, d)), np.zeros(d),
+                                  scale, shift)
+
+
 class TestLayerNorm:
+    """The layer norm inside ``residual_layer_norm``, and the fused op itself."""
+
     def test_normalizes_rows(self):
         rng = np.random.default_rng(14)
         x = Tensor(rng.normal(size=(5, 8)) * 3.0 + 2.0)
-        y = ad.layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)))
+        y = _plain_layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)))
         np.testing.assert_allclose(y.data.mean(axis=-1), np.zeros(5), atol=1e-9)
         np.testing.assert_allclose(y.data.std(axis=-1), np.ones(5), atol=1e-3)
 
@@ -359,7 +371,7 @@ class TestLayerNorm:
         g = Tensor(rng.normal(size=(6,)), requires_grad=True)
         s = Tensor(rng.normal(size=(6,)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 6)))
-        check_grads(lambda: reduce_sum(mul(ad.layer_norm(x, g, s), w)), [x, g, s])
+        check_grads(lambda: reduce_sum(mul(_plain_layer_norm(x, g, s), w)), [x, g, s])
 
     def test_matches_composite(self):
         rng = np.random.default_rng(23)
@@ -367,60 +379,96 @@ class TestLayerNorm:
         g = Tensor(rng.normal(size=(6,)), requires_grad=True)
         s = Tensor(rng.normal(size=(6,)), requires_grad=True)
         w = rng.normal(size=(7, 6))
-        fused = _values_and_grads(lambda: ad.layer_norm(x, g, s), w, [x, g, s])
+        fused = _values_and_grads(lambda: _plain_layer_norm(x, g, s), w, [x, g, s])
         composite = _values_and_grads(
             lambda: composite_ops.layer_norm(x, g, s), w, [x, g, s]
         )
         _assert_same_values_close_grads(fused, composite)
 
     def test_one_tape_node(self):
-        x = Tensor(np.ones((3, 4)), requires_grad=True)
-        y = ad.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
-        assert y._parents[0] is x
+        operands = self._residual_operands(np.random.default_rng(60))
+        out = ad.residual_layer_norm(*operands)
+        assert out._parents == operands
 
     @staticmethod
-    def _residual_operands(rng):
-        x = Tensor(rng.normal(size=(7, 6)) * 4.0 + 1.0, requires_grad=True)
-        y = Tensor(rng.normal(size=(7, 6)), requires_grad=True)
-        g = Tensor(rng.normal(size=(6,)), requires_grad=True)
-        s = Tensor(rng.normal(size=(6,)), requires_grad=True)
-        return x, y, g, s
+    def _residual_operands(rng, n=7, d=6):
+        x = Tensor(rng.normal(size=(n, d)) * 4.0 + 1.0, requires_grad=True)
+        h = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+        w = Tensor(rng.normal(size=(d, d)), requires_grad=True)
+        b = Tensor(rng.normal(size=(d,)), requires_grad=True)
+        g = Tensor(rng.normal(size=(d,)), requires_grad=True)
+        s = Tensor(rng.normal(size=(d,)), requires_grad=True)
+        return x, h, w, b, g, s
 
     def test_residual_matches_composite(self):
         rng = np.random.default_rng(56)
-        x, y, g, s = self._residual_operands(rng)
+        operands = self._residual_operands(rng)
         w = rng.normal(size=(7, 6))
-        fused = _values_and_grads(
-            lambda: ad.layer_norm(x, g, s, residual=y), w, [x, y, g, s])
+        fused = _values_and_grads(lambda: ad.residual_layer_norm(*operands), w, operands)
         composite = _values_and_grads(
-            lambda: composite_ops.layer_norm(add(x, y), g, s), w, [x, y, g, s])
+            lambda: composite_ops.residual_layer_norm(*operands), w, operands)
         _assert_same_values_close_grads(fused, composite)
-        # as the composite add's backward does, both summands get the one dx array
-        assert fused[1][0] is fused[1][1]
+
+    @pytest.mark.parametrize("p", DROPOUT_PS)
+    def test_residual_dropout_matches_composite(self, p):
+        # forward bytes of linear, dropout, add and layer_norm nodes; gradient
+        # bytes of the same nodes with the library's closed-form layer norm
+        # in place of the composite one, whose chain of small backwards rounds
+        # differently (its scale and shift gradients are the same bytes)
+        rng = np.random.default_rng(62)
+        operands = self._residual_operands(rng, n=9, d=8)
+        x, h, w, b, g, s = operands
+        weights = rng.normal(size=(9, 8))
+        drop = lambda: dict(dropout_p=p, rng=np.random.default_rng(63), train=True)
+        fused = _values_and_grads(lambda: ad.residual_layer_norm(*operands, **drop()),
+                                  weights, operands)
+        composite = _values_and_grads(
+            lambda: composite_ops.residual_layer_norm(*operands, **drop()), weights, operands)
+        closed_form = _values_and_grads(
+            lambda: _plain_layer_norm(add(x, composite_ops.linear(h, w, b, **drop())), g, s),
+            weights, operands)
+        assert fused[0].tobytes() == composite[0].tobytes()
+        _assert_bitwise(fused, closed_form)
+        for grad, expected in zip(fused[1][4:], composite[1][4:]):
+            assert grad.tobytes() == expected.tobytes()
+        _assert_same_values_close_grads(fused, composite)
 
     def test_residual_gradients(self):
         rng = np.random.default_rng(57)
-        x, y, g, s = self._residual_operands(rng)
-        w = Tensor(rng.normal(size=(7, 6)))
-        check_grads(lambda: reduce_sum(mul(ad.layer_norm(x, g, s, residual=y), w)),
-                    [x, y, g, s])
+        operands = self._residual_operands(rng, n=5, d=4)
+        w = Tensor(rng.normal(size=(5, 4)))
+        build = lambda: reduce_sum(mul(ad.residual_layer_norm(
+            *operands, dropout_p=0.3, rng=np.random.default_rng(64), train=True), w))
+        check_grads(build, operands)
 
     def test_residual_one_tape_node_without_sum(self):
-        x, y, g, s = self._residual_operands(np.random.default_rng(58))
-        out = ad.layer_norm(x, g, s, residual=y)
-        assert out._parents == (x, y, g, s)
-        total = (x.data + y.data).tobytes()
-        assert all(a.tobytes() != total for a in composite_ops.tape_arrays(out))
+        # the node keeps its operands, output, normalized rows, inverse
+        # deviations and keep flags: neither the projection nor the sum
+        operands = self._residual_operands(np.random.default_rng(58))
+        x, h, w, b = (t.data for t in operands[:4])
+        out = ad.residual_layer_norm(*operands, dropout_p=0.3,
+                                     rng=np.random.default_rng(65), train=True)
+        assert out._parents == operands
+        own = {id(t.data) for t in operands} | {id(out.data)}
+        extra = [a for a in composite_ops.tape_arrays(out) if id(a) not in own]
+        assert sorted((a.shape, a.dtype.str) for a in extra) == [
+            ((7, 1), "<f8"), ((7, 6), "<f8"), ((7, 6), "|b1")]
+        projected = h @ w + b
+        for kept in (projected, x + projected):
+            assert all(a.tobytes() != kept.tobytes() for a in composite_ops.tape_arrays(out))
 
     def test_residual_without_grad_is_plain_sum(self):
         rng = np.random.default_rng(59)
-        x, y, g, s = self._residual_operands(rng)
-        y.requires_grad = False
-        out = ad.layer_norm(x, g, s, residual=y)
+        operands = self._residual_operands(rng)
+        x, h, w, b, g, s = operands
+        for t in (h, w, b):
+            t.requires_grad = False
+        out = ad.residual_layer_norm(*operands)
         reduce_sum(mul(out, 1.0)).backward()
-        assert y.grad is None and x.grad is not None
+        assert h.grad is None and w.grad is None and b.grad is None
+        assert x.grad is not None
         np.testing.assert_array_equal(
-            out.data, ad.layer_norm(Tensor(x.data + y.data), g, s).data)
+            out.data, _plain_layer_norm(Tensor(x.data + (h.data @ w.data + b.data)), g, s).data)
 
 
 def _values_and_grads(build, weights, tensors):
@@ -501,7 +549,7 @@ def test_linear_and_layer_norm_reject_non_matrix_input(shape):
     with pytest.raises(ValueError, match=r"linear expects \(n, d\)"):
         ad.linear(x, np.ones((4, 3)), np.zeros(3))
     with pytest.raises(ValueError, match=r"layer_norm expects \(n, d\)"):
-        ad.layer_norm(x, np.ones(4), np.zeros(4))
+        ad.residual_layer_norm(x, x, np.ones((4, 4)), np.zeros(4), np.ones(4), np.zeros(4))
 
 
 class TestTapeRelease:
@@ -580,7 +628,7 @@ class TestAttention:
         p["bo"] = Tensor(np.zeros(8))
         x = Tensor(rng.normal(size=(6, 8)))
         out = ad.multi_head_self_attention(x, 2, **p)
-        expected = ad.layer_norm(x, p["scale"], p["shift"])
+        expected = _plain_layer_norm(x, p["scale"], p["shift"])
         np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
 
     def test_permutation_equivariance(self):
@@ -613,6 +661,20 @@ class TestAttention:
         q, k, v = (Tensor(rng.normal(size=(5, 6)), requires_grad=True) for _ in range(3))
         w = Tensor(rng.normal(size=(5, 6)))
         check_grads(lambda: reduce_sum(mul(ad.attention_core(q, k, v, 3), w)), [q, k, v])
+
+    @pytest.mark.parametrize("n,d,heads", [(1, 4, 4), (6, 8, 2), (9, 48, 3), (256, 64, 4)])
+    def test_core_backward_matches_composite_bitwise(self, n, d, heads):
+        # the fused backward runs the softmax backward one head at a time and
+        # scales the scores' gradient after the matmuls, the composite before
+        # them; with a head width that is a power of 4, 1 / sqrt(dh) is a power
+        # of 2 and the two give the same bytes
+        rng = np.random.default_rng(66)
+        q, k, v = (Tensor(rng.normal(size=(n, d)), requires_grad=True) for _ in range(3))
+        w = rng.normal(size=(n, d))
+        fused = _values_and_grads(lambda: ad.attention_core(q, k, v, heads), w, [q, k, v])
+        composite = _values_and_grads(
+            lambda: composite_ops.attention_core(q, k, v, heads), w, [q, k, v])
+        _assert_bitwise(fused, composite)
 
     @pytest.mark.parametrize("n,d,heads", [(1, 4, 1), (6, 8, 2), (9, 12, 4)])
     def test_matches_composite(self, n, d, heads):
@@ -754,6 +816,38 @@ class TestTape:
         np.testing.assert_array_equal(a.grad, before + 1.0)
         np.testing.assert_array_equal(b.grad, before + 2.0)
         assert np.shape(a.grad) == shape
+
+    @staticmethod
+    def _shared_tape():
+        """A loss over four branches that share one input node and every parameter.
+
+        Each shared parameter sums four or more gradients, whose bytes depend
+        on the order the walk adds them in.
+        """
+        rng = np.random.default_rng(67)
+        leaf = lambda *shape: Tensor(rng.normal(size=shape), requires_grad=True)
+        x, w, b, v, c = leaf(8, 4), leaf(4, 4), leaf(4), leaf(4, 1), leaf(1)
+        scale, shift = leaf(4), leaf(4)
+        h = ad.linear(x, w, b, relu=True)
+        pieces = []
+        for branch in range(4):
+            y = ad.linear(h, w, b, dropout_p=0.2, rng=np.random.default_rng(branch),
+                          train=True)
+            y = ad.residual_layer_norm(h, y, w, b, scale, shift)
+            y = ad.multi_head_self_attention(y, 2, w, b, w, b, w, b, w, b, scale, shift)
+            pieces.append(ad.reshape(ad.linear(y, v, c), (8,)))
+        target = np.zeros(32)
+        target[[3, 17]] = 0.5
+        loss = ad.softmax_cross_entropy(ad.concat(pieces), target)
+        return loss, [x, w, b, v, c, scale, shift]
+
+    def test_walk_matches_depth_first_gradients(self):
+        loss, leaves = self._shared_tape()
+        loss.backward(1.0 / 3.0)
+        walked = [t.grad.tobytes() for t in leaves]
+        loss, leaves = self._shared_tape()
+        composite_ops.depth_first_backward(loss, 1.0 / 3.0)
+        assert walked == [t.grad.tobytes() for t in leaves]
 
     def test_diamond_graph_single_visit(self):
         # two paths to the same parent must each contribute once

@@ -49,6 +49,22 @@ def _write_dataset(path, n=8, seed=0, keyphrase=("w0", "w1")):
     return str(path)
 
 
+def _with_empty_line(tmp_path):
+    """A 3-line dataset whose middle document tokenizes to nothing, and the same without it."""
+    lines = [{"id": "a", "text": "red stapler on sale now"},
+             {"id": "blank", "text": "  \t "},
+             {"id": "b", "text": "blue office chair with wheels"}]
+    full, kept = str(tmp_path / "full.jsonl"), str(tmp_path / "kept.jsonl")
+    write_jsonl(full, lines)
+    write_jsonl(kept, [lines[0], lines[2]])
+    return full, kept
+
+
+def _read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 class TestConfigMerging:
     def test_defaults_returned(self):
         cfg = load_run_config()
@@ -631,6 +647,23 @@ class TestPredictCli:
         assert "max_doc_length must be at least 1" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_empty_documents_reported(self, pipeline, tmp_path, capsys):
+        full, kept = _with_empty_line(tmp_path)
+        outs = []
+        for data in (full, kept):
+            out = str(tmp_path / f"{os.path.basename(data)}.preds")
+            argv = ["predict", "--model", os.path.join(pipeline["run_dir"], "best"),
+                    "--data", data, "--out", out]
+            assert main(argv) == 0
+            outs.append((capsys.readouterr(), _read_bytes(out), _read_bytes(out + ".meta.json")))
+        (full_io, *full_files), (kept_io, *kept_files) = outs
+        assert "wrote predictions for 2 documents" in full_io.out
+        assert full_io.out.replace(full, "") == kept_io.out.replace(kept, "")
+        assert "skipped: 1 empty" in full_io.err
+        assert "skipped" not in kept_io.err
+        assert full_files[0] == kept_files[0]
+        assert json.loads(full_files[1])["documents"] == 2
+
     def test_missing_checkpoint(self, pipeline, tmp_path, capsys):
         argv = ["predict", "--model", str(tmp_path / "ghost"),
                 "--data", pipeline["data"], "--out", str(tmp_path / "p.jsonl")]
@@ -702,6 +735,20 @@ class TestBaselineCli:
         assert main(["baseline", "--method", "tfidf", "--data", data, "--out", out]) == 1
         assert f"{data}:1: document 'd': visual" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("method", ["tfidf", "textrank"])
+    def test_empty_documents_reported(self, tmp_path, capsys, method):
+        full, kept = _with_empty_line(tmp_path)
+        outs = []
+        for data in (full, kept):
+            out = str(tmp_path / f"{os.path.basename(data)}.{method}")
+            assert main(["baseline", "--method", method, "--data", data, "--out", out]) == 0
+            outs.append((capsys.readouterr(), _read_bytes(out), _read_bytes(out + ".meta.json")))
+        (full_io, *full_files), (kept_io, *kept_files) = outs
+        assert f"{method} predictions for 2 documents" in full_io.out
+        assert "skipped: 1 empty" in full_io.err
+        assert "skipped" not in kept_io.err
+        assert full_files == kept_files
 
     def test_rejects_unknown_method(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
