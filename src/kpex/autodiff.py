@@ -4,15 +4,17 @@ A ``Tensor`` wraps a float64 ndarray and records the operations applied to it
 on a tape. Calling ``backward()`` on a scalar result walks the tape's nodes in
 the reverse of the order they were recorded in and accumulates gradients into
 every tensor that requires them. The op set is just what the span classifier
-calls: ``concat`` and ``reshape`` to assemble arrays, embedding lookup, and
-five fused ops with closed-form backwards: the dense layer ``linear`` and the
-ReLU'd windowed convolution ``conv1d``, both with optional inverted dropout on
-their output; ``residual_layer_norm``, a residual sublayer's output projection,
-dropout, residual sum and layer norm in one node; the attention core, whose
-backward runs one head at a time; and softmax cross-entropy. There is no
-operator sugar on ``Tensor``; the generic ops the tests build composite oracles
-from live in ``tests/composite_ops.py``. ``backward()`` releases the tape as it
-walks it.
+calls, one node per layer: ``embedding_lookup``, a document's whole embedding;
+``concat``, which ravels its operands into one 1-d array; and five fused ops
+with closed-form backwards: the dense layer ``linear`` and the ReLU'd windowed
+convolution ``conv1d``, both with optional inverted dropout on their output;
+``residual_layer_norm``, a residual sublayer's output projection, dropout,
+residual sum and layer norm in one node; the attention core, whose backward
+runs one head at a time; and softmax cross-entropy. There is no operator sugar
+on ``Tensor``; the generic ops the tests build composite oracles from live in
+``tests/composite_ops.py``. ``backward()`` releases the tape as it walks it.
+No op but the loss scans for NaN or inf: ``SpanScorer.forward`` checks the
+embedding once, and checkpoints with a non-finite parameter are refused.
 
 float64 is the default dtype so finite-difference checks stay meaningful.
 """
@@ -29,7 +31,6 @@ __all__ = [
     "Tensor",
     "no_grad",
     "concat",
-    "reshape",
     "linear",
     "conv1d",
     "embedding_lookup",
@@ -52,11 +53,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def _check_finite(name, arr):
-    if not np.isfinite(arr).all():
-        raise ValueError(f"non-finite values entering {name}")
 
 
 class Tensor:
@@ -89,10 +85,10 @@ class Tensor:
 
         The first write stores ``g`` itself, not a copy, so gradients may
         alias: ``residual_layer_norm`` hands ``x`` the array it goes on to
-        backpropagate through its projection, and ``reshape`` a view of its
-        own gradient. That is safe because a later write rebinds ``grad`` to a
-        new sum, and nothing in ``src/`` writes ``.grad`` in place; code that
-        does must copy first.
+        backpropagate through its projection, and ``concat`` each operand a
+        view of its own gradient. That is safe because a later write rebinds
+        ``grad`` to a new sum, and nothing in ``src/`` writes ``.grad`` in
+        place; code that does must copy first.
         """
         if self.grad is None:
             # np.require(g, requirements="C") without its Python overhead
@@ -222,28 +218,16 @@ def linear(x, weight, bias, relu=False, dropout_p=0.0, rng=None, train=False):
     return _make(data, (x, weight, bias), backward_fn)
 
 
-def reshape(a, shape):
-    a = _as_tensor(a)
-    data = a.data.reshape(shape)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.data.shape))
-
-    return _make(data, (a,), backward_fn)
-
-
-def concat(tensors, axis=0):
+def concat(tensors):
+    """Every tensor raveled and joined end to end: one 1-d node, the model's logits."""
     tensors = [_as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
+    data = np.concatenate([t.data for t in tensors], axis=None)
+    offsets = np.cumsum([t.data.size for t in tensors])[:-1]
 
     def backward_fn(g):
-        pieces = np.split(g, offsets, axis=axis)
-        for t, piece in zip(tensors, pieces):
+        for t, piece in zip(tensors, np.split(g, offsets)):
             if t.requires_grad:
-                t._accumulate(piece)
+                t._accumulate(piece.reshape(t.data.shape))
 
     return _make(data, tuple(tensors), backward_fn)
 
@@ -305,20 +289,21 @@ def conv1d(x, weight, bias, dropout_p=0.0, rng=None, train=False):
     return _make(data, (x, weight, bias), backward_fn)
 
 
-def embedding_lookup(table, ids):
-    """Gather rows of a (v, e) table by integer id; backward scatter-adds."""
+def embedding_lookup(table, ids, columns):
+    """One (n, e + c) node: table rows by id, then the fixed (n, c_i) arrays ``columns``."""
     table = _as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 1:
         raise ValueError("embedding_lookup expects a 1-d id array")
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError("embedding id out of range")
-    data = table.data[ids]
+    e = table.data.shape[1]
+    data = np.concatenate([table.data[ids], *columns], axis=1)
 
     def backward_fn(g):
         if table.requires_grad:
             gt = np.zeros_like(table.data)
-            np.add.at(gt, ids, g)
+            np.add.at(gt, ids, g[:, :e])
             table._accumulate(gt)
 
     return _make(data, (table,), backward_fn)
@@ -453,7 +438,6 @@ def multi_head_self_attention(x, heads, wq, bq, wk, bk, wv, bv, wo, bo, scale, s
     heads = int(heads)
     if heads < 1 or d % heads != 0:
         raise ValueError(f"model width {d} not divisible by {heads} heads")
-    _check_finite("attention", x.data)
     q = linear(x, wq, bq)
     k = linear(x, wk, bk)
     v = linear(x, wv, bv)
@@ -476,7 +460,8 @@ def softmax_cross_entropy(logits, target):
         )
     if logits.ndim != 1:
         raise ValueError("softmax_cross_entropy expects 1-d logits")
-    _check_finite("softmax_cross_entropy", logits.data)
+    if not np.isfinite(logits.data).all():
+        raise ValueError("non-finite values entering softmax_cross_entropy")
     if (target < 0.0).any():
         raise ValueError("target distribution has negative entries")
     total = target.sum()

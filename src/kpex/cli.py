@@ -408,12 +408,14 @@ def cmd_evaluate(args, cfg):
     from .metrics import evaluate
 
     preds = {p.doc_id: p.phrase_list() for p in read_predictions(args.preds)}
-    items, _ = read_dataset(args.gold, require_labels=True)
+    items, ingest = read_dataset(args.gold, require_labels=True)
+    _report_empty(ingest)
     gold = {item.document.id: list(item.keyphrases) for item in items}
     depths = tuple(int(d) for d in args.depths.split(","))
     f1_depths = tuple(int(d) for d in args.f1.split(",")) if args.f1 else ()
     report = evaluate(preds, gold, depths=depths, f1_depths=f1_depths,
                       stem=args.stem)
+    report.skipped += ingest.skipped_empty
     print(report.as_table())
     if args.out:
         payload = report.to_dict()

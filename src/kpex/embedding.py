@@ -13,7 +13,7 @@ from collections import Counter
 
 import numpy as np
 
-from .autodiff import Tensor, concat, embedding_lookup
+from .autodiff import Tensor, embedding_lookup
 from .fileio import DatasetError, read_jsonl
 
 UNK_TOKEN = "<unk>"
@@ -76,15 +76,15 @@ class TrainableLookup:
         self.vocab = vocab
         self.table = table  # (len(vocab), token_dim) parameter Tensor
 
-    def vectors_for(self, doc):
-        return embedding_lookup(self.table, self.vocab.ids(doc.tokens))
+    def vectors_for(self, doc, columns):
+        return embedding_lookup(self.table, self.vocab.ids(doc.tokens), columns)
 
 
 class FrozenVectors:
     """Per-document frozen contextual vectors from a sidecar JSONL file.
 
-    Each line is {"id": str, "vectors": [[floats]...]} aligned with the
-    document's untruncated token sequence; rows beyond the (possibly
+    Each line is {"id": str, "vectors": [[finite floats]...]} aligned with
+    the document's untruncated token sequence; rows beyond the (possibly
     truncated) document length are dropped.
     """
 
@@ -109,10 +109,12 @@ class FrozenVectors:
                 raise DatasetError(
                     f"{source}: vectors must be (n, {token_dim}), got {arr.shape}"
                 )
+            if not np.isfinite(arr).all():
+                raise DatasetError(f"{source}: non-finite vector value")
             by_id[str(obj["id"])] = arr
         return cls(by_id, token_dim)
 
-    def vectors_for(self, doc):
+    def vectors_for(self, doc, columns):
         if doc.source_id not in self._by_id:
             raise KeyError(f"no frozen vectors for document {doc.source_id!r}")
         arr = self._by_id[doc.source_id]
@@ -122,25 +124,23 @@ class FrozenVectors:
                 f"document {doc.id!r}: {arr.shape[0]} frozen vectors cover "
                 f"fewer than {hi} tokens"
             )
-        return Tensor(arr[lo:hi])
+        return Tensor(np.concatenate([arr[lo:hi], *columns], axis=1))
 
 
 def embed_document(doc, config, source, no_position=False, no_visual=False):
-    """The (n, width) hybrid embedding matrix as a graph Tensor.
+    """The (n, width) hybrid embedding matrix as one graph Tensor.
 
-    ``no_position`` / ``no_visual`` zero their slice, so ablated models keep
-    identical parameter shapes and widths.
+    The source builds it, putting its vectors before the position and visual
+    columns. ``no_position`` / ``no_visual`` zero their slice, so ablated
+    models keep identical parameter shapes and widths.
     """
     n = len(doc)
-    h = source.vectors_for(doc)
-    if h.shape != (n, config.token_dim):
-        raise ValueError(
-            f"contextual vectors have shape {h.shape}, "
-            f"expected ({n}, {config.token_dim})"
-        )
     if no_position:
         pos = np.zeros((n, config.position_dim))
     else:
         pos = position_matrix(n, config.position_dim)
     vis = np.zeros((n, config.visual_dim)) if no_visual else doc.visual
-    return concat([h, Tensor(pos), Tensor(vis)], axis=1)
+    x = source.vectors_for(doc, (pos, vis))
+    if x.shape != (n, config.width):
+        raise ValueError(f"embedding has shape {x.shape}, expected ({n}, {config.width})")
+    return x

@@ -43,7 +43,7 @@ def score_spans(logits, mask=None):
 
     ``mask`` marks scorable spans with True; masked spans get exactly
     probability 0 (they are excluded from the normalization, not just given
-    tiny weight). All-masked input is an error.
+    tiny weight). All-masked input, or a NaN or +inf logit, is an error.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if mask is None:
@@ -56,7 +56,10 @@ def score_spans(logits, mask=None):
         raise ValueError("every candidate span is masked")
     probs = np.zeros_like(logits)
     kept = logits[mask]
-    shifted = np.exp(kept - kept.max())
+    top = kept.max()
+    if not np.isfinite(top):
+        raise ValueError("non-finite span logits")
+    shifted = np.exp(kept - top)
     probs[mask] = shifted / shifted.sum()
     return probs, mask
 
@@ -203,18 +206,17 @@ class SpanScorer:
             no_position=cfg.no_position,
             no_visual=cfg.no_visual,
         )
-        # once here, not in each of the K convolutions that read x
+        # the one finiteness check; load_checkpoint refuses non-finite parameters
         if not np.isfinite(x.data).all():
             raise ValueError("non-finite values entering conv1d")
-        pieces = []
+        columns = []
         for k in range(1, min(cfg.max_span_length, n) + 1):
             grams = ad.conv1d(x, self.registry[f"cnn/k{k}/weight"],
                               self.registry[f"cnn/k{k}/bias"],
                               dropout_p=cfg.dropout, rng=rng, train=train)
             grams = self._transformer(grams, train, rng)
-            scores = self._scorer(grams, train, rng)
-            pieces.append(ad.reshape(scores, (n - k + 1,)))
-        return ad.concat(pieces, axis=0) if len(pieces) > 1 else pieces[0]
+            columns.append(self._scorer(grams, train, rng))
+        return ad.concat(columns)
 
     def distribution(self, doc, mask=None):
         """Inference-mode span probabilities (no tape, no dropout)."""

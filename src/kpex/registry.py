@@ -10,6 +10,7 @@ payload. Round-trips are exact.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -103,7 +104,8 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (metadata dict, name -> float64 array).
 
     The file is read record by record, each array straight into its final
-    buffer, so no copy of the whole file is held.
+    buffer, so no copy of the whole file is held. A parameter holding NaN or
+    ±inf (seen by min and max, with no full-size temporary) is refused.
     """
     with open(path, "rb") as fh:
         remaining = os.fstat(fh.fileno()).st_size
@@ -136,6 +138,8 @@ def load_checkpoint(path):
             claim(8 * count)  # before allocating: a bad shape fails as truncated
             data = np.empty(shape, dtype="<f8")
             fh.readinto(data)
+            if data.size and not (math.isfinite(data.min()) and math.isfinite(data.max())):
+                raise CheckpointError(f"non-finite values in parameter {name!r} of {path}")
             arrays[name] = data.astype(np.float64, copy=False)
         if remaining:
             raise CheckpointError(f"trailing bytes in checkpoint {path}")

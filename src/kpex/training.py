@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import shutil
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -23,7 +22,7 @@ import numpy as np
 from .autodiff import no_grad, softmax_cross_entropy
 from .config import MAX_DOC_LENGTH
 from .documents import build_labels, span_target, truncate
-from .fileio import write_json
+from .fileio import write_atomic, write_json
 from .optim import Adam, geometric_lr
 
 
@@ -205,6 +204,8 @@ def run_training(model, examples, config, run_dir=None, log=None, checkpoint_met
             extra = dict(checkpoint_metadata or {})
             extra["epoch"] = epoch
             model.save(epoch_path, extra_metadata=extra)
-            if is_best:
-                shutil.copyfile(epoch_path, os.path.join(run_dir, "best.ckpt"))
+            if is_best:  # streamed through one rename: a failed copy keeps the old best
+                with open(epoch_path, "rb") as fh:
+                    write_atomic(os.path.join(run_dir, "best.ckpt"),
+                                 iter(lambda: fh.read(1 << 20), b""))
     return record

@@ -3,7 +3,8 @@
 ``add``, ``mul``, ``matmul`` and ``reduce_sum`` are the generic tape ops the
 library no longer needs; ``Tensor`` has no operator methods, so tests call them
 by name for ``+``, ``*``, ``@`` and ``.sum()``. ``softmax``, ``transpose``,
-``power``, ``relu``, ``sliding_windows`` and ``dropout`` are the ops the
+``power``, ``relu``, ``sliding_windows``, ``dropout``, ``reshape``, the
+axis-wise ``concat`` and the table-only ``embedding_lookup`` are the ops the
 library had before its fused nodes. ``linear``, ``conv1d``, ``layer_norm``,
 ``residual_layer_norm`` and ``multi_head_self_attention`` build the fused ops
 from the small ones, as the library used to, so tests can compare the fused
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-from kpex.autodiff import Tensor, _as_tensor, _make, reshape
+from kpex.autodiff import Tensor, _as_tensor, _make
 
 
 def _unbroadcast(g, shape):
@@ -87,6 +88,64 @@ def reduce_sum(a, axis=None, keepdims=False):
         a._accumulate(np.broadcast_to(g, a.data.shape).copy())
 
     return _make(data, (a,), backward_fn)
+
+
+def reshape(a, shape):
+    a = _as_tensor(a)
+    data = a.data.reshape(shape)
+
+    def backward_fn(g):
+        if a.requires_grad:
+            a._accumulate(g.reshape(a.data.shape))
+
+    return _make(data, (a,), backward_fn)
+
+
+def concat(tensors, axis=0):
+    """Join tensors along ``axis``; the library's ``concat`` ravels and joins."""
+    tensors = [_as_tensor(t) for t in tensors]
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    offsets = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+
+    def backward_fn(g):
+        for t, piece in zip(tensors, np.split(g, offsets, axis=axis)):
+            if t.requires_grad:
+                t._accumulate(piece)
+
+    return _make(data, tuple(tensors), backward_fn)
+
+
+def embedding_lookup(table, ids):
+    """Gather rows of a (v, e) table by integer id; backward scatter-adds."""
+    table = _as_tensor(table)
+    ids = np.asarray(ids, dtype=np.int64)
+    data = table.data[ids]
+
+    def backward_fn(g):
+        if table.requires_grad:
+            gt = np.zeros_like(table.data)
+            np.add.at(gt, ids, g)
+            table._accumulate(gt)
+
+    return _make(data, (table,), backward_fn)
+
+
+def embed_document(doc, config, source, no_position=False, no_visual=False):
+    """The hybrid embedding as lookup, position and visual tensors and an axis-1 concat.
+
+    ``source`` is a ``TrainableLookup``, or the (n, token_dim) frozen rows.
+    """
+    from kpex.embedding import position_matrix
+
+    n = len(doc)
+    if isinstance(source, np.ndarray):
+        h = Tensor(source)
+    else:
+        h = embedding_lookup(source.table, source.vocab.ids(doc.tokens))
+    pos = np.zeros((n, config.position_dim)) if no_position else position_matrix(
+        n, config.position_dim)
+    vis = np.zeros((n, config.visual_dim)) if no_visual else doc.visual
+    return concat([h, Tensor(pos), Tensor(vis)], axis=1)
 
 
 def power(a, exponent):

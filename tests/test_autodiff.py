@@ -86,10 +86,11 @@ class TestShapeOps:
         b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
 
         def build():
-            ar = ad.reshape(a, (3, 4))
+            ar = composite_ops.reshape(a, (3, 4))
             at = composite_ops.transpose(ar, (1, 0))  # 4x3
-            cat = ad.concat([ar, b], axis=0)  # 6x4
-            return reduce_sum(matmul(cat, at))
+            cat = composite_ops.concat([ar, b], axis=0)  # 6x4
+            flat = ad.concat([matmul(cat, at), b])  # 36 + 12
+            return reduce_sum(mul(flat, flat))
 
         check_grads(build, [a, b])
 
@@ -97,7 +98,11 @@ class TestShapeOps:
         a = Tensor([[1.0], [2.0]])
         b = Tensor([[3.0], [4.0]])
         np.testing.assert_array_equal(
-            ad.concat([a, b], axis=1).data, [[1, 3], [2, 4]]
+            composite_ops.concat([a, b], axis=1).data, [[1, 3], [2, 4]]
+        )
+        # the library's concat ravels each operand, then joins them end to end
+        np.testing.assert_array_equal(
+            ad.concat([composite_ops.concat([a, b], axis=1), b]).data, [1, 3, 2, 4, 3, 4]
         )
 
     def test_sum_axis_keepdims(self):
@@ -332,17 +337,21 @@ class TestDropout:
 class TestEmbeddingLookup:
     def test_gather_and_scatter(self):
         table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
-        out = ad.embedding_lookup(table, np.array([1, 1, 3]))
-        np.testing.assert_array_equal(out.data[0], [3, 4, 5])
+        columns = (np.array([[-1.0], [-3.0], [-5.0]]), np.array([[-2.0], [-4.0], [-6.0]]))
+        out = ad.embedding_lookup(table, np.array([1, 1, 3]), columns)
+        np.testing.assert_array_equal(out.data[0], [3, 4, 5, -1, -2])
+        np.testing.assert_array_equal(out.data[:, 3:], np.hstack(columns))
         reduce_sum(out).backward()
-        # duplicate ids accumulate
+        # duplicate ids accumulate; the fixed columns take no gradient
         np.testing.assert_array_equal(table.grad[1], [2, 2, 2])
         np.testing.assert_array_equal(table.grad[0], [0, 0, 0])
 
     def test_out_of_range(self):
         table = Tensor(np.zeros((4, 3)))
         with pytest.raises(IndexError):
-            ad.embedding_lookup(table, np.array([4]))
+            ad.embedding_lookup(table, np.array([4]), (np.zeros((1, 2)),))
+        with pytest.raises(ValueError):  # one row of columns per id
+            ad.embedding_lookup(table, np.array([1, 2]), (np.zeros((1, 2)),))
 
 
 def _plain_layer_norm(x, scale, shift):
@@ -767,9 +776,9 @@ class TestOpSet:
         assert [name for name in ad.__all__ if name not in used] == []
 
     def test_no_generic_ops_or_operator_sugar(self):
-        gone = {"add", "mul", "matmul", "reduce_sum", "_unbroadcast", "__add__", "__radd__",
-                "__neg__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__matmul__", "sum",
-                "item"}
+        gone = {"add", "mul", "matmul", "reduce_sum", "reshape", "_unbroadcast", "__add__",
+                "__radd__", "__neg__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                "__matmul__", "sum", "item"}
         assert not gone & (set(vars(ad)) | set(vars(Tensor)))
 
 
@@ -835,7 +844,7 @@ class TestTape:
                           train=True)
             y = ad.residual_layer_norm(h, y, w, b, scale, shift)
             y = ad.multi_head_self_attention(y, 2, w, b, w, b, w, b, w, b, scale, shift)
-            pieces.append(ad.reshape(ad.linear(y, v, c), (8,)))
+            pieces.append(ad.linear(y, v, c))
         target = np.zeros(32)
         target[[3, 17]] = 0.5
         loss = ad.softmax_cross_entropy(ad.concat(pieces), target)

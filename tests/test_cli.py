@@ -664,6 +664,23 @@ class TestPredictCli:
         assert full_files[0] == kept_files[0]
         assert json.loads(full_files[1])["documents"] == 2
 
+    @pytest.mark.parametrize("layers", [1, 0])
+    def test_non_finite_checkpoint_refused(self, pipeline, tmp_path, capsys, layers):
+        from kpex.embedding import TokenVocabulary
+        from kpex.model import ModelConfig, SpanScorer
+
+        model = SpanScorer(ModelConfig(filters=8, heads=2, layers=layers),
+                           vocab=TokenVocabulary(("w0", "w1")), seed=0)
+        model.registry["scorer/w3"].data[2, 0] = np.inf
+        ckpt, out = str(tmp_path / "inf.ckpt"), str(tmp_path / "p.jsonl")
+        model.save(ckpt)
+        argv = ["predict", "--model", ckpt, "--data", pipeline["data"], "--out", out]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert ckpt in err and "'scorer/w3'" in err
+        assert not os.path.exists(out)
+        assert os.listdir(tmp_path) == ["inf.ckpt"]
+
     def test_missing_checkpoint(self, pipeline, tmp_path, capsys):
         argv = ["predict", "--model", str(tmp_path / "ghost"),
                 "--data", pipeline["data"], "--out", str(tmp_path / "p.jsonl")]
@@ -700,6 +717,22 @@ class TestEvaluateCli:
         captured = capsys.readouterr()
         assert "depths must be at least 1" in captured.err
         assert "@" not in captured.out
+
+    def test_empty_documents_reported(self, tmp_path, capsys):
+        lines = [{"id": "a", "text": "red stapler on sale", "keyphrases": ["red stapler"]},
+                 {"id": "blank", "text": "   ", "keyphrases": ["lost phrase"]},
+                 {"id": "b", "text": "blue office chair", "keyphrases": ["office chair"]}]
+        gold, preds = str(tmp_path / "gold.jsonl"), str(tmp_path / "preds.jsonl")
+        write_jsonl(gold, lines)
+        write_jsonl(preds, [{"id": "a", "phrases": [["red stapler", 1.0]]}])
+        report_path = str(tmp_path / "report.json")
+        assert main(["evaluate", "--preds", preds, "--gold", gold, "--depths", "1",
+                     "--out", report_path]) == 0
+        captured = capsys.readouterr()
+        assert "documents: 2 (skipped 1)" in captured.out
+        assert "skipped: 1 empty" in captured.err
+        report = json.load(open(report_path))
+        assert report["documents"] == 2 and report["skipped"] == ["blank"]
 
     def test_end_to_end_numbers_in_range(self, pipeline, tmp_path):
         preds = str(tmp_path / "preds.jsonl")

@@ -191,11 +191,16 @@ class TestEmbedDocument:
         doc, config, _ = self._setup()
 
         class Bad:
-            def vectors_for(self, doc):
+            def vectors_for(self, doc, columns):
                 return Tensor(np.zeros((len(doc), 5)))
 
         with pytest.raises(ValueError, match="shape"):
             embed_document(doc, config, Bad())
+
+
+def _rows(frozen, doc):
+    """The document's frozen vector rows, with no columns after them."""
+    return frozen.vectors_for(doc, ()).data
 
 
 class TestFrozenVectors:
@@ -209,40 +214,40 @@ class TestFrozenVectors:
         path = self._write(tmp_path, [{"id": "d1", "vectors": arr.tolist()}])
         frozen = FrozenVectors.load(path, token_dim=4)
         doc = _doc("d1", ["a", "b", "c", "d", "e", "f"])
-        np.testing.assert_array_equal(frozen.vectors_for(doc).data, arr)
+        np.testing.assert_array_equal(_rows(frozen, doc), arr)
 
     def test_truncated_document_uses_prefix(self, tmp_path):
         arr = np.arange(24, dtype=float).reshape(6, 4)
         path = self._write(tmp_path, [{"id": "d1", "vectors": arr.tolist()}])
         frozen = FrozenVectors.load(path, token_dim=4)
         doc = _doc("d1", ["a", "b"])
-        np.testing.assert_array_equal(frozen.vectors_for(doc).data, arr[:2])
+        np.testing.assert_array_equal(_rows(frozen, doc), arr[:2])
 
     def test_chunk_offset_slices_middle(self, tmp_path):
         arr = np.arange(24, dtype=float).reshape(6, 4)
         path = self._write(tmp_path, [{"id": "d1", "vectors": arr.tolist()}])
         frozen = FrozenVectors.load(path, token_dim=4)
         chunk = _doc("d1#chunk1", ["c", "d", "e"], offset=2, source_id="d1")
-        np.testing.assert_array_equal(frozen.vectors_for(chunk).data, arr[2:5])
+        np.testing.assert_array_equal(_rows(frozen, chunk), arr[2:5])
 
     def test_id_with_hash(self, tmp_path):
         arr = np.arange(8, dtype=float).reshape(2, 4)
         path = self._write(tmp_path, [{"id": "https://x.com/p#top", "vectors": arr.tolist()}])
         frozen = FrozenVectors.load(path, token_dim=4)
         doc = _doc("https://x.com/p#top", ["a", "b"])
-        np.testing.assert_array_equal(frozen.vectors_for(doc).data, arr)
+        np.testing.assert_array_equal(_rows(frozen, doc), arr)
 
     def test_missing_document(self, tmp_path):
         path = self._write(tmp_path, [{"id": "d1", "vectors": [[0.0]]}])
         frozen = FrozenVectors.load(path, token_dim=1)
         with pytest.raises(KeyError, match="d2"):
-            frozen.vectors_for(_doc("d2", ["a"]))
+            _rows(frozen, _doc("d2", ["a"]))
 
     def test_too_few_rows(self, tmp_path):
         path = self._write(tmp_path, [{"id": "d1", "vectors": [[0.0], [1.0]]}])
         frozen = FrozenVectors.load(path, token_dim=1)
         with pytest.raises(DatasetError, match="fewer"):
-            frozen.vectors_for(_doc("d1", ["a", "b", "c"]))
+            _rows(frozen, _doc("d1", ["a", "b", "c"]))
 
     def test_ragged_rows_located(self, tmp_path):
         path = self._write(tmp_path, [
@@ -250,6 +255,15 @@ class TestFrozenVectors:
             {"id": "d1", "vectors": [[0.0, 1.0], [0.0]]},
         ])
         with pytest.raises(DatasetError, match=r"vectors.jsonl:2: document 'd1': vectors"):
+            FrozenVectors.load(path, token_dim=2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vectors_located(self, tmp_path, bad):
+        path = self._write(tmp_path, [
+            {"id": "d0", "vectors": [[0.0, 1.0]]},
+            {"id": "d1", "vectors": [[0.0, 1.0], [bad, 2.0]]},
+        ])
+        with pytest.raises(DatasetError, match=r"vectors.jsonl:2: document 'd1': non-finite"):
             FrozenVectors.load(path, token_dim=2)
 
     @pytest.mark.parametrize("line", [5, "id vectors", ["id", "vectors"]])

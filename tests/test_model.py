@@ -5,10 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import composite_ops
 from composite_ops import mul, reduce_sum
+from kpex import autodiff as ad
+from kpex import model as model_module
 from kpex.config import EmbeddingConfig
-from kpex.documents import count_spans, enumerate_spans, make_document
-from kpex.embedding import TokenVocabulary
+from kpex.documents import Document, count_spans, enumerate_spans, make_document
+from kpex.embedding import FrozenVectors, TokenVocabulary
 from kpex.model import (
     ModelConfig,
     SpanScorer,
@@ -120,6 +123,11 @@ class TestScoreSpans:
         with pytest.raises(ValueError, match="masked"):
             score_spans(np.zeros(3), np.zeros(3, dtype=bool))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_logits_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite span logits"):
+            score_spans(np.array([0.5, bad, -1.0]))
+
     def test_mask_shape_checked(self):
         with pytest.raises(ValueError, match="mask"):
             score_spans(np.zeros(3), np.ones(4, dtype=bool))
@@ -189,12 +197,72 @@ class TestForward:
         logits = model.forward(_doc(6))
         assert np.isfinite(logits.data).all()
 
+    @pytest.mark.parametrize("layers", [1, 0])
+    def test_overflowing_forward_rejected(self, layers):
+        # finite parameters and embedding can still overflow; no op scans
+        # for it, so the span softmax refuses the logits
+        model = _model(_small_config(layers=layers))
+        for name in ("cnn/k1/weight", "scorer/w3"):
+            model.registry[name].data *= 1e306
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite span"):
+            model.distribution(_doc(6))
+
     def test_rejects_non_finite_embedding(self):
         # without a transformer no later check would see the NaN
         model = _model(_small_config(layers=0))
         model.registry["embedding/tokens"].data[:] = np.nan
         with pytest.raises(ValueError, match="non-finite values entering conv1d"):
             model.forward(_doc(6))
+
+
+class TestFusedEmbeddingAndConcat:
+    """The one-node embedding and the flat ``concat`` against the composite ops.
+
+    The composite builds the embedding as ``embedding_lookup`` (table rows
+    only), then an axis-1 ``concat`` with the position and visual tensors, and
+    the logits as a ``reshape`` of each width's column, then an axis-0
+    ``concat`` (a lone width is its reshape alone).
+    """
+
+    @staticmethod
+    def _loss_and_grads(model, doc):
+        logits = model.forward(doc, train=True, rng=np.random.default_rng(7))
+        target = np.full(logits.shape, 1.0 / logits.shape[0])
+        loss = ad.softmax_cross_entropy(logits, target)
+        model.registry.clear_grads()
+        loss.backward()
+        # banks wider than the document get no gradient
+        grads = {name: p.grad if p.grad is None else p.grad.tobytes()
+                 for name, p in model.registry.items()}
+        return logits.data.tobytes(), float(loss.data).hex(), grads
+
+    @pytest.mark.parametrize("n", [1, 4, 11])
+    @pytest.mark.parametrize("source", ["trainable", "frozen"])
+    def test_matches_composite_bitwise(self, monkeypatch, source, n):
+        rng = np.random.default_rng(n)
+        tokens = tuple(rng.choice(["red", "blue", "stapler", "unseen"], size=n))
+        doc = Document("d", tokens, rng.uniform(size=(n, 18)))
+        config = _small_config(embedding=EmbeddingConfig(token_dim=8, position_dim=4,
+                                                         source=source))
+        rows = rng.normal(size=(n, 8))
+        if source == "trainable":
+            model = _model(config)
+            composite_source = model.source
+        else:
+            model = SpanScorer(config, frozen_vectors=FrozenVectors({"d": rows}, 8), seed=0)
+            composite_source = rows
+        fused = self._loss_and_grads(model, doc)
+
+        def composite_concat(columns):
+            flat = [composite_ops.reshape(c, (c.shape[0],)) for c in columns]
+            return composite_ops.concat(flat, axis=0) if len(flat) > 1 else flat[0]
+
+        monkeypatch.setattr(
+            model_module, "embed_document",
+            lambda doc, config, source, **kw: composite_ops.embed_document(
+                doc, config, composite_source, **kw))
+        monkeypatch.setattr(ad, "concat", composite_concat)
+        assert self._loss_and_grads(model, doc) == fused
 
 
 class TestParameterSharing:

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from composite_ops import add, matmul, mul, reduce_sum
+from composite_ops import add, matmul, mul, reduce_sum, reshape
 from kpex import autodiff as ad
 from kpex.autodiff import Tensor
 from kpex.fileio import write_atomic
@@ -172,6 +172,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_parameter(self, tmp_path, bad):
+        reg = _odd_registry()
+        reg["é/b"].data[3] = bad
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, reg, {})
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert path in str(err.value) and "'é/b'" in str(err.value)
+
 
 class TestWriteAtomic:
     def test_writes_chunks_in_order(self, tmp_path):
@@ -263,7 +273,7 @@ def _quadratic_setup():
     ys = rng.normal(size=(8, 1))
 
     def loss_fn():
-        pred = matmul(Tensor(xs), ad.reshape(theta, (3, 1)))
+        pred = matmul(Tensor(xs), reshape(theta, (3, 1)))
         err = add(pred, mul(Tensor(ys), -1.0))
         return reduce_sum(mul(err, err))
 

@@ -195,6 +195,52 @@ class TestRunTraining:
         assert record.best_val_loss == min(vals)
         assert record.best_epoch == vals.index(min(vals)) + 1
 
+    def test_interrupted_best_copy_keeps_previous(self, tmp_path, monkeypatch):
+        # reading epoch 2's checkpoint fails after its first 64 bytes, while
+        # it is copied over best.ckpt
+        import builtins
+
+        real_open = builtins.open
+
+        class FailingReader:
+            def __init__(self, fh):
+                self.fh, self.reads = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def fileno(self):  # no fd to copy from: readers must call read()
+                raise OSError("not a plain file")
+
+            def read(self, n=-1):
+                self.reads += 1
+                if self.reads > 1:
+                    raise OSError("read failed partway")
+                return self.fh.read(64)
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            return FailingReader(fh) if str(path).endswith("epoch2.ckpt") and mode == "rb" else fh
+
+        run_dir = str(tmp_path / "run")
+        config = TrainingConfig(max_epochs=2, batch_size=4, lr_start=5e-3,
+                                validation_fraction=0.0)
+        monkeypatch.setattr(builtins, "open", failing_open)
+        with pytest.raises(OSError, match="partway"):
+            run_training(_model(), _corpus(), config, run_dir=run_dir)
+        monkeypatch.undo()
+        with open(os.path.join(run_dir, "epoch1.ckpt"), "rb") as fh:
+            epoch1 = fh.read()
+        with open(os.path.join(run_dir, "best.ckpt"), "rb") as fh:
+            assert fh.read() == epoch1
+        _, meta = SpanScorer.load(os.path.join(run_dir, "best.ckpt"))
+        assert meta["epoch"] == 1
+        assert sorted(os.listdir(run_dir)) == ["best.ckpt", "config.json", "epoch1.ckpt",
+                                               "epoch2.ckpt", "metrics.jsonl"]
+
     def test_log_callback_sees_every_epoch(self):
         seen = []
         config = TrainingConfig(max_epochs=3, batch_size=4)
@@ -401,16 +447,16 @@ class TestTapeEquivalence:
     def test_tape_has_no_dropout_nodes(self):
         # each dropout is folded into the linear, conv1d or residual_layer_norm
         # node it follows; per width: conv1d, q/k/v, attention_core, 2
-        # residual_layer_norm, ffn, 3 scorer linear, reshape; plus concat,
-        # embedding_lookup and the embedding's concat
+        # residual_layer_norm, ffn, 3 scorer linear; plus the concat of the
+        # widths' scorer columns and the one-node embedding_lookup
         model = _model(dropout=0.1)
         doc = _corpus(n_docs=1, doc_len=11)[0].document
         logits = model.forward(doc, train=True, rng=np.random.default_rng(3))
         ops = [_op_name(t) for t in _tape_nodes(logits)]
-        assert len(ops) == 63
+        assert len(ops) == 57
         assert {op: ops.count(op) for op in set(ops)} == {
             "conv1d": 5, "linear": 35, "attention_core": 5, "residual_layer_norm": 10,
-            "reshape": 5, "concat": 2, "embedding_lookup": 1,
+            "concat": 1, "embedding_lookup": 1,
         }
 
     @pytest.mark.parametrize("layers", [1, 2])
