@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .documents import enumerate_spans
+from .fileio import read_lines
 from .inference import Prediction, rank_phrases
 # Unused here: the benchmark's tracer (bench/tracing.py) patches this binding.
 from .inference import normalize_phrase  # noqa: F401
@@ -50,13 +51,7 @@ BLOCK_DOCUMENTS = 256
 
 
 def load_stopwords(path):
-    words = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip().lower()
-            if word and not word.startswith("#"):
-                words.add(word)
-    return frozenset(words)
+    return frozenset(line.lower() for line in read_lines(path))
 
 
 def is_punctuation(token):

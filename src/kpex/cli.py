@@ -21,6 +21,7 @@ import sys
 from dataclasses import fields
 
 from .config import EmbeddingConfig, ModelConfig, PredictConfig, TrainingConfig
+from .fileio import read_json, read_records, string_list, write_json, write_jsonl
 
 # Config sections: key prefix -> dataclass. Every field is a key except the
 # nested embedding section, the fixed visual width, and the training seed,
@@ -71,14 +72,9 @@ def load_run_config(config_path=None, overrides=(), seed=None, threads=None):
     merged = default_config()
     if config_path:
         try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
+            file_cfg = read_json(config_path)
         except FileNotFoundError:
             raise CliError(f"config file not found: {config_path}")
-        except json.JSONDecodeError as exc:
-            raise CliError(
-                f"{config_path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-            )
         if not isinstance(file_cfg, dict):
             raise CliError(f"{config_path}: config must be a JSON object")
         for key, value in file_cfg.items():
@@ -176,8 +172,6 @@ def _ablations(names):
 
 
 def _write_meta(out_path, cfg, command, extra=None):
-    from .fileio import write_json
-
     meta = {
         "command": command,
         "config_digest": config_digest(cfg),
@@ -217,8 +211,7 @@ def _load_frozen(cfg):
 
 
 def cmd_featurize(args, cfg):
-    from .fileio import string_list, write_jsonl
-    from .visual import LayoutError, load_layout_file, parse_layout
+    from .visual import LayoutError, parse_layout
 
     names = sorted(n for n in os.listdir(args.layout_dir) if n.endswith(".json"))
     if not names:
@@ -228,7 +221,7 @@ def cmd_featurize(args, cfg):
     for name in names:
         path = os.path.join(args.layout_dir, name)
         doc_id = os.path.splitext(name)[0]
-        layout = load_layout_file(path)
+        layout = read_json(path)
         text, rows = parse_layout(layout, doc_id)
         if not rows:
             skipped.append(doc_id)
@@ -249,13 +242,12 @@ def cmd_featurize(args, cfg):
 
 def cmd_build_qp(args, cfg):
     from .documents import dataset_from_records
-    from .fileio import read_jsonl, write_json, write_jsonl
     from .weaksup import build_qp_dataset, load_blocklist, read_query_log
 
     max_span_length = _section(cfg, "model").max_span_length
     max_doc_length = _section(cfg, "train").max_doc_length
-    records = list(read_jsonl(args.docs))
-    items, _ = dataset_from_records(args.docs, records)
+    records = list(read_records(args.docs, "id", "text"))
+    items, _ = dataset_from_records(records)
     docs = [getattr(item, "document", item) for item in items]
     raw_by_id = {str(obj["id"]): obj for _, obj in records}
     log = read_query_log(args.clicks)
@@ -403,7 +395,6 @@ def cmd_predict(args, cfg):
 
 def cmd_evaluate(args, cfg):
     from .documents import read_dataset
-    from .fileio import write_json
     from .inference import read_predictions
     from .metrics import evaluate
 
@@ -461,16 +452,10 @@ def cmd_baseline(args, cfg):
 
 
 def cmd_agreement(args, cfg):
-    from .fileio import read_jsonl, string_list, write_json
     from .metrics import judge_agreement
 
     items = []
-    for lineno, obj in read_jsonl(args.annotations):
-        where = f"{args.annotations}:{lineno}"
-        if not isinstance(obj, dict):
-            raise CliError(f"{where}: expected an object with judges")
-        if "judges" not in obj:
-            raise CliError(f"{where}: missing judges field")
+    for where, obj in read_records(args.annotations, "judges"):
         if not isinstance(obj["judges"], list):
             raise CliError(f"{where}: judges must be a list of ranked lists")
         items.append([string_list(ranked, f"judges[{i}]", where)
@@ -480,6 +465,7 @@ def cmd_agreement(args, cfg):
         f"agreement@{args.depth} ({args.mode}): {report.percentage:.2f}% "
         f"over {report.pairs} judge pairs"
         + (f", {report.truncated_lists} truncated lists" if report.truncated_lists else "")
+        + (f", {report.skipped_pairs} skipped pairs" if report.skipped_pairs else "")
     )
     if args.out:
         write_json(args.out, {
@@ -488,6 +474,7 @@ def cmd_agreement(args, cfg):
             "percentage": report.percentage,
             "pairs": report.pairs,
             "truncated_lists": report.truncated_lists,
+            "skipped_pairs": report.skipped_pairs,
             "config_digest": config_digest(cfg),
         })
     return 0

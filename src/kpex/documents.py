@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import MAX_DOC_LENGTH, MAX_SPAN_LENGTH, VISUAL_DIM
-from .fileio import DatasetError, read_jsonl, string_list
+from .fileio import DatasetError, read_records, string_list
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
@@ -77,34 +77,31 @@ class LabeledDocument:
             raise ValueError(f"document {self.document.id!r} has no keyphrases")
 
 
-def validate_visual_rows(doc_id, n_tokens, rows, where=None):
-    """Check a raw visual feature list; returns an (n, 18) float64 array.
+def float_rows(rows, name, width, where, n_rows=None):
+    """``rows`` as a 2-D float64 array of finite numbers, ``width`` columns wide.
 
-    Values are clamped to [0, 1]; non-finite values are rejected. ``where``
-    (``path:lineno``) prefixes the error when the rows come from a file.
+    ``n_rows``, when given, is the required row count. ``where`` locates the
+    rows, as ``path:lineno: document 'id'`` for a JSONL line; ragged rows,
+    a non-number, a wrong shape or a NaN or infinity raise DatasetError there.
     """
-    source = f"{where}: document {doc_id!r}" if where else f"document {doc_id!r}"
+    expected = f"({'n' if n_rows is None else n_rows}, {width})"
     try:
         arr = np.asarray(rows, dtype=np.float64)
     except (TypeError, ValueError) as exc:  # ragged rows or a non-number
-        raise DatasetError(
-            f"{source}: visual features must be {n_tokens} rows of {VISUAL_DIM} numbers"
-        ) from exc
-    if arr.shape != (n_tokens, VISUAL_DIM):
-        raise DatasetError(
-            f"{source}: visual features have shape {arr.shape}, "
-            f"expected ({n_tokens}, {VISUAL_DIM})"
-        )
+        raise DatasetError(f"{where}: {name} must form a {expected} array of numbers") from exc
+    if arr.ndim != 2 or arr.shape[1] != width or n_rows not in (None, arr.shape[0]):
+        raise DatasetError(f"{where}: {name} have shape {arr.shape}, expected {expected}")
     if not np.isfinite(arr).all():
-        raise DatasetError(f"{source}: non-finite visual feature")
-    return np.clip(arr, 0.0, 1.0)
+        raise DatasetError(f"{where}: non-finite {name}")
+    return arr
 
 
 def make_document(doc_id, text, visual_rows=None, where=None):
     """Tokenize raw text into a Document; returns None for empty token lists.
 
     Missing visual features are zero-filled and flagged via ``zero_visual``;
-    ``where`` locates bad visual rows in their file.
+    given rows are clamped to [0, 1], and ``where`` locates bad rows in their
+    file.
     """
     tokens = tuple(tokenize(text))
     if not tokens:
@@ -112,8 +109,9 @@ def make_document(doc_id, text, visual_rows=None, where=None):
     if visual_rows is None:
         visual = np.zeros((len(tokens), VISUAL_DIM))
         return Document(doc_id, tokens, visual, zero_visual=True)
-    visual = validate_visual_rows(doc_id, len(tokens), visual_rows, where)
-    return Document(doc_id, tokens, visual)
+    source = f"{where}: document {doc_id!r}" if where else f"document {doc_id!r}"
+    rows = float_rows(visual_rows, "visual features", VISUAL_DIM, source, len(tokens))
+    return Document(doc_id, tokens, np.clip(rows, 0.0, 1.0))
 
 
 def truncate(doc, max_len=MAX_DOC_LENGTH):
@@ -229,27 +227,21 @@ def read_dataset(path, require_labels=False):
 
     Returns (items, IngestReport). Items are LabeledDocuments when the line
     carries keyphrases, otherwise bare Documents. Documents that tokenize to
-    nothing are skipped and counted, not fatal; structural problems (bad JSON,
-    a text that is not a string, keyphrases that are not a list of strings,
-    wrong visual shape, duplicate ids) raise DatasetError at ``path:lineno``.
+    nothing are skipped and counted, not fatal. A text that is not a string,
+    keyphrases that are not a list of strings, bad visual rows, and every
+    breach of the ``read_records`` contract raise DatasetError at
+    ``path:lineno``.
     """
-    return dataset_from_records(path, read_jsonl(path), require_labels)
+    return dataset_from_records(read_records(path, "id", "text"), require_labels)
 
 
-def dataset_from_records(path, records, require_labels=False):
-    """``read_dataset`` over already parsed ``(lineno, object)`` records of ``path``."""
+def dataset_from_records(records, require_labels=False):
+    """``read_dataset`` over the ``(where, object)`` records of ``read_records``."""
     items = []
     report = IngestReport()
-    seen_ids = set()
-    for lineno, obj in records:
-        where = f"{path}:{lineno}"
+    for where, obj in records:
         report.total_lines += 1
-        if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-            raise DatasetError(f"{where}: expected an object with id and text")
         doc_id = str(obj["id"])
-        if doc_id in seen_ids:
-            raise DatasetError(f"{where}: duplicate document id {doc_id!r}")
-        seen_ids.add(doc_id)
         if not isinstance(obj["text"], str):
             raise DatasetError(f"{where}: text must be a string")
         phrases = obj.get("keyphrases")

@@ -14,7 +14,8 @@ from collections import Counter
 import numpy as np
 
 from .autodiff import Tensor, embedding_lookup
-from .fileio import DatasetError, read_jsonl
+from .documents import float_rows
+from .fileio import DatasetError, read_records
 
 UNK_TOKEN = "<unk>"
 MASK_TOKEN = "<mask>"
@@ -85,7 +86,8 @@ class FrozenVectors:
 
     Each line is {"id": str, "vectors": [[finite floats]...]} aligned with
     the document's untruncated token sequence; rows beyond the (possibly
-    truncated) document length are dropped.
+    truncated) document length are dropped. Lines follow the
+    ``read_records`` contract, so ids are unique.
     """
 
     def __init__(self, by_id, token_dim):
@@ -95,23 +97,10 @@ class FrozenVectors:
     @classmethod
     def load(cls, path, token_dim):
         by_id = {}
-        for lineno, obj in read_jsonl(path):
-            if not isinstance(obj, dict) or "id" not in obj or "vectors" not in obj:
-                raise DatasetError(f"{path}:{lineno}: expected id and vectors")
-            source = f"{path}:{lineno}: document {str(obj['id'])!r}"
-            try:
-                arr = np.asarray(obj["vectors"], dtype=np.float64)
-            except (TypeError, ValueError) as exc:  # ragged rows or a non-number
-                raise DatasetError(
-                    f"{source}: vectors must be rows of {token_dim} numbers"
-                ) from exc
-            if arr.ndim != 2 or arr.shape[1] != token_dim:
-                raise DatasetError(
-                    f"{source}: vectors must be (n, {token_dim}), got {arr.shape}"
-                )
-            if not np.isfinite(arr).all():
-                raise DatasetError(f"{source}: non-finite vector value")
-            by_id[str(obj["id"])] = arr
+        for where, obj in read_records(path, "id", "vectors"):
+            doc_id = str(obj["id"])
+            by_id[doc_id] = float_rows(obj["vectors"], "vectors", token_dim,
+                                       f"{where}: document {doc_id!r}")
         return cls(by_id, token_dim)
 
     def vectors_for(self, doc, columns):

@@ -1,4 +1,11 @@
-"""Small JSON / JSONL file helpers with atomic writes."""
+"""The one reader for each input file format, and atomic writes.
+
+Every file kpex reads goes through one function here, which locates a bad
+input at ``path:line``: ``read_records`` for JSONL records, ``read_json``
+for a whole JSON file and ``read_lines`` for a plain list of lines. This
+module imports no numpy, because the CLI reads its config file before
+``--threads`` caps the BLAS thread pools.
+"""
 
 from __future__ import annotations
 
@@ -10,19 +17,53 @@ class DatasetError(ValueError):
     pass
 
 
-def read_jsonl(path):
-    """Yield (line_number, object) for each non-blank line of a JSONL file."""
+def _invalid_json(path, lineno, exc):
+    return DatasetError(f"{path}:{lineno}:{exc.colno}: invalid JSON: {exc.msg}")
+
+
+def read_json(path):
+    """The JSON value in ``path``; a syntax error fails at ``path:line:col``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise _invalid_json(path, exc.lineno, exc) from exc
+
+
+def read_records(path, *fields):
+    """Yield ``(where, object)`` for each non-blank line of a JSONL file.
+
+    ``where`` is ``path:lineno``. A line that is not valid JSON, not an
+    object, or lacks one of ``fields`` raises DatasetError at ``where``.
+    When ``id`` is one of ``fields``, so does an id seen on an earlier line;
+    ids compare as strings.
+    """
+    expected = f"expected an object with {' and '.join(fields)}"
+    seen_ids = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
-                yield lineno, json.loads(line)
+                obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise DatasetError(
-                    f"{path}:{lineno}: invalid JSON at column {exc.colno}: {exc.msg}"
-                ) from exc
+                raise _invalid_json(path, lineno, exc) from exc
+            if not isinstance(obj, dict) or any(f not in obj for f in fields):
+                raise DatasetError(f"{where}: {expected}")
+            if "id" in fields:
+                doc_id = str(obj["id"])
+                if doc_id in seen_ids:
+                    raise DatasetError(f"{where}: duplicate id {doc_id!r}")
+                seen_ids.add(doc_id)
+            yield where, obj
+
+
+def read_lines(path):
+    """The stripped lines of a text file, skipping blank lines and # comments."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [line for line in map(str.strip, fh) if line and not line.startswith("#")]
 
 
 def string_list(value, name, where):

@@ -15,13 +15,14 @@ protected phrase's tokens; its cost is linear in the number of phrases.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import PredictConfig
 from .documents import tokenize
-from .fileio import DatasetError, read_jsonl, write_jsonl
+from .fileio import DatasetError, read_records, write_jsonl
 
 
 def _stem_token(token):
@@ -176,20 +177,21 @@ def write_predictions(path, predictions):
 
 
 def _is_pair(entry):
+    # a score's type is checked exactly, as a bool is an int; the bound
+    # refuses NaN and Infinity, which json reads, and ints past the float range
     return (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
-            and isinstance(entry[1], (int, float)))
+            and type(entry[1]) in (int, float) and abs(entry[1]) <= sys.float_info.max)
 
 
 def read_predictions(path):
     """Load the JSONL that write_predictions writes; bad lines fail with file:line."""
     predictions = []
-    for lineno, obj in read_jsonl(path):
-        if not isinstance(obj, dict) or "id" not in obj or "phrases" not in obj:
-            raise DatasetError(f"{path}:{lineno}: expected an object with id and phrases")
+    for where, obj in read_records(path, "id", "phrases"):
         phrases = obj["phrases"]
         if not isinstance(phrases, list) or not all(_is_pair(p) for p in phrases):
             raise DatasetError(
-                f"{path}:{lineno}: phrases must be a list of [phrase, score] pairs"
+                f"{where}: phrases must be a list of [phrase, score] pairs "
+                "with finite number scores"
             )
         pairs = tuple((phrase, float(score)) for phrase, score in phrases)
         predictions.append(Prediction(str(obj["id"]), pairs))

@@ -53,6 +53,29 @@ def _normalize_list(phrases, stem):
     return out
 
 
+def _hit_counts(predictions, gold, depths, stem):
+    """Gold phrases found in each document's top ``d`` predictions, per depth.
+
+    Returns (depth -> int array of hits, int array of gold-set sizes, skipped
+    ids), over sorted doc ids whose gold set normalizes to something; the
+    ranked list is deduplicated after normalization, before the cut.
+    """
+    hits = {d: [] for d in depths}
+    sizes = []
+    skipped = []
+    for doc_id in sorted(gold):
+        gold_set = set(_normalize_list(gold[doc_id], stem))
+        if not gold_set:
+            skipped.append(doc_id)
+            continue
+        ranked = list(dict.fromkeys(_normalize_list(predictions.get(doc_id, ()), stem)))
+        sizes.append(len(gold_set))
+        for d in hits:
+            hits[d].append(len(set(ranked[:d]) & gold_set))
+    return ({d: np.array(h, dtype=np.int64) for d, h in hits.items()},
+            np.array(sizes, dtype=np.int64), skipped)
+
+
 def evaluate(predictions, gold, depths=(1, 3, 5), f1_depths=(10,), stem=False):
     """Macro P@k and R@k at each depth, plus macro F1 at the f1 depths.
 
@@ -63,49 +86,24 @@ def evaluate(predictions, gold, depths=(1, 3, 5), f1_depths=(10,), stem=False):
     """
     if any(d < 1 for d in (*depths, *f1_depths)):
         raise ValueError("depths must be at least 1")
-    per_depth_p = {d: [] for d in depths}
-    per_depth_r = {d: [] for d in depths}
-    per_f1 = {d: [] for d in f1_depths}
-    report = MetricReport()
-    for doc_id in sorted(gold):
-        gold_set = set(_normalize_list(gold[doc_id], stem))
-        if not gold_set:
-            report.skipped.append(doc_id)
-            continue
-        ranked = _normalize_list(predictions.get(doc_id, ()), stem)
-        deduped = list(dict.fromkeys(ranked))
-        report.documents += 1
-        for d in depths:
-            top = set(deduped[:d])
-            hits = len(top & gold_set)
-            per_depth_p[d].append(hits / d)
-            per_depth_r[d].append(hits / len(gold_set))
-        for d in per_f1:
-            top = set(deduped[:d])
-            hits = len(top & gold_set)
-            p = hits / d
-            r = hits / len(gold_set)
-            per_f1[d].append(0.0 if hits == 0 else 2 * p * r / (p + r))
+    hits, sizes, skipped = _hit_counts(predictions, gold, (*depths, *f1_depths), stem)
+    report = MetricReport(documents=len(sizes), skipped=skipped)
     if report.documents == 0:
         raise ValueError("no documents with usable gold keyphrases")
     for d in depths:
-        report.precision[d] = float(np.mean(per_depth_p[d]))
-        report.recall[d] = float(np.mean(per_depth_r[d]))
-    for d in per_f1:
-        report.f1[d] = float(np.mean(per_f1[d]))
+        report.precision[d] = float(np.mean(hits[d] / d))
+        report.recall[d] = float(np.mean(hits[d] / sizes))
+    for d in f1_depths:
+        p, r = hits[d] / d, hits[d] / sizes
+        with np.errstate(invalid="ignore"):  # 0/0 where a document has no hit
+            report.f1[d] = float(np.mean(np.where(hits[d] == 0, 0.0, 2 * p * r / (p + r))))
     return report
 
 
 def per_document_scores(predictions, gold, depth=1, stem=False):
     """P@depth per document, aligned over sorted doc ids (for paired tests)."""
-    scores = []
-    for doc_id in sorted(gold):
-        gold_set = set(_normalize_list(gold[doc_id], stem))
-        if not gold_set:
-            continue
-        ranked = list(dict.fromkeys(_normalize_list(predictions.get(doc_id, ()), stem)))
-        scores.append(len(set(ranked[:depth]) & gold_set) / depth)
-    return np.array(scores)
+    hits, _, _ = _hit_counts(predictions, gold, (depth,), stem)
+    return hits[depth] / depth
 
 
 @dataclass

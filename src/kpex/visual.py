@@ -14,7 +14,6 @@ font, block width, block height, x, y, bold, inline-tag, block-tag, DOM-leaf.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,14 +164,3 @@ def parse_layout(layout, doc_id="layout"):
     if not rows:
         return text, []
     return text, np.stack(rows).tolist()
-
-
-def load_layout_file(path):
-    """Read a layout JSON file for ``parse_layout``; JSON errors keep line/column info."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise LayoutError(
-                f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-            ) from exc

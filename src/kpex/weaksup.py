@@ -21,20 +21,13 @@ from .documents import (
     tokenize,
     truncate,
 )
-from .fileio import DatasetError, read_jsonl, string_list
+from .fileio import read_lines, read_records, string_list
 
 
 def read_query_log(path):
     """Load a JSONL click log of {"id": str, "queries": [str, ...]}."""
-    log = {}
-    for lineno, obj in read_jsonl(path):
-        if not isinstance(obj, dict) or "id" not in obj or "queries" not in obj:
-            raise DatasetError(f"{path}:{lineno}: expected id and queries")
-        doc_id = str(obj["id"])
-        if doc_id in log:
-            raise DatasetError(f"{path}:{lineno}: duplicate id {doc_id!r}")
-        log[doc_id] = string_list(obj["queries"], "queries", f"{path}:{lineno}")
-    return log
+    return {str(obj["id"]): string_list(obj["queries"], "queries", where)
+            for where, obj in read_records(path, "id", "queries")}
 
 
 def filter_queries(doc, queries, max_span_length=MAX_SPAN_LENGTH, blocklist=None):
@@ -178,11 +171,4 @@ def build_qp_dataset(
 
 def load_blocklist(path):
     """One normalized query per line; blank lines and # comments ignored."""
-    entries = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            entries.add(" ".join(tokenize(line)))
-    return frozenset(entries)
+    return frozenset(" ".join(tokenize(line)) for line in read_lines(path))

@@ -124,11 +124,15 @@ class TestConfigMerging:
         assert len(cfg) == 24
         assert config_digest(cfg) == DEFAULT_DIGEST
 
-    def test_loading_config_leaves_numpy_unloaded(self):
+    def test_loading_config_leaves_numpy_unloaded(self, tmp_path):
+        # with a config file too, so the file reader is held to it as well
+        config = tmp_path / "cfg.json"
+        config.write_text('{"seed": 3}')
         code = ("import sys, kpex.cli; kpex.cli.load_run_config(); "
+                "assert kpex.cli.load_run_config(sys.argv[1])['seed'] == 3; "
                 "print('numpy' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=60,
+        proc = subprocess.run([sys.executable, "-c", code, str(config)],
+                              capture_output=True, text=True, timeout=60,
                               env=dict(os.environ, PYTHONPATH=SRC_DIR))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
@@ -439,7 +443,7 @@ class TestTrainCli:
             "train", "--data", pipeline["data"], "--out", str(tmp_path / "r"),
         ]
         assert main(argv) == 1
-        assert f"{vectors}:1: expected id and vectors" in capsys.readouterr().err
+        assert f"{vectors}:1: expected an object with id and vectors" in capsys.readouterr().err
 
     def test_ablate_no_transformer(self, pipeline, tmp_path):
         run_dir = str(tmp_path / "r")
@@ -734,6 +738,21 @@ class TestEvaluateCli:
         report = json.load(open(report_path))
         assert report["documents"] == 2 and report["skipped"] == ["blank"]
 
+    @pytest.mark.parametrize("line", [
+        '{"id": "d0", "phrases": [["w0 w1", 0.5]]}',
+        '{"id": "d1", "phrases": [["w0 w1", true]]}',
+        '{"id": "d1", "phrases": [["w0 w1", NaN]]}',
+        '{"id": "d1", "phrases": [["w0 w1", -Infinity]]}',
+    ], ids=["duplicate-id", "bool-score", "nan-score", "infinite-score"])
+    def test_bad_prediction_line_exits_one(self, tmp_path, capsys, line):
+        gold = _write_dataset(tmp_path / "gold.jsonl", n=3)
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"id": "d0", "phrases": [["w0 w1", 1.0]]}\n' + line + "\n")
+        assert main(["evaluate", "--preds", str(preds), "--gold", gold]) == 1
+        captured = capsys.readouterr()
+        assert f"{preds}:2: " in captured.err
+        assert "@" not in captured.out
+
     def test_end_to_end_numbers_in_range(self, pipeline, tmp_path):
         preds = str(tmp_path / "preds.jsonl")
         assert main(["predict", "--model", os.path.join(pipeline["run_dir"], "best"),
@@ -849,6 +868,22 @@ class TestAgreementCli:
         blob = json.load(open(out))
         assert blob["percentage"] == pytest.approx(200 / 3, abs=0.01)
         assert blob["pairs"] == 1
+
+    def test_reports_skipped_unigram_pairs(self, tmp_path, capsys):
+        # an empty judge list has no words, so unigram mode skips its pair
+        path = str(tmp_path / "annotations.jsonl")
+        write_jsonl(path, [
+            {"id": "d1", "judges": [["new york"], ["york city"]]},
+            {"id": "d2", "judges": [["red stapler"], []]},
+        ])
+        out = str(tmp_path / "agreement.json")
+        argv = ["agreement", "--annotations", path, "--depth", "1", "--mode", "unigram",
+                "--out", out]
+        assert main(argv) == 0
+        assert "50.00% over 1 judge pairs, 1 truncated lists, 1 skipped pairs" in (
+            capsys.readouterr().out)
+        blob = json.load(open(out))
+        assert (blob["pairs"], blob["truncated_lists"], blob["skipped_pairs"]) == (1, 1, 1)
 
     @pytest.mark.parametrize("judges", [["ab", "ab"], "ab", 5, [["a", 1]]])
     def test_judges_not_lists_of_strings_located(self, tmp_path, capsys, judges):

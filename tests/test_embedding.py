@@ -269,7 +269,7 @@ class TestFrozenVectors:
     @pytest.mark.parametrize("line", [5, "id vectors", ["id", "vectors"]])
     def test_non_object_line_located(self, tmp_path, line):
         path = self._write(tmp_path, [{"id": "d0", "vectors": [[0.0]]}, line])
-        with pytest.raises(DatasetError, match=r"vectors.jsonl:2: expected id and vectors"):
+        with pytest.raises(DatasetError, match=r"vectors.jsonl:2: expected an object with id and vectors"):
             FrozenVectors.load(path, token_dim=1)
 
     def test_wrong_width_rejected(self, tmp_path):

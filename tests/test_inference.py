@@ -400,6 +400,10 @@ class TestPredictionIO:
         {"id": "d2", "phrases": [["red stapler"]]},
         {"id": "d2", "phrases": [["red stapler", "high"]]},
         {"phrases": []},
+        {"id": "d2", "phrases": [["red stapler", True]]},
+        {"id": "d2", "phrases": [["red stapler", float("nan")]]},
+        {"id": "d2", "phrases": [["red stapler", float("inf")]]},
+        {"id": "d2", "phrases": [["red stapler", 10**400]]},
     ])
     def test_bad_line_located(self, tmp_path, line):
         path = str(tmp_path / "preds.jsonl")

@@ -6,8 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from kpex.documents import VISUAL_DIM, make_document, tokenize, validate_visual_rows
-from kpex.fileio import DatasetError
+from kpex.documents import VISUAL_DIM, make_document, tokenize
+from kpex.fileio import DatasetError, read_json
 from kpex.visual import (
     BLOCK_TAGS,
     INLINE_TAGS,
@@ -15,22 +15,10 @@ from kpex.visual import (
     LayoutError,
     classify_tag,
     compute_word_features,
-    load_layout_file,
     parse_layout,
 )
 
 LAYOUT_DIR = os.path.join(os.path.dirname(__file__), "data", "layouts")
-
-
-def passthrough_features(doc_id, text, visual_rows):
-    """Ingest precomputed visual rows attached to raw text.
-
-    Validates the row count against the tokenization and the 18-float width,
-    then builds a Document. Rows are clamped to [0, 1].
-    """
-    n = len(tokenize(text))
-    validate_visual_rows(doc_id, n, visual_rows)
-    return make_document(doc_id, text, visual_rows)
 
 
 def _leaf(tag="span", box=(0, 0, 10, 10), font=12.0, bold=False, text=None):
@@ -202,7 +190,7 @@ class TestParseLayout:
 
     def test_features_align_after_retokenization(self):
         text, rows = parse_layout(self._load("product_page.json"))
-        doc = passthrough_features("p1", text, rows)
+        doc = make_document("p1", text, rows)
         assert len(doc) == len(rows)
 
 
@@ -210,12 +198,12 @@ class TestLoadLayoutFile:
     def test_json_error_carries_position(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"page": [1, 2],\n "root": oops}')
-        with pytest.raises(LayoutError, match=":2:"):
-            load_layout_file(str(path))
+        with pytest.raises(DatasetError, match=r"bad\.json:2:10: invalid JSON"):
+            read_json(str(path))
 
     def test_fixture_roundtrip(self):
         path = os.path.join(LAYOUT_DIR, "product_page.json")
-        text, rows = parse_layout(load_layout_file(path), "p")
+        text, rows = parse_layout(read_json(path), "p")
         assert len(rows) == 20
         assert "stapler" in text.lower()
 
@@ -223,13 +211,13 @@ class TestLoadLayoutFile:
 class TestPassthrough:
     def test_aligned_18_wide_accepted(self):
         rows = [[0.5] * VISUAL_DIM] * 2
-        doc = passthrough_features("d", "hello world", rows)
+        doc = make_document("d", "hello world", rows)
         np.testing.assert_array_equal(doc.visual, np.full((2, VISUAL_DIM), 0.5))
 
     def test_17_wide_rejected(self):
         with pytest.raises(DatasetError, match="shape"):
-            passthrough_features("d", "hello world", [[0.5] * 17] * 2)
+            make_document("d", "hello world", [[0.5] * 17] * 2)
 
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(DatasetError, match="shape"):
-            passthrough_features("d", "hello world", [[0.5] * VISUAL_DIM] * 3)
+            make_document("d", "hello world", [[0.5] * VISUAL_DIM] * 3)
