@@ -1,10 +1,11 @@
 """The one reader for each input file format, and atomic writes.
 
-Every file kpex reads goes through one function here, which locates a bad
-input at ``path:line``: ``read_records`` for JSONL records, ``read_json``
-for a whole JSON file and ``read_lines`` for a plain list of lines. This
-module imports no numpy, because the CLI reads its config file before
-``--threads`` caps the BLAS thread pools.
+Every text file kpex reads (checkpoints are binary, see ``registry``) goes
+through one function here, which locates a bad input at ``path:line``:
+``read_records`` for JSONL records, ``read_json`` for a whole JSON file and
+``read_lines`` for a plain list of lines. This module imports no numpy,
+because the CLI reads its config file before ``--threads`` caps the BLAS
+thread pools.
 """
 
 from __future__ import annotations
