@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MAX_SPAN_LENGTH, PredictConfig
 from .documents import enumerate_spans
 from .fileio import read_lines
 from .inference import Prediction, rank_phrases
@@ -116,7 +117,8 @@ def _span_sums(values, spans):
     return total
 
 
-def tfidf_block(docs, stats, max_span_length=5, top_k=10, stopwords=STOPWORDS):
+def tfidf_block(docs, stats, max_span_length=MAX_SPAN_LENGTH, top_k=PredictConfig.top_k,
+                stopwords=STOPWORDS):
     """``tfidf_rank`` of each document; idf is computed once per token type."""
     types = _types(docs)
     idf = {t: stats.idf(t) for t in types}
@@ -133,7 +135,8 @@ def tfidf_block(docs, stats, max_span_length=5, top_k=10, stopwords=STOPWORDS):
     return predictions
 
 
-def tfidf_rank(doc, stats, max_span_length=5, top_k=10, stopwords=STOPWORDS):
+def tfidf_rank(doc, stats, max_span_length=MAX_SPAN_LENGTH, top_k=PredictConfig.top_k,
+               stopwords=STOPWORDS):
     """Rank candidate spans by their mean tf*idf; tf is count / document length."""
     return tfidf_block([doc], stats, max_span_length, top_k, stopwords)[0]
 
@@ -270,8 +273,8 @@ def pagerank_block(graphs, damping=0.85, tol=1e-8, max_iterations=200):
     return results
 
 
-def textrank_block(docs, max_span_length=5, top_k=10, window=2, damping=0.85,
-                   stopwords=STOPWORDS):
+def textrank_block(docs, max_span_length=MAX_SPAN_LENGTH, top_k=PredictConfig.top_k,
+                   window=2, damping=0.85, stopwords=STOPWORDS):
     """``textrank_rank`` of each document, with one PageRank over all graphs."""
     punctuation = _punctuation(_types(docs))
     graphs = (build_word_graph(doc, window, stopwords, punctuation) for doc in docs)
@@ -286,13 +289,7 @@ def textrank_block(docs, max_span_length=5, top_k=10, window=2, damping=0.85,
     return predictions
 
 
-def textrank_rank(
-    doc,
-    max_span_length=5,
-    top_k=10,
-    window=2,
-    damping=0.85,
-    stopwords=STOPWORDS,
-):
+def textrank_rank(doc, max_span_length=MAX_SPAN_LENGTH, top_k=PredictConfig.top_k,
+                  window=2, damping=0.85, stopwords=STOPWORDS):
     """Rank candidate spans by the sum of their words' TextRank scores."""
     return textrank_block([doc], max_span_length, top_k, window, damping, stopwords)[0]

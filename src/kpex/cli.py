@@ -3,9 +3,11 @@ pipeline stage.
 
 Configuration is a flat JSON object with dotted keys ("model.filters": 64).
 Precedence: built-in defaults < config file (--config) < --set overrides <
-dedicated flags (--seed). The merged config's SHA-256 digest is recorded in
-every output (run directories, checkpoint metadata, sidecar .meta.json files
-next to JSONL outputs) so any artifact can be traced to its exact settings.
+shortcut flags (--seed, --threads, --top-k, --ablate), which ``main`` turns
+into --set items applied last. Handlers read settings from the merged config
+alone, and its SHA-256 digest, computed only here, is recorded in every output
+(run directories, checkpoint metadata, sidecar .meta.json files next to JSONL
+outputs) so any artifact can be traced to its exact settings.
 
 Heavy imports happen inside handlers so --threads can cap BLAS thread pools
 before numpy loads.
@@ -34,11 +36,11 @@ SECTIONS = {
 }
 _NOT_KEYS = ("model.embedding", "embedding.visual_dim", "train.seed")
 
-# The paper's ablation names, as model-config overrides.
+# The paper's ablation names, as the --set items that --ablate stands for.
 ABLATIONS = {
-    "no_transformer": {"layers": 0},
-    "no_position": {"no_position": True},
-    "no_visual": {"no_visual": True},
+    "no_transformer": "model.layers=0",
+    "no_position": "model.no_position=true",
+    "no_visual": "model.no_visual=true",
 }
 
 
@@ -67,8 +69,12 @@ def default_config():
     return cfg
 
 
-def load_run_config(config_path=None, overrides=(), seed=None, threads=None):
-    """Merge defaults, config file, --set overrides, and dedicated flags."""
+def load_run_config(config_path=None, overrides=()):
+    """Merge defaults, the config file and ``overrides``, in that order.
+
+    ``overrides`` are ``key=value`` items, a later one winning: the --set
+    items, then those the shortcut flags stand for (see ``main``).
+    """
     merged = default_config()
     if config_path:
         try:
@@ -91,10 +97,6 @@ def load_run_config(config_path=None, overrides=(), seed=None, threads=None):
             merged[key] = json.loads(raw)
         except json.JSONDecodeError:
             merged[key] = raw  # bare strings are fine unquoted
-    if seed is not None:
-        merged["seed"] = seed
-    if threads is not None:
-        merged["threads"] = threads
     _check_types(merged)
     n = merged["threads"]
     if n < 0:
@@ -131,44 +133,42 @@ def _apply_threads(cfg):
             os.environ[var] = str(n)
 
 
-def _section(cfg, prefix, **given):
-    """The dataclass of section ``prefix`` built from the flat ``cfg``.
+def _section(cfg, prefix):
+    """The dataclass of section ``prefix`` built from the flat ``cfg`` alone.
 
     ``cfg`` is type-checked by load_run_config; an int given for a float
-    field becomes a float, and ``given`` fields are taken as they are. The
+    field becomes a float. The training seed is the top-level ``seed``. The
     one optional field, train.total_steps, is a step count, or None when it
     is null or 0.
     """
+    values = {}
     for f in fields(SECTIONS[prefix]):
         key = f"{prefix}.{f.name}"
-        if f.name in given:
-            continue
         if f.name in SECTIONS:
-            given[f.name] = _section(cfg, f.name)
+            values[f.name] = _section(cfg, f.name)
+        elif key == "train.seed":
+            values[f.name] = cfg["seed"]
         elif key not in _NOT_KEYS:
             value = cfg[key]
             if f.default is None:
-                given[f.name] = value or None
+                values[f.name] = value or None
             else:
-                given[f.name] = float(value) if type(f.default) is float else value
-    return SECTIONS[prefix](**given)
+                values[f.name] = float(value) if type(f.default) is float else value
+    return SECTIONS[prefix](**values)
 
 
-def _predict_section(args, cfg):
-    """The predict section; a --top-k flag replaces predict.top_k, checked alike."""
-    given = {} if args.top_k is None else {"top_k": args.top_k}
-    return _section(cfg, "predict", **given)
-
-
-def _ablations(names):
-    overrides = {}
-    for name in names:
+def _shortcut_items(args):
+    """The --set items that the shortcut flags given in ``args`` stand for."""
+    flags = (("seed", args.seed), ("threads", args.threads),
+             ("predict.top_k", getattr(args, "top_k", None)))
+    items = [f"{key}={value}" for key, value in flags if value is not None]
+    for name in getattr(args, "ablate", ()):
         if name not in ABLATIONS:
             raise CliError(
                 f"unknown ablation {name!r}; choose from {', '.join(ABLATIONS)}"
             )
-        overrides.update(ABLATIONS[name])
-    return overrides
+        items.append(ABLATIONS[name])
+    return items
 
 
 def _write_meta(out_path, cfg, command, extra=None):
@@ -247,7 +247,8 @@ def cmd_build_qp(args, cfg):
     max_span_length = _section(cfg, "model").max_span_length
     max_doc_length = _section(cfg, "train").max_doc_length
     records = list(read_records(args.docs, "id", "text"))
-    items, _ = dataset_from_records(records)
+    items, ingest = dataset_from_records(records)
+    _report_empty(ingest)
     docs = [getattr(item, "document", item) for item in items]
     raw_by_id = {str(obj["id"]): obj for _, obj in records}
     log = read_query_log(args.clicks)
@@ -287,15 +288,14 @@ def _run_train(args, cfg, mode):
     items, ingest = read_dataset(args.data, require_labels=True)
     if not items:
         raise CliError(f"no labeled documents in {args.data}")
-    train_cfg = _section(cfg, "train", seed=cfg["seed"])
-    ablations = _ablations(args.ablate)
+    train_cfg = _section(cfg, "train")
     frozen = _load_frozen(cfg)
     if args.init:
         path = _resolve_checkpoint(args.init)
         model, _ = SpanScorer.load(path, frozen_vectors=frozen)
         # the checkpoint's model: a value asked for (by --set, --config or
         # --ablate) must match it; values left at their defaults come from it
-        requested = _section(cfg, "model", **ablations)
+        requested = _section(cfg, "model")
         for prefix, want, found in (("model", requested, model.config),
                                     ("embedding", requested.embedding, model.config.embedding)):
             default = type(want)()
@@ -307,7 +307,7 @@ def _run_train(args, cfg, mode):
                         f"checkpoint {path} has {prefix}.{f.name}={json.dumps(have)}"
                     )
     else:
-        model_cfg = _section(cfg, "model", **ablations)
+        model_cfg = _section(cfg, "model")
         vocab = None
         if model_cfg.embedding.source == "trainable":
             vocab = TokenVocabulary.build(
@@ -365,7 +365,7 @@ def cmd_predict(args, cfg):
     from .inference import chunk_and_merge, dedup_substrings, predict_topk, write_predictions
     from .model import SpanScorer
 
-    predict_cfg = _predict_section(args, cfg)
+    predict_cfg = _section(cfg, "predict")
     max_doc_length = _section(cfg, "train").max_doc_length
     model, _ = SpanScorer.load(_resolve_checkpoint(args.model),
                                frozen_vectors=_load_frozen(cfg))
@@ -422,7 +422,7 @@ def cmd_baseline(args, cfg):
     from .documents import read_dataset, truncate
     from .inference import write_predictions
 
-    top_k = _predict_section(args, cfg).top_k
+    top_k = _section(cfg, "predict").top_k
     max_doc_length = _section(cfg, "train").max_doc_length
     max_len = _section(cfg, "model").max_span_length
     items, ingest = read_dataset(args.data)
@@ -488,7 +488,7 @@ def cmd_gradcheck(args, cfg):
     from .model import SpanScorer
     from .training import TrainingExample, keyphrase_loss
 
-    model_cfg = _section(cfg, "model", **_ablations(args.ablate))
+    model_cfg = _section(cfg, "model")
     if model_cfg.embedding.source != "trainable":
         raise CliError("gradcheck runs on the trainable-embedding configuration")
     doc, target = gradcheck_example(seed=cfg["seed"],
@@ -532,9 +532,9 @@ def build_parser():
     parser.add_argument("--config", help="JSON config file with flat dotted keys")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
-    parser.add_argument("--seed", type=int, help="random seed (overrides config)")
+    parser.add_argument("--seed", type=int, help="random seed (--set seed=N, applied last)")
     parser.add_argument("--threads", type=int,
-                        help="cap BLAS threads (set before numpy loads)")
+                        help="cap BLAS threads (set before numpy loads); --set threads=N")
     parser.add_argument("--show-config", action="store_true",
                         help="print the merged configuration and exit")
     sub = parser.add_subparsers(dest="command")
@@ -568,7 +568,7 @@ def build_parser():
                    help="score long documents in decaying-weight chunks")
     p.add_argument("--dedup", action="store_true",
                    help="drop substrings of top-quarter phrases")
-    p.add_argument("--top-k", type=int)
+    p.add_argument("--top-k", type=int, help="--set predict.top_k=K")
     p.set_defaults(handler=cmd_predict)
 
     p = sub.add_parser("evaluate", help="precision/recall against gold labels")
@@ -584,7 +584,7 @@ def build_parser():
     p.add_argument("--method", required=True, choices=("tfidf", "textrank"))
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--top-k", type=int)
+    p.add_argument("--top-k", type=int, help="--set predict.top_k=K")
     p.add_argument("--stopwords",
                    help="stopword list file, one word a line; it replaces the "
                         "built-in English list, and an empty file means no stopwords")
@@ -615,7 +615,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_run_config(args.config, args.set, args.seed, args.threads)
+        cfg = load_run_config(args.config, args.set + _shortcut_items(args))
         if args.show_config:
             print(json.dumps(cfg, indent=2, sort_keys=True))
             print(f"digest: {config_digest(cfg)}")

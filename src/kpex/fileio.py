@@ -18,8 +18,17 @@ class DatasetError(ValueError):
     pass
 
 
-def _invalid_json(path, lineno, exc):
-    return DatasetError(f"{path}:{lineno}:{exc.colno}: invalid JSON: {exc.msg}")
+def _invalid_json(path, exc, lineno=None):
+    """DatasetError at ``path:lineno``, or at ``path`` for a whole file.
+
+    A syntax error adds its column (and its line in a whole file). An integer
+    literal past Python's digit limit raises a plain ValueError, with no position.
+    """
+    if isinstance(exc, json.JSONDecodeError):
+        return DatasetError(
+            f"{path}:{lineno or exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}")
+    where = path if lineno is None else f"{path}:{lineno}"
+    return DatasetError(f"{where}: invalid JSON: {exc}")
 
 
 def read_json(path):
@@ -27,8 +36,8 @@ def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise _invalid_json(path, exc.lineno, exc) from exc
+        except ValueError as exc:
+            raise _invalid_json(path, exc) from exc
 
 
 def read_records(path, *fields):
@@ -49,8 +58,8 @@ def read_records(path, *fields):
             where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise _invalid_json(path, lineno, exc) from exc
+            except ValueError as exc:
+                raise _invalid_json(path, exc, lineno) from exc
             if not isinstance(obj, dict) or any(f not in obj for f in fields):
                 raise DatasetError(f"{where}: {expected}")
             if "id" in fields:

@@ -10,8 +10,6 @@ so location and length compete in the same normalization.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,14 +227,9 @@ class SpanScorer:
     # -- persistence ----------------------------------------------------
 
     def save(self, path, extra_metadata=None):
-        config_dict = self.config.to_dict()
-        digest = hashlib.sha256(
-            json.dumps(config_dict, sort_keys=True).encode("utf-8")
-        ).hexdigest()
         meta = {
             "format": "span-scorer",
-            "config": config_dict,
-            "config_digest": digest,
+            "config": self.config.to_dict(),
             "vocab": self.vocab.to_list() if self.vocab is not None else None,
         }
         if extra_metadata:

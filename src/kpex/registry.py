@@ -2,9 +2,9 @@
 
 Parameters live in an insertion-ordered name -> Tensor map so optimizers and
 checkpoints agree on iteration order. Checkpoints are a single binary file:
-a magic/version header, a JSON metadata block (model config, digest, vocab),
-then one record per parameter with its name, shape, and little-endian float64
-payload. Round-trips are exact.
+a magic/version header, a JSON metadata block (model config, vocab, caller
+extras such as the CLI's config digest), then one record per parameter with
+its name, shape, and little-endian float64 payload. Round-trips are exact.
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ downstream, so identical seeds give identical loss curves.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -22,7 +21,7 @@ import numpy as np
 from .autodiff import no_grad, softmax_cross_entropy
 from .config import MAX_DOC_LENGTH
 from .documents import build_labels, span_target, truncate
-from .fileio import write_atomic, write_json
+from .fileio import write_atomic, write_json, write_jsonl
 from .optim import Adam, geometric_lr
 
 
@@ -198,8 +197,7 @@ def run_training(model, examples, config, run_dir=None, log=None, checkpoint_met
             record.best_val_loss = selection
             record.best_epoch = epoch
         if run_dir:
-            with open(metrics_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(asdict(stats)) + "\n")
+            write_jsonl(metrics_path, [asdict(s) for s in record.epochs])
             epoch_path = os.path.join(run_dir, f"epoch{epoch}.ckpt")
             extra = dict(checkpoint_metadata or {})
             extra["epoch"] = epoch

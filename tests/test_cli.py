@@ -65,6 +65,28 @@ def _read_bytes(path):
         return fh.read()
 
 
+def _shown(capsys):
+    """The config and digest that --show-config printed."""
+    out = capsys.readouterr().out
+    config, digest = out.split("digest: ")
+    return json.loads(config), digest.strip()
+
+
+TRAIN_ARGV = ["train", "--data", "train.jsonl", "--out", "run"]
+PREDICT_ARGV = ["predict", "--model", "run/best", "--data", "pages.jsonl",
+                "--out", "preds.jsonl"]
+
+# (a shortcut flag's argv, the same run spelled with --set)
+SHORTCUTS = [
+    (["--seed", "5"], ["--set", "seed=5"]),
+    (["--threads", "2"], ["--set", "threads=2"]),
+    (PREDICT_ARGV + ["--top-k", "3"], ["--set", "predict.top_k=3"] + PREDICT_ARGV),
+    (TRAIN_ARGV + ["--ablate", "no_visual"], ["--set", "model.no_visual=true"] + TRAIN_ARGV),
+    (TRAIN_ARGV + ["--ablate", "no_transformer,no_position"],
+     ["--set", "model.layers=0", "--set", "model.no_position=true"] + TRAIN_ARGV),
+]
+
+
 class TestConfigMerging:
     def test_defaults_returned(self):
         cfg = load_run_config()
@@ -85,11 +107,18 @@ class TestConfigMerging:
         cfg = load_run_config(str(path), overrides=["model.filters=16"])
         assert cfg["model.filters"] == 16
 
-    def test_seed_flag_wins(self, tmp_path):
+    def test_seed_flag_wins(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seed": 3}))
-        cfg = load_run_config(str(path), overrides=["seed=4"], seed=5)
-        assert cfg["seed"] == 5
+
+        def shown_seed(*flags):
+            assert main(["--config", str(path), *flags, "--show-config"]) == 0
+            return _shown(capsys)[0]["seed"]
+
+        assert shown_seed() == 3
+        assert shown_seed("--set", "seed=4") == 4
+        assert shown_seed("--set", "seed=4", "--seed", "5") == 5
+        assert shown_seed("--seed", "5", "--set", "seed=4") == 5
 
     def test_set_parses_json_values(self):
         cfg = load_run_config(overrides=[
@@ -217,6 +246,17 @@ class TestTopLevel:
         assert '"model.filters": 64' in out
         assert "digest: " in out
 
+    @pytest.mark.parametrize("shortcut,spelled", SHORTCUTS,
+                             ids=["seed", "threads", "top_k", "no_visual", "two_ablations"])
+    def test_shortcut_shows_its_set_config(self, capsys, shortcut, spelled):
+        assert main(["--show-config"]) == 0
+        default = _shown(capsys)
+        assert main(["--show-config"] + shortcut) == 0
+        shown = _shown(capsys)
+        assert main(["--show-config"] + spelled) == 0
+        assert shown == _shown(capsys)
+        assert shown[1] != default[1]
+
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
         assert "usage: kpex" in capsys.readouterr().out
@@ -343,6 +383,26 @@ class TestBuildQp:
             assert hashlib.sha256(fh.read()).hexdigest() == (
                 "89e02abdf8d611a2917a5143b2afc1857e4dbda124846b3ec9e2a2472afb4765"
             )
+
+    def test_empty_documents_reported(self, tmp_path, capsys):
+        full, kept = _with_empty_line(tmp_path)
+        clicks = str(tmp_path / "clicks.jsonl")
+        write_jsonl(clicks, [{"id": "a", "queries": ["red stapler"]},
+                             {"id": "blank", "queries": ["red stapler"]},
+                             {"id": "b", "queries": ["office chair"]}])
+        outs = []
+        for docs in (full, kept):
+            out = str(tmp_path / f"{os.path.basename(docs)}.qp")
+            assert main(["build-qp", "--docs", docs, "--clicks", clicks, "--out", out]) == 0
+            captured = capsys.readouterr()
+            outs.append((captured.out.replace(out, ""), captured.err,
+                         _read_bytes(out), _read_bytes(out + ".stats.json")))
+        (full_out, full_err, *full_files), (kept_out, kept_err, *kept_files) = outs
+        assert "wrote 2 query-prediction documents" in full_out
+        assert full_out == kept_out
+        assert "skipped: 1 empty" in full_err
+        assert "skipped" not in kept_err
+        assert full_files == kept_files
 
     def test_blocklist(self, tmp_path):
         docs, clicks = self._inputs(tmp_path)
@@ -482,6 +542,32 @@ class TestTrainCli:
         assert len(written) == 8
         modes = {os.path.basename(p): oct(os.stat(p).st_mode & 0o777) for p in written}
         assert set(modes.values()) == {"0o644"}, modes
+
+    def test_ablation_digest_is_its_set_digest(self, pipeline, tmp_path):
+        from kpex.registry import load_checkpoint
+
+        def digests(name, before=(), after=()):
+            run_dir = str(tmp_path / name)
+            argv = [*SMALL_MODEL, "--set", "train.max_epochs=1", *before,
+                    "train", "--data", pipeline["data"], "--out", run_dir, *after]
+            assert main(argv) == 0
+            with open(os.path.join(run_dir, "run.meta.json")) as fh:
+                run = json.load(fh)["config_digest"]
+            checkpoint, _ = load_checkpoint(os.path.join(run_dir, "best.ckpt"))
+            return run, checkpoint["config_digest"]
+
+        ablated = digests("ablated", after=["--ablate", "no_visual"])
+        assert ablated == digests("spelled", before=["--set", "model.no_visual=true"])
+        assert ablated[0] == ablated[1]
+        assert digests("plain")[0] != ablated[0]
+
+    def test_seed_reaches_training(self, pipeline, tmp_path):
+        run_dir = str(tmp_path / "r")
+        argv = SMALL_MODEL + ["--seed", "3", "--set", "train.max_epochs=1",
+                              "train", "--data", pipeline["data"], "--out", run_dir]
+        assert main(argv) == 0
+        with open(os.path.join(run_dir, "config.json")) as fh:
+            assert json.load(fh)["training"]["seed"] == 3
 
     def test_unknown_ablation(self, pipeline, tmp_path, capsys):
         argv = ["train", "--data", pipeline["data"],

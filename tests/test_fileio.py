@@ -5,10 +5,10 @@ import re
 
 import pytest
 
-from kpex.cli import cmd_agreement
+from kpex.cli import cmd_agreement, main
 from kpex.documents import read_dataset
 from kpex.embedding import FrozenVectors
-from kpex.fileio import DatasetError, read_records, write_jsonl
+from kpex.fileio import DatasetError, read_json, read_records, write_jsonl
 from kpex.inference import read_predictions
 from kpex.weaksup import read_query_log
 
@@ -63,3 +63,36 @@ def test_invalid_json_located_by_line_and_column(tmp_path):
     path.write_text('{"id": "d1"}\n\n{"id": oops}\n')
     with pytest.raises(DatasetError, match=re.escape(f"{path}:3:8: invalid JSON: ")):
         list(read_records(str(path), "id"))
+
+
+# an integer literal past Python's 4,300-digit limit: json raises a plain
+# ValueError for it, with no line or column
+LONG_INTEGER = "1" * 5000
+
+
+def test_integer_past_digit_limit_located(tmp_path):
+    records = tmp_path / "records.jsonl"
+    records.write_text('{"id": "d1"}\n{"id": %s}\n' % LONG_INTEGER)
+    with pytest.raises(DatasetError, match=re.escape(f"{records}:2: invalid JSON: ")):
+        list(read_records(str(records), "id"))
+    whole = tmp_path / "config.json"
+    whole.write_text('{"seed": %s}\n' % LONG_INTEGER)
+    with pytest.raises(DatasetError, match=re.escape(f"{whole}: invalid JSON: ")):
+        read_json(str(whole))
+
+
+@pytest.mark.parametrize("command", ["baseline", "config"])
+def test_integer_past_digit_limit_exits_one_naming_the_file(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    if command == "baseline":
+        bad.write_text('{"id": "d1", "text": "red stapler"}\n'
+                       '{"id": "d2", "text": "blue chair", "n": %s}\n' % LONG_INTEGER)
+        argv = ["baseline", "--method", "tfidf", "--data", str(bad),
+                "--out", str(tmp_path / "out.jsonl")]
+        where = f"{bad}:2"
+    else:
+        bad.write_text('{"seed": %s}\n' % LONG_INTEGER)
+        argv = ["--config", str(bad), "--show-config"]
+        where = str(bad)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {where}: invalid JSON: ")
