@@ -97,6 +97,8 @@ def load_run_config(config_path=None, overrides=()):
             merged[key] = json.loads(raw)
         except json.JSONDecodeError:
             merged[key] = raw  # bare strings are fine unquoted
+        except ValueError as exc:  # an integer past Python's digit limit
+            raise CliError(f"--set {key}: {exc}")
     _check_types(merged)
     n = merged["threads"]
     if n < 0:
@@ -247,9 +249,8 @@ def cmd_build_qp(args, cfg):
     max_span_length = _section(cfg, "model").max_span_length
     max_doc_length = _section(cfg, "train").max_doc_length
     records = list(read_records(args.docs, "id", "text"))
-    items, ingest = dataset_from_records(records)
+    docs, ingest = dataset_from_records(records)
     _report_empty(ingest)
-    docs = [getattr(item, "document", item) for item in items]
     raw_by_id = {str(obj["id"]): obj for _, obj in records}
     log = read_query_log(args.clicks)
     blocklist = load_blocklist(args.blocklist) if args.blocklist else None
@@ -264,8 +265,8 @@ def cmd_build_qp(args, cfg):
         raise CliError("no documents survived query filtering")
     lines = []
     for ex in examples:
-        raw = raw_by_id[ex.document.id]
-        line = {"id": ex.document.id, "text": raw["text"]}
+        raw = raw_by_id[ex.id]
+        line = {"id": ex.id, "text": raw["text"]}
         if raw.get("visual") is not None:
             line["visual"] = raw["visual"]
         line["keyphrases"] = list(ex.keyphrases)
@@ -285,8 +286,9 @@ def _run_train(args, cfg, mode):
     from .model import SpanScorer
     from .training import prepare_examples, run_training
 
-    items, ingest = read_dataset(args.data, require_labels=True)
-    if not items:
+    docs, ingest = read_dataset(args.data)
+    labeled = [d for d in docs if d.keyphrases]
+    if not labeled:
         raise CliError(f"no labeled documents in {args.data}")
     train_cfg = _section(cfg, "train")
     frozen = _load_frozen(cfg)
@@ -311,17 +313,18 @@ def _run_train(args, cfg, mode):
         vocab = None
         if model_cfg.embedding.source == "trainable":
             vocab = TokenVocabulary.build(
-                (truncate(it.document, train_cfg.max_doc_length) for it in items),
+                (truncate(d, train_cfg.max_doc_length) for d in labeled),
                 min_count=model_cfg.embedding.min_count,
             )
         model = SpanScorer(model_cfg, vocab=vocab, frozen_vectors=frozen,
                            seed=cfg["seed"])
     examples, prep = prepare_examples(
-        items, model.config.max_span_length, train_cfg.max_doc_length
+        labeled, model.config.max_span_length, train_cfg.max_doc_length
     )
-    if ingest.skipped_empty or prep.skipped_no_match:
+    unlabeled = len(docs) - len(labeled)
+    if ingest.skipped_empty or unlabeled or prep.skipped_no_match:
         print(
-            f"skipped: {len(ingest.skipped_empty)} empty, "
+            f"skipped: {len(ingest.skipped_empty)} empty, {unlabeled} unlabeled, "
             f"{len(prep.skipped_no_match)} with no matchable phrase",
             file=sys.stderr,
         )
@@ -369,11 +372,10 @@ def cmd_predict(args, cfg):
     max_doc_length = _section(cfg, "train").max_doc_length
     model, _ = SpanScorer.load(_resolve_checkpoint(args.model),
                                frozen_vectors=_load_frozen(cfg))
-    items, ingest = read_dataset(args.data)
+    docs, ingest = read_dataset(args.data)
     _report_empty(ingest)
     predictions = []
-    for item in items:
-        doc = getattr(item, "document", item)
+    for doc in docs:
         if args.chunked:
             pred = chunk_and_merge(model, doc, predict_cfg.chunk_len,
                                    predict_cfg.chunk_weight)
@@ -399,9 +401,9 @@ def cmd_evaluate(args, cfg):
     from .metrics import evaluate
 
     preds = {p.doc_id: p.phrase_list() for p in read_predictions(args.preds)}
-    items, ingest = read_dataset(args.gold, require_labels=True)
+    docs, ingest = read_dataset(args.gold)
     _report_empty(ingest)
-    gold = {item.document.id: list(item.keyphrases) for item in items}
+    gold = {doc.id: list(doc.keyphrases) for doc in docs}
     depths = tuple(int(d) for d in args.depths.split(","))
     f1_depths = tuple(int(d) for d in args.f1.split(",")) if args.f1 else ()
     report = evaluate(preds, gold, depths=depths, f1_depths=f1_depths,
@@ -425,9 +427,9 @@ def cmd_baseline(args, cfg):
     top_k = _section(cfg, "predict").top_k
     max_doc_length = _section(cfg, "train").max_doc_length
     max_len = _section(cfg, "model").max_span_length
-    items, ingest = read_dataset(args.data)
+    docs, ingest = read_dataset(args.data)
     _report_empty(ingest)
-    docs = [truncate(getattr(item, "document", item), max_doc_length) for item in items]
+    docs = [truncate(doc, max_doc_length) for doc in docs]
     if not docs:
         raise CliError(f"no documents in {args.data}")
     stopwords = load_stopwords(args.stopwords) if args.stopwords else None

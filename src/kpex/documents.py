@@ -1,10 +1,11 @@
 """Document model: tokenization, candidate spans, and gold-label alignment.
 
 A document is a sequence of lowercased tokens plus one 18-dimensional visual
-feature row per token. Candidate keyphrases are all n-grams up to a maximum
-width K, one (start, length) row each; gold phrases are aligned to the token
-sequence by exact token-level match, and the training target spreads
-probability uniformly over every occurrence of every matched phrase.
+feature row per token, and the keyphrases it is labeled with, if any.
+Candidate keyphrases are all n-grams up to a maximum width K, one (start,
+length) row each; gold phrases are aligned to the token sequence by exact
+token-level match, and the training target spreads probability uniformly
+over every occurrence of every matched phrase.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ class Document:
     zero_visual: bool = False
     token_offset: int = 0  # position of token 0 in the source document
     source_id: str = ""  # id of the source document; defaults to id
+    keyphrases: tuple = ()  # gold or query phrases; empty when unlabeled
 
     def __post_init__(self):
         if not self.id:
@@ -67,16 +69,6 @@ class Document:
         return " ".join(self.tokens[start : start + length])
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledDocument:
-    document: Document
-    keyphrases: tuple
-
-    def __post_init__(self):
-        if not self.keyphrases:
-            raise ValueError(f"document {self.document.id!r} has no keyphrases")
-
-
 def float_rows(rows, name, width, where, n_rows=None):
     """``rows`` as a 2-D float64 array of finite numbers, ``width`` columns wide.
 
@@ -96,22 +88,24 @@ def float_rows(rows, name, width, where, n_rows=None):
     return arr
 
 
-def make_document(doc_id, text, visual_rows=None, where=None):
+def make_document(doc_id, text, visual_rows=None, where=None, keyphrases=()):
     """Tokenize raw text into a Document; returns None for empty token lists.
 
     Missing visual features are zero-filled and flagged via ``zero_visual``;
     given rows are clamped to [0, 1], and ``where`` locates bad rows in their
-    file.
+    file. ``keyphrases`` labels the document; none leaves it unlabeled.
     """
     tokens = tuple(tokenize(text))
     if not tokens:
         return None
     if visual_rows is None:
         visual = np.zeros((len(tokens), VISUAL_DIM))
-        return Document(doc_id, tokens, visual, zero_visual=True)
-    source = f"{where}: document {doc_id!r}" if where else f"document {doc_id!r}"
-    rows = float_rows(visual_rows, "visual features", VISUAL_DIM, source, len(tokens))
-    return Document(doc_id, tokens, np.clip(rows, 0.0, 1.0))
+    else:
+        source = f"{where}: document {doc_id!r}" if where else f"document {doc_id!r}"
+        rows = float_rows(visual_rows, "visual features", VISUAL_DIM, source, len(tokens))
+        visual = np.clip(rows, 0.0, 1.0)
+    return Document(doc_id, tokens, visual, zero_visual=visual_rows is None,
+                    keyphrases=tuple(keyphrases))
 
 
 def truncate(doc, max_len=MAX_DOC_LENGTH):
@@ -185,16 +179,17 @@ class LabelReport:
     too_long: list = field(default_factory=list)
 
 
-def build_labels(labeled, max_len=MAX_SPAN_LENGTH):
-    """Align gold phrases to spans; returns (sorted Spans | None, LabelReport).
+def build_labels(doc, max_len=MAX_SPAN_LENGTH):
+    """Align ``doc.keyphrases`` to spans; returns (sorted Spans | None, LabelReport).
 
     Phrases longer than ``max_len`` tokens are unmatchable by construction and
-    reported separately. A document where nothing matches yields None and is
-    expected to be skipped (with a counter) by training code.
+    reported separately. A document where nothing matches, an unlabeled one
+    included, yields None and is expected to be skipped (with a counter) by
+    training code.
     """
     report = LabelReport()
     spans = set()
-    for phrase in labeled.keyphrases:
+    for phrase in doc.keyphrases:
         needle = tokenize(phrase)
         if not needle:
             report.unmatched.append(phrase)
@@ -202,7 +197,7 @@ def build_labels(labeled, max_len=MAX_SPAN_LENGTH):
         if len(needle) > max_len:
             report.too_long.append(phrase)
             continue
-        found = match_phrase(labeled.document, phrase)
+        found = match_phrase(doc, phrase)
         if found:
             report.matched += 1
             spans.update(found)
@@ -215,50 +210,39 @@ def build_labels(labeled, max_len=MAX_SPAN_LENGTH):
 
 @dataclass
 class IngestReport:
-    total_lines: int = 0
-    kept: int = 0
     skipped_empty: list = field(default_factory=list)
-    skipped_unlabeled: list = field(default_factory=list)
     zero_visual: list = field(default_factory=list)
 
 
-def read_dataset(path, require_labels=False):
+def read_dataset(path):
     """Load a JSONL dataset of {"id", "text", "visual"?, "keyphrases"?}.
 
-    Returns (items, IngestReport). Items are LabeledDocuments when the line
-    carries keyphrases, otherwise bare Documents. Documents that tokenize to
-    nothing are skipped and counted, not fatal. A text that is not a string,
-    keyphrases that are not a list of strings, bad visual rows, and every
-    breach of the ``read_records`` contract raise DatasetError at
+    Returns (documents, IngestReport). Each line becomes one Document whose
+    ``keyphrases`` holds the line's phrases, empty when it has none. Documents
+    that tokenize to nothing are skipped and counted, not fatal. A text that is
+    not a string, keyphrases that are not a list of strings, bad visual rows,
+    and every breach of the ``read_records`` contract raise DatasetError at
     ``path:lineno``.
     """
-    return dataset_from_records(read_records(path, "id", "text"), require_labels)
+    return dataset_from_records(read_records(path, "id", "text"))
 
 
-def dataset_from_records(records, require_labels=False):
+def dataset_from_records(records):
     """``read_dataset`` over the ``(where, object)`` records of ``read_records``."""
-    items = []
+    docs = []
     report = IngestReport()
     for where, obj in records:
-        report.total_lines += 1
         doc_id = str(obj["id"])
         if not isinstance(obj["text"], str):
             raise DatasetError(f"{where}: text must be a string")
         phrases = obj.get("keyphrases")
         if phrases is not None:
             string_list(phrases, "keyphrases", where)
-        doc = make_document(doc_id, obj["text"], obj.get("visual"), where)
+        doc = make_document(doc_id, obj["text"], obj.get("visual"), where, phrases or ())
         if doc is None:
             report.skipped_empty.append(doc_id)
             continue
         if doc.zero_visual:
             report.zero_visual.append(doc_id)
-        if phrases:
-            items.append(LabeledDocument(doc, tuple(phrases)))
-        elif require_labels:
-            report.skipped_unlabeled.append(doc_id)
-            continue
-        else:
-            items.append(doc)
-        report.kept += 1
-    return items, report
+        docs.append(doc)
+    return docs, report

@@ -47,14 +47,13 @@ class PreparationReport:
     phrases_unmatched: int = 0
 
 
-def prepare_examples(labeled_docs, max_span_length, max_doc_length=MAX_DOC_LENGTH):
-    """Truncate, align labels, and drop documents with no matchable phrase."""
+def prepare_examples(docs, max_span_length, max_doc_length=MAX_DOC_LENGTH):
+    """Truncate, align keyphrases, and drop documents with no matchable phrase."""
     examples = []
     report = PreparationReport()
-    for item in labeled_docs:
-        doc = truncate(item.document, max_doc_length)
-        clipped = type(item)(doc, item.keyphrases)
-        spans, label_report = build_labels(clipped, max_span_length)
+    for doc in docs:
+        doc = truncate(doc, max_doc_length)
+        spans, label_report = build_labels(doc, max_span_length)
         report.phrases_too_long += len(label_report.too_long)
         report.phrases_unmatched += len(label_report.unmatched)
         if spans is None:

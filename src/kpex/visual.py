@@ -14,6 +14,7 @@ font, block width, block height, x, y, bold, inline-tag, block-tag, DOM-leaf.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +53,15 @@ def _parse_node(obj, path):
         tag = str(obj["tag"]).lower()
         box = tuple(float(v) for v in obj["box"])
         font = float(obj["font"])
-        bold = bool(obj.get("bold", False))
     except (KeyError, TypeError, ValueError) as exc:
         raise LayoutError(f"{path}: bad node fields ({exc})") from exc
+    bold = obj.get("bold", False)
+    if not isinstance(bold, bool):
+        raise LayoutError(f"{path}: bold must be true or false, got {bold!r}")
     if len(box) != 4:
         raise LayoutError(f"{path}: box must be [x, y, w, h]")
+    if not all(map(math.isfinite, (*box, font))):
+        raise LayoutError(f"{path}: non-finite box or font size")
     if box[2] < 0 or box[3] < 0:
         raise LayoutError(f"{path}: negative box dimensions")
     if font < 0:
@@ -134,8 +139,8 @@ def parse_layout(layout, doc_id="layout"):
     if not isinstance(page, (list, tuple)) or len(page) != 2:
         raise LayoutError(f"{doc_id}: page must be [width, height]")
     page_dims = (float(page[0]), float(page[1]))
-    if page_dims[0] <= 0 or page_dims[1] <= 0:
-        raise LayoutError(f"{doc_id}: page dimensions must be positive")
+    if not all(0 < v < math.inf for v in page_dims):
+        raise LayoutError(f"{doc_id}: page dimensions must be positive and finite")
     root = _parse_node(layout["root"], f"{doc_id}.root")
     fonts = []
 

@@ -10,13 +10,12 @@ every occurrence of every surviving query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from statistics import mean, pstdev
 
 from .documents import (
     MAX_DOC_LENGTH,
     MAX_SPAN_LENGTH,
-    LabeledDocument,
     match_phrase,
     tokenize,
     truncate,
@@ -124,10 +123,10 @@ def build_qp_dataset(
 
     ``documents`` is any iterable of Documents; ids absent from the log, and
     documents where every query drops out, are skipped. Returns (examples,
-    QueryDatasetStats), where each example is a LabeledDocument of the
-    truncated document and its kept queries; training.prepare_examples aligns
-    those queries to spans exactly as it aligns gold keyphrases. Statistics
-    describe the kept examples; document length is measured before truncation.
+    QueryDatasetStats), where each example is the truncated Document with its
+    kept queries as ``keyphrases``; training.prepare_examples aligns those
+    queries to spans exactly as it aligns gold keyphrases. Statistics describe
+    the kept examples; document length is measured before truncation.
     """
     examples = []
     doc_lengths = []
@@ -147,7 +146,7 @@ def build_qp_dataset(
             dropped[reason] = dropped.get(reason, 0) + 1
         if not kept:
             continue
-        examples.append(LabeledDocument(clipped, tuple(kept)))
+        examples.append(replace(clipped, keyphrases=tuple(kept)))
         doc_lengths.append(len(doc))
         query_counts.append(len(kept))
         doc_vocab.update(doc.tokens)

@@ -7,19 +7,21 @@ supervision regime that emits documents plus a click log of queries. All
 generators are deterministic in their seed. Only the tests use them.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from kpex.config import EmbeddingConfig, ModelConfig
-from kpex.documents import VISUAL_DIM, Document, LabeledDocument
+from kpex.documents import VISUAL_DIM, Document
 
 _FONT_ROWS = slice(0, 2)  # word + parent font features
 _BOLD_ROWS = slice(10, 12)  # word + parent bold flags
 
 
-def _make_doc(doc_id, tokens, visual=None):
+def _make_doc(doc_id, tokens, keyphrases, visual=None):
     if visual is None:
         visual = np.zeros((len(tokens), VISUAL_DIM))
-    return Document(doc_id, tuple(tokens), visual)
+    return Document(doc_id, tuple(tokens), visual, keyphrases=keyphrases)
 
 
 def lexical_corpus(
@@ -45,11 +47,7 @@ def lexical_corpus(
         tokens = [f"w{v}" for v in rng.integers(0, filler_vocab, size=doc_len)]
         start = int(rng.integers(0, doc_len - length + 1))
         tokens[start : start + length] = phrase_tokens
-        docs.append(
-            LabeledDocument(
-                _make_doc(f"{id_prefix}{d}", tokens), (" ".join(phrase_tokens),)
-            )
-        )
+        docs.append(_make_doc(f"{id_prefix}{d}", tokens, (" ".join(phrase_tokens),)))
     return docs
 
 
@@ -72,9 +70,7 @@ def visual_corpus(seed, n_docs, doc_len=20, vocab=60, id_prefix="vis"):
         key = int(rng.integers(0, doc_len))
         visual[key, _FONT_ROWS] = 1.0
         visual[key, _BOLD_ROWS] = 1.0
-        docs.append(
-            LabeledDocument(_make_doc(f"{id_prefix}{d}", tokens, visual), (tokens[key],))
-        )
+        docs.append(_make_doc(f"{id_prefix}{d}", tokens, (tokens[key],), visual))
     return docs
 
 
@@ -111,14 +107,12 @@ def weak_supervision_setup(
                 serial += 1
             key = f"kw{int(rng.integers(0, keyword_vocab))}"
             tokens[int(slots[0])] = key
-            out.append(LabeledDocument(_make_doc(f"{prefix}{d}", tokens), (key,)))
+            out.append(_make_doc(f"{prefix}{d}", tokens, (key,)))
         return out
 
     pretrain_labeled = build(n_pretrain, "qp")
-    query_log = {
-        item.document.id: list(item.keyphrases) for item in pretrain_labeled
-    }
-    pretrain_docs = [item.document for item in pretrain_labeled]
+    query_log = {doc.id: list(doc.keyphrases) for doc in pretrain_labeled}
+    pretrain_docs = [replace(doc, keyphrases=()) for doc in pretrain_labeled]
     return (
         pretrain_docs,
         query_log,

@@ -46,7 +46,7 @@ def _slim_config(dropout=0.2, **kw):
 def _p_at_1(model, items):
     preds, gold = {}, {}
     for item in items:
-        doc = truncate(item.document, 256)
+        doc = truncate(item, 256)
         pred = predict_topk(model.distribution(doc), doc, k=1)
         preds[doc.id] = pred.phrase_list()
         gold[doc.id] = list(item.keyphrases)
@@ -110,7 +110,7 @@ def test_criterion_04_overfit_planted_corpus():
     """32 planted-keyphrase documents reach training P@1 >= 0.95."""
     started = time.monotonic()
     corpus = lexical_corpus(seed=11, n_docs=32)
-    vocab = TokenVocabulary.build([it.document for it in corpus], min_count=1)
+    vocab = TokenVocabulary.build(corpus, min_count=1)
     model = SpanScorer(_slim_config(dropout=0.0), vocab=vocab, seed=0)
     examples, _ = prepare_examples(corpus, 5)
     score, epochs_done = 0.0, 0
@@ -134,7 +134,7 @@ def test_criterion_05_visual_signal_direction():
     """Keyphrase marked only visually: full model works, no_visual cannot."""
     train = visual_corpus(seed=21, n_docs=64)
     heldout = visual_corpus(seed=22, n_docs=24, id_prefix="vh")
-    vocab = TokenVocabulary.build([it.document for it in train], min_count=1)
+    vocab = TokenVocabulary.build(train, min_count=1)
     examples, _ = prepare_examples(train, 5)
     scores = {}
     for ablate in (False, True):
@@ -175,7 +175,7 @@ def test_criterion_06_pretraining_direction():
         run_training(pretrained, tune_examples, finetune_cfg)
 
         vocab_b = TokenVocabulary.build(
-            [truncate(it.document, 256) for it in finetune], min_count=2)
+            [truncate(d, 256) for d in finetune], min_count=2)
         tuned_only = SpanScorer(_slim_config(), vocab=vocab_b, seed=seed)
         run_training(tuned_only, tune_examples, finetune_cfg)
 

@@ -261,6 +261,13 @@ class TestTopLevel:
         assert main([]) == 2
         assert "usage: kpex" in capsys.readouterr().out
 
+    def test_over_long_set_integer_names_its_key(self, capsys):
+        # json raises a plain ValueError past Python's 4,300-digit limit
+        assert main(["--set", "seed=" + "1" * 5000, "--show-config"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --set seed: ")
+        assert "digest:" not in captured.out
+
     def test_bad_set_key_exits_one(self, capsys):
         assert main(["--set", "nope=1", "--show-config"]) == 1
         assert "unknown config key" in capsys.readouterr().err
@@ -328,6 +335,17 @@ class TestFeaturize:
         out = str(tmp_path / "docs.jsonl")
         assert main(["featurize", "--layout-dir", str(tmp_path), "--out", out]) == 0
         assert "keyphrases" not in json.loads(open(out).read())
+
+    def test_non_finite_font_refused_before_writing(self, tmp_path, capsys):
+        with open(os.path.join(LAYOUT_DIR, "product_page.json"), encoding="utf-8") as fh:
+            layout = json.load(fh)
+        layout["root"]["children"][0]["font"] = float("nan")
+        (tmp_path / "product_page.json").write_text(json.dumps(layout))  # writes NaN
+        out = str(tmp_path / "docs.jsonl")
+        assert main(["featurize", "--layout-dir", str(tmp_path), "--out", out]) == 1
+        assert ("product_page.root.children[0]: non-finite box or font size"
+                in capsys.readouterr().err)
+        assert not os.path.exists(out)
 
     def test_empty_directory_fails(self, tmp_path):
         assert main(["featurize", "--layout-dir", str(tmp_path),
@@ -525,6 +543,24 @@ class TestTrainCli:
         argv = SMALL_MODEL + ["--set", "train.max_epochs=1",
                               "train", "--data", data, "--out", str(tmp_path / "r")]
         assert main(argv) == 0
+
+    def test_unlabeled_documents_reported(self, tmp_path, capsys):
+        data = str(tmp_path / "mixed.jsonl")
+        write_jsonl(data, [{"id": "a", "text": "w0 w1 w2 w3", "keyphrases": ["w1 w2"]},
+                           {"id": "b", "text": "w4 w5 w6"},
+                           {"id": "c", "text": "w7 w8", "keyphrases": []}])
+        run_dir = str(tmp_path / "r")
+        argv = SMALL_MODEL + ["--set", "train.max_epochs=1", "--set", "embedding.min_count=1",
+                              "train", "--data", data, "--out", run_dir]
+        assert main(argv) == 0
+        assert ("skipped: 0 empty, 2 unlabeled, 0 with no matchable phrase"
+                in capsys.readouterr().err)
+        assert json.load(open(os.path.join(run_dir, "run.meta.json")))["examples"] == 1
+        from kpex.model import SpanScorer
+
+        model, _ = SpanScorer.load(os.path.join(run_dir, "best.ckpt"))
+        vocab = model.vocab.to_list()  # built from the labeled documents only
+        assert "w0" in vocab and "w4" not in vocab and "w7" not in vocab
 
     def test_files_written_respect_umask(self, pipeline, tmp_path):
         run_dir = str(tmp_path / "r")
@@ -823,6 +859,22 @@ class TestEvaluateCli:
         assert "skipped: 1 empty" in captured.err
         report = json.load(open(report_path))
         assert report["documents"] == 2 and report["skipped"] == ["blank"]
+
+    def test_unlabeled_documents_skipped_and_listed(self, tmp_path, capsys):
+        lines = [{"id": "a", "text": "red stapler on sale", "keyphrases": ["red stapler"]},
+                 {"id": "b", "text": "blue office chair", "keyphrases": []},
+                 {"id": "c", "text": "green desk lamp"}]
+        gold, preds = str(tmp_path / "gold.jsonl"), str(tmp_path / "preds.jsonl")
+        write_jsonl(gold, lines)
+        write_jsonl(preds, [{"id": "a", "phrases": [["red stapler", 1.0]]},
+                            {"id": "b", "phrases": [["office chair", 1.0]]}])
+        report_path = str(tmp_path / "report.json")
+        assert main(["evaluate", "--preds", preds, "--gold", gold, "--depths", "1",
+                     "--out", report_path]) == 0
+        assert "documents: 1 (skipped 2)" in capsys.readouterr().out
+        report = json.load(open(report_path))
+        assert report["skipped"] == ["b", "c"]
+        assert report["precision"]["1"] == report["recall"]["1"] == 1.0
 
     @pytest.mark.parametrize("line", [
         '{"id": "d0", "phrases": [["w0 w1", 0.5]]}',

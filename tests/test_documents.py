@@ -8,7 +8,6 @@ import pytest
 from kpex.documents import (
     VISUAL_DIM,
     Document,
-    LabeledDocument,
     Span,
     build_labels,
     count_spans,
@@ -41,8 +40,9 @@ class TestTokenize:
         ]
 
 
-def _doc(tokens, doc_id="d"):
-    return Document(doc_id, tuple(tokens), np.zeros((len(tokens), VISUAL_DIM)))
+def _doc(tokens, doc_id="d", keyphrases=()):
+    return Document(doc_id, tuple(tokens), np.zeros((len(tokens), VISUAL_DIM)),
+                    keyphrases=keyphrases)
 
 
 class TestDocument:
@@ -144,8 +144,7 @@ class TestMatchPhrase:
 
 class TestBuildLabels:
     def test_two_positives_half_mass_each(self):
-        doc = _doc(["a", "b", "c", "d"])
-        spans, report = build_labels(LabeledDocument(doc, ("a", "c d")))
+        spans, report = build_labels(_doc(["a", "b", "c", "d"], keyphrases=("a", "c d")))
         assert report.matched == 2
         dense = span_target(4, 5, spans)
         np.testing.assert_allclose(dense.sum(), 1.0)
@@ -153,21 +152,20 @@ class TestBuildLabels:
         assert dense[span_index(4, Span(2, 2))] == 0.5
 
     def test_repeated_occurrence_thirds(self):
-        doc = _doc(["x", "y", "x", "z"])
-        spans, _ = build_labels(LabeledDocument(doc, ("x", "z")))
+        spans, _ = build_labels(_doc(["x", "y", "x", "z"], keyphrases=("x", "z")))
         dense = span_target(4, 5, spans)
         hits = dense[dense > 0]
         np.testing.assert_allclose(hits, [1 / 3, 1 / 3, 1 / 3])
 
     def test_phrase_beyond_truncation_skips_document(self):
-        doc = truncate(_doc([f"w{i}" for i in range(300)]), 256)
-        target, report = build_labels(LabeledDocument(doc, ("w299",)))
+        doc = truncate(_doc([f"w{i}" for i in range(300)], keyphrases=("w299",)), 256)
+        target, report = build_labels(doc)
         assert target is None
         assert report.unmatched == ["w299"]
 
     def test_too_long_phrase_counted_separately(self):
-        doc = _doc(["a", "b", "c", "d", "e", "f", "g"])
-        target, report = build_labels(LabeledDocument(doc, ("a b c d e f",)))
+        doc = _doc(["a", "b", "c", "d", "e", "f", "g"], keyphrases=("a b c d e f",))
+        target, report = build_labels(doc)
         assert target is None
         assert report.too_long == ["a b c d e f"]
 
@@ -188,12 +186,13 @@ class TestReadDataset:
             {"id": "a", "text": "hello world", "visual": visual,
              "keyphrases": ["hello"]},
             {"id": "b", "text": "plain doc"},
+            {"id": "c", "text": "empty list", "keyphrases": []},
+            {"id": "d", "text": "null list", "keyphrases": None},
         ])
-        items, report = read_dataset(path)
-        assert report.kept == 2
-        assert isinstance(items[0], LabeledDocument)
-        assert isinstance(items[1], Document)
-        assert report.zero_visual == ["b"]
+        docs, report = read_dataset(path)
+        assert all(isinstance(doc, Document) for doc in docs)
+        assert [doc.keyphrases for doc in docs] == [("hello",), (), (), ()]
+        assert report.zero_visual == ["b", "c", "d"]
 
     def test_empty_text_counted_skip(self, tmp_path):
         path = self._write(tmp_path, [
@@ -246,15 +245,6 @@ class TestReadDataset:
         path.write_text('{"id": "a", "text": "x"}\n{oops\n')
         with pytest.raises(DatasetError, match=":2:"):
             read_dataset(str(path))
-
-    def test_require_labels_drops_unlabeled(self, tmp_path):
-        path = self._write(tmp_path, [
-            {"id": "a", "text": "x y", "keyphrases": ["x"]},
-            {"id": "b", "text": "plain"},
-        ])
-        items, report = read_dataset(path, require_labels=True)
-        assert [it.document.id for it in items] == ["a"]
-        assert report.skipped_unlabeled == ["b"]
 
     def test_visual_values_clamped(self, tmp_path):
         visual = [[1.5] * VISUAL_DIM, [-0.5] * VISUAL_DIM]

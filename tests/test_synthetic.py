@@ -15,26 +15,25 @@ class TestLexicalCorpus:
     def test_deterministic_in_seed(self):
         a = lexical_corpus(seed=3, n_docs=5)
         b = lexical_corpus(seed=3, n_docs=5)
-        assert [d.document.tokens for d in a] == [d.document.tokens for d in b]
+        assert [d.tokens for d in a] == [d.tokens for d in b]
         assert [d.keyphrases for d in a] == [d.keyphrases for d in b]
 
     def test_phrase_present_and_keyword_tokens_exclusive(self):
-        for item in lexical_corpus(seed=0, n_docs=20):
-            assert match_phrase(item.document, item.keyphrases[0])
-            phrase_tokens = set(item.keyphrases[0].split())
-            in_doc = [t for t in item.document.tokens if t.startswith("kw")]
+        for doc in lexical_corpus(seed=0, n_docs=20):
+            assert match_phrase(doc, doc.keyphrases[0])
+            phrase_tokens = set(doc.keyphrases[0].split())
+            in_doc = [t for t in doc.tokens if t.startswith("kw")]
             assert set(in_doc) == phrase_tokens
 
     def test_phrase_lengths_bounded(self):
-        for item in lexical_corpus(seed=1, n_docs=30, max_phrase_len=3):
-            assert 1 <= len(item.keyphrases[0].split()) <= 3
+        for doc in lexical_corpus(seed=1, n_docs=30, max_phrase_len=3):
+            assert 1 <= len(doc.keyphrases[0].split()) <= 3
 
 
 class TestVisualCorpus:
     def test_key_token_marked_and_others_flat(self):
-        for item in visual_corpus(seed=0, n_docs=10):
-            doc = item.document
-            key = item.keyphrases[0]
+        for doc in visual_corpus(seed=0, n_docs=10):
+            key = doc.keyphrases[0]
             idx = doc.tokens.index(key)
             assert doc.visual[idx, 0] == 1.0 and doc.visual[idx, 10] == 1.0
             others = [i for i in range(len(doc)) if i != idx]
@@ -42,8 +41,8 @@ class TestVisualCorpus:
             assert (doc.visual[others][:, 10] == 0.0).all()
 
     def test_tokens_unique_within_document(self):
-        for item in visual_corpus(seed=2, n_docs=10):
-            assert len(set(item.document.tokens)) == len(item.document)
+        for doc in visual_corpus(seed=2, n_docs=10):
+            assert len(set(doc.tokens)) == len(doc)
 
 
 class TestWeakSupervisionSetup:
@@ -63,18 +62,18 @@ class TestWeakSupervisionSetup:
         tails = []
         for doc in pretrain:
             tails.extend(t for t in doc.tokens if t.startswith("tail"))
-        for item in list(finetune) + list(heldout):
-            tails.extend(t for t in item.document.tokens if t.startswith("tail"))
+        for doc in list(finetune) + list(heldout):
+            tails.extend(t for t in doc.tokens if t.startswith("tail"))
         assert len(tails) == len(set(tails)) == 2 * (10 + 3 + 4)
 
     def test_every_split_plants_one_keyword(self):
         _, _, finetune, heldout = weak_supervision_setup(
             seed=2, n_pretrain=4, n_finetune=6, n_heldout=6
         )
-        for item in list(finetune) + list(heldout):
-            key = item.keyphrases[0]
+        for doc in list(finetune) + list(heldout):
+            key = doc.keyphrases[0]
             assert key.startswith("kw")
-            assert item.document.tokens.count(key) >= 1
+            assert doc.tokens.count(key) >= 1
 
 
 class TestGradcheckExample:

@@ -12,7 +12,6 @@ import composite_ops
 from kpex import autodiff
 from kpex.config import EmbeddingConfig, TrainingConfig
 from kpex.documents import (
-    LabeledDocument,
     Span,
     count_spans,
     make_document,
@@ -100,26 +99,25 @@ class TestLossValues:
 
 class TestPrepareExamples:
     def test_alignment_and_truncation(self):
-        doc = make_document("d", " ".join(f"w{i % 12}" for i in range(20)))
-        labeled = LabeledDocument(doc, ("w1 w2",))
-        examples, report = prepare_examples([labeled], 5, max_doc_length=10)
+        doc = make_document("d", " ".join(f"w{i % 12}" for i in range(20)),
+                            keyphrases=("w1 w2",))
+        examples, report = prepare_examples([doc], 5, max_doc_length=10)
         assert report.prepared == 1
         assert len(examples[0].document) == 10
         assert examples[0].target.shape == (count_spans(10, 5),)
         assert examples[0].target[span_index(10, Span(1, 2))] == 1.0
 
     def test_unmatched_document_skipped(self):
-        doc = make_document("d", "w0 w1")
-        labeled = LabeledDocument(doc, ("w9 w9",))
-        examples, report = prepare_examples([labeled], 5)
+        doc = make_document("d", "w0 w1", keyphrases=("w9 w9",))
+        examples, report = prepare_examples([doc], 5)
         assert examples == []
         assert report.skipped_no_match == ["d"]
         assert report.phrases_unmatched == 1
 
     def test_too_long_phrase_counted(self):
-        doc = make_document("d", "w0 w1 w2 w3 w4 w5 w0 w1")
-        labeled = LabeledDocument(doc, ("w0 w1 w2 w3 w4 w5", "w0 w1"))
-        examples, report = prepare_examples([labeled], 5)
+        doc = make_document("d", "w0 w1 w2 w3 w4 w5 w0 w1",
+                            keyphrases=("w0 w1 w2 w3 w4 w5", "w0 w1"))
+        examples, report = prepare_examples([doc], 5)
         assert report.phrases_too_long == 1
         assert report.prepared == 1
 

@@ -151,6 +151,31 @@ class TestParseLayout:
         with pytest.raises(LayoutError, match="negative box"):
             parse_layout(layout)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("font", float("nan"), "non-finite box or font size"),
+        ("font", float("inf"), "non-finite box or font size"),
+        ("box", [0, 0, float("inf"), 10], "non-finite box or font size"),
+        ("box", [float("nan"), 0, 10, 10], "non-finite box or font size"),
+        ("bold", "false", "bold must be true or false, got 'false'"),
+        ("bold", 0, "bold must be true or false, got 0"),
+        ("bold", None, "bold must be true or false, got None"),
+    ], ids=["nan-font", "inf-font", "inf-box", "nan-box", "string-bold", "int-bold",
+            "null-bold"])
+    def test_bad_node_value_located(self, field, value, message):
+        layout = self._load("product_page.json")
+        layout["root"]["children"][1][field] = value
+        with pytest.raises(LayoutError) as info:
+            parse_layout(layout, "p1")
+        assert str(info.value) == f"p1.root.children[1]: {message}"
+
+    @pytest.mark.parametrize("page", [[float("nan"), 100], [100, float("inf")], [0, 100]],
+                             ids=["nan", "inf", "zero"])
+    def test_bad_page_dimensions_rejected(self, page):
+        layout = {"page": page,
+                  "root": {"tag": "p", "box": [0, 0, 10, 10], "font": 10, "text": "x"}}
+        with pytest.raises(LayoutError, match="p1: page dimensions must be positive and finite"):
+            parse_layout(layout, "p1")
+
     def test_text_on_internal_node_rejected(self):
         layout = {
             "page": [100, 100],

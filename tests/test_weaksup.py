@@ -83,7 +83,7 @@ class TestBuildQpDataset:
     def test_examples_and_skips(self):
         docs, log = self._corpus()
         examples, stats = build_qp_dataset(docs, log)
-        assert [ex.document.id for ex in examples] == ["d1"]
+        assert [ex.id for ex in examples] == ["d1"]
         assert examples[0].keyphrases == ("alpha beta", "gamma")
         assert stats.n_documents == 1
         assert stats.dropped == {"not_verbatim": 1}
@@ -92,7 +92,7 @@ class TestBuildQpDataset:
         docs, log = self._corpus()
         examples, _ = build_qp_dataset(docs, log)
         [prepared], _ = prepare_examples(examples, 5)
-        assert prepared.document is examples[0].document
+        assert prepared.document is examples[0]
         dense = prepared.target
         # "alpha beta" occurs twice, "gamma" once: three spans total
         hits = {span_index(5, s) for s in (Span(2, 1), Span(0, 2), Span(3, 2))}
@@ -102,7 +102,7 @@ class TestBuildQpDataset:
     def test_doc_length_measured_before_truncation(self):
         doc = _doc("d", " ".join(["tok"] * 30))
         examples, stats = build_qp_dataset([doc], {"d": ["tok"]}, max_doc_length=10)
-        assert len(examples[0].document) == 10
+        assert len(examples[0]) == 10
         assert stats.doc_length == (30.0, 0.0)
 
     def test_stats_values(self):
