@@ -4,10 +4,12 @@ pipeline stage.
 Configuration is a flat JSON object with dotted keys ("model.filters": 64).
 Precedence: built-in defaults < config file (--config) < --set overrides <
 shortcut flags (--seed, --threads, --top-k, --ablate), which ``main`` turns
-into --set items applied last. Handlers read settings from the merged config
-alone, and its SHA-256 digest, computed only here, is recorded in every output
-(run directories, checkpoint metadata, sidecar .meta.json files next to JSONL
-outputs) so any artifact can be traced to its exact settings.
+into --set items applied last. The merged config is checked whole when it
+loads, and handlers read settings from it alone. A command that loads a
+checkpoint first writes the checkpoint's model settings into it. Its SHA-256
+digest, computed only here, is recorded in every output (run directories,
+checkpoint metadata, sidecar .meta.json files next to JSONL outputs) so any
+artifact can be traced to its exact settings.
 
 Heavy imports happen inside handlers so --threads can cap BLAS thread pools
 before numpy loads.
@@ -73,7 +75,8 @@ def load_run_config(config_path=None, overrides=()):
     """Merge defaults, the config file and ``overrides``, in that order.
 
     ``overrides`` are ``key=value`` items, a later one winning: the --set
-    items, then those the shortcut flags stand for (see ``main``).
+    items, then those the shortcut flags stand for (see ``main``). Every
+    value's type and every section's ranges are checked here.
     """
     merged = default_config()
     if config_path:
@@ -103,6 +106,11 @@ def load_run_config(config_path=None, overrides=()):
     n = merged["threads"]
     if n < 0:
         raise CliError(f"threads must be a non-negative integer, got {n!r}")
+    for prefix in SECTIONS:  # each section checks its own ranges
+        try:
+            _section(merged, prefix)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
     return merged
 
 
@@ -201,12 +209,36 @@ def _load_frozen(cfg):
     from .embedding import FrozenVectors
 
     path = cfg["embedding.frozen_vectors"]
-    embedding = _section(cfg, "embedding")
-    if embedding.source == "frozen":
+    if cfg["embedding.source"] == "frozen":
         if not path:
             raise CliError("embedding.source=frozen needs embedding.frozen_vectors")
-        return FrozenVectors.load(path, embedding.token_dim)
+        return FrozenVectors.load(path, cfg["embedding.token_dim"])
     return None
+
+
+def _load_model(cfg, path):
+    """The checkpoint at ``path``, its model settings written into ``cfg``.
+
+    A model.* or embedding.* value that was asked for (by --set, --config or
+    --ablate) must equal the checkpoint's; one left at its default takes the
+    checkpoint's. So the digest taken afterwards names the model that ran.
+    """
+    from .model import SpanScorer
+
+    path = _resolve_checkpoint(path)
+    model, _ = SpanScorer.load(path, frozen_vectors=_load_frozen(cfg))
+    settings = model.config.to_dict()
+    found = {f"embedding.{k}": v for k, v in settings.pop("embedding").items()}
+    found.update((f"model.{k}", v) for k, v in settings.items())
+    defaults = default_config()
+    for key, have in found.items():
+        if key not in defaults:  # embedding.visual_dim, which is fixed
+            continue
+        if cfg[key] not in (defaults[key], have):
+            raise CliError(f"requested {key}={json.dumps(cfg[key])}, but checkpoint "
+                           f"{path} has {key}={json.dumps(have)}")
+        cfg[key] = have
+    return model
 
 
 # -- handlers ------------------------------------------------------------
@@ -246,8 +278,6 @@ def cmd_build_qp(args, cfg):
     from .documents import dataset_from_records
     from .weaksup import build_qp_dataset, load_blocklist, read_query_log
 
-    max_span_length = _section(cfg, "model").max_span_length
-    max_doc_length = _section(cfg, "train").max_doc_length
     records = list(read_records(args.docs, "id", "text"))
     docs, ingest = dataset_from_records(records)
     _report_empty(ingest)
@@ -257,8 +287,8 @@ def cmd_build_qp(args, cfg):
     examples, stats = build_qp_dataset(
         docs,
         log,
-        max_span_length=max_span_length,
-        max_doc_length=max_doc_length,
+        max_span_length=cfg["model.max_span_length"],
+        max_doc_length=cfg["train.max_doc_length"],
         blocklist=blocklist,
     )
     if not examples:
@@ -291,23 +321,8 @@ def _run_train(args, cfg, mode):
     if not labeled:
         raise CliError(f"no labeled documents in {args.data}")
     train_cfg = _section(cfg, "train")
-    frozen = _load_frozen(cfg)
     if args.init:
-        path = _resolve_checkpoint(args.init)
-        model, _ = SpanScorer.load(path, frozen_vectors=frozen)
-        # the checkpoint's model: a value asked for (by --set, --config or
-        # --ablate) must match it; values left at their defaults come from it
-        requested = _section(cfg, "model")
-        for prefix, want, found in (("model", requested, model.config),
-                                    ("embedding", requested.embedding, model.config.embedding)):
-            default = type(want)()
-            for f in fields(want):
-                value, have = getattr(want, f.name), getattr(found, f.name)
-                if f.name not in SECTIONS and value not in (getattr(default, f.name), have):
-                    raise CliError(
-                        f"requested {prefix}.{f.name}={json.dumps(value)}, but --init "
-                        f"checkpoint {path} has {prefix}.{f.name}={json.dumps(have)}"
-                    )
+        model = _load_model(cfg, args.init)
     else:
         model_cfg = _section(cfg, "model")
         vocab = None
@@ -316,7 +331,7 @@ def _run_train(args, cfg, mode):
                 (truncate(d, train_cfg.max_doc_length) for d in labeled),
                 min_count=model_cfg.embedding.min_count,
             )
-        model = SpanScorer(model_cfg, vocab=vocab, frozen_vectors=frozen,
+        model = SpanScorer(model_cfg, vocab=vocab, frozen_vectors=_load_frozen(cfg),
                            seed=cfg["seed"])
     examples, prep = prepare_examples(
         labeled, model.config.max_span_length, train_cfg.max_doc_length
@@ -366,12 +381,9 @@ def cmd_train(args, cfg):
 def cmd_predict(args, cfg):
     from .documents import read_dataset, truncate
     from .inference import chunk_and_merge, dedup_substrings, predict_topk, write_predictions
-    from .model import SpanScorer
 
     predict_cfg = _section(cfg, "predict")
-    max_doc_length = _section(cfg, "train").max_doc_length
-    model, _ = SpanScorer.load(_resolve_checkpoint(args.model),
-                               frozen_vectors=_load_frozen(cfg))
+    model = _load_model(cfg, args.model)
     docs, ingest = read_dataset(args.data)
     _report_empty(ingest)
     predictions = []
@@ -380,7 +392,7 @@ def cmd_predict(args, cfg):
             pred = chunk_and_merge(model, doc, predict_cfg.chunk_len,
                                    predict_cfg.chunk_weight)
         else:
-            clipped = truncate(doc, max_doc_length)
+            clipped = truncate(doc, cfg["train.max_doc_length"])
             # dedup protects the top quarter of the full list, so it needs all of it
             pred = predict_topk(model.distribution(clipped), clipped,
                                 k=None if args.dedup else predict_cfg.top_k)
@@ -424,12 +436,11 @@ def cmd_baseline(args, cfg):
     from .documents import read_dataset, truncate
     from .inference import write_predictions
 
-    top_k = _section(cfg, "predict").top_k
-    max_doc_length = _section(cfg, "train").max_doc_length
-    max_len = _section(cfg, "model").max_span_length
+    top_k = cfg["predict.top_k"]
+    max_len = cfg["model.max_span_length"]
     docs, ingest = read_dataset(args.data)
     _report_empty(ingest)
-    docs = [truncate(doc, max_doc_length) for doc in docs]
+    docs = [truncate(doc, cfg["train.max_doc_length"]) for doc in docs]
     if not docs:
         raise CliError(f"no documents in {args.data}")
     stopwords = load_stopwords(args.stopwords) if args.stopwords else None

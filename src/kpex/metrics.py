@@ -1,4 +1,4 @@
-"""Evaluation: ranked precision/recall, inter-judge agreement, significance.
+"""Evaluation: ranked precision/recall and inter-judge agreement.
 
 All metrics are macro-averaged: computed per document, then averaged with
 equal document weight. Phrase matching uses the shared normalization on both
@@ -100,12 +100,6 @@ def evaluate(predictions, gold, depths=(1, 3, 5), f1_depths=(10,), stem=False):
     return report
 
 
-def per_document_scores(predictions, gold, depth=1, stem=False):
-    """P@depth per document, aligned over sorted doc ids (for paired tests)."""
-    hits, _, _ = _hit_counts(predictions, gold, (depth,), stem)
-    return hits[depth] / depth
-
-
 @dataclass
 class AgreementReport:
     percentage: float
@@ -155,53 +149,3 @@ def judge_agreement(items, depth, mode="exact"):
         truncated_lists=truncated,
         skipped_pairs=skipped,
     )
-
-
-@dataclass
-class PermutationResult:
-    defined: bool
-    p_value: float | None
-    observed: float | None
-    resamples: int
-    significant: bool | None  # at the 0.05 level
-
-    def summary(self):
-        if not self.defined:
-            return "permutation test undefined (fewer than 5 paired documents)"
-        verdict = "significant" if self.significant else "not significant"
-        return (
-            f"mean difference {self.observed:+.4f}, "
-            f"p = {self.p_value:.4f} ({verdict} at 0.05)"
-        )
-
-
-def permutation_test(scores_a, scores_b, resamples=10000, seed=0):
-    """Two-sided paired sign-flip permutation test on per-document scores.
-
-    The statistic is the mean per-document difference. Each resample flips
-    the sign of every difference independently; the p-value is
-    (1 + #{|t*| >= |t|}) / (1 + resamples). Fewer than 5 pairs is reported as
-    undefined rather than a number nobody should trust.
-    """
-    a = np.asarray(scores_a, dtype=np.float64)
-    b = np.asarray(scores_b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("score vectors must be 1-d and aligned")
-    if resamples < 1:
-        raise ValueError("resamples must be positive")
-    n = a.size
-    if n < 5:
-        return PermutationResult(False, None, None, resamples, None)
-    diffs = a - b
-    observed = float(diffs.mean())
-    rng = np.random.default_rng(seed)
-    # tiny slack so resampled |t*| that ties |t| (e.g. the identity flip)
-    # always counts as at least as extreme despite float rounding
-    threshold = abs(observed) - 1e-12
-    hits = 0
-    for _ in range(resamples):
-        signs = rng.choice((-1.0, 1.0), size=n)
-        if abs(float((diffs * signs).mean())) >= threshold:
-            hits += 1
-    p = (1 + hits) / (1 + resamples)
-    return PermutationResult(True, p, observed, resamples, p < 0.05)

@@ -46,20 +46,37 @@ class DomNode:
         return not self.children
 
 
+def _floats(values, count):
+    """``values`` as ``count`` floats, or None unless it is a list of ``count``
+    JSON numbers (true and false are not). An integer past float range is inf.
+    """
+    if not (isinstance(values, (list, tuple)) and len(values) == count and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)):
+        return None
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        return (math.inf,) * count
+
+
 def _parse_node(obj, path):
     if not isinstance(obj, dict):
         raise LayoutError(f"{path}: node must be an object")
-    try:
-        tag = str(obj["tag"]).lower()
-        box = tuple(float(v) for v in obj["box"])
-        font = float(obj["font"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise LayoutError(f"{path}: bad node fields ({exc})") from exc
+    tag, text = obj.get("tag"), obj.get("text")
+    if not isinstance(tag, str):
+        raise LayoutError(f"{path}: tag must be a string, got {tag!r}")
+    if text is not None and not isinstance(text, str):
+        raise LayoutError(f"{path}: text must be a string, got {text!r}")
+    box = _floats(obj.get("box"), 4)
+    if box is None:
+        raise LayoutError(f"{path}: box must be [x, y, w, h] numbers, got {obj.get('box')!r}")
+    font = _floats([obj.get("font")], 1)
+    if font is None:
+        raise LayoutError(f"{path}: font must be a number, got {obj.get('font')!r}")
+    (font,) = font
     bold = obj.get("bold", False)
     if not isinstance(bold, bool):
         raise LayoutError(f"{path}: bold must be true or false, got {bold!r}")
-    if len(box) != 4:
-        raise LayoutError(f"{path}: box must be [x, y, w, h]")
     if not all(map(math.isfinite, (*box, font))):
         raise LayoutError(f"{path}: non-finite box or font size")
     if box[2] < 0 or box[3] < 0:
@@ -70,10 +87,9 @@ def _parse_node(obj, path):
         _parse_node(child, f"{path}.children[{i}]")
         for i, child in enumerate(obj.get("children", ()))
     )
-    text = obj.get("text")
     if text is not None and children:
         raise LayoutError(f"{path}: text is only allowed on leaf nodes")
-    return DomNode(tag, box, font, bold, children, text)
+    return DomNode(tag.lower(), box, font, bold, children, text)
 
 
 def classify_tag(tag):
@@ -135,10 +151,10 @@ def parse_layout(layout, doc_id="layout"):
     """
     if not isinstance(layout, dict) or "page" not in layout or "root" not in layout:
         raise LayoutError(f"{doc_id}: layout needs 'page' and 'root' entries")
-    page = layout["page"]
-    if not isinstance(page, (list, tuple)) or len(page) != 2:
-        raise LayoutError(f"{doc_id}: page must be [width, height]")
-    page_dims = (float(page[0]), float(page[1]))
+    page_dims = _floats(layout["page"], 2)
+    if page_dims is None:
+        raise LayoutError(f"{doc_id}: page must be [width, height] numbers, "
+                          f"got {layout['page']!r}")
     if not all(0 < v < math.inf for v in page_dims):
         raise LayoutError(f"{doc_id}: page dimensions must be positive and finite")
     root = _parse_node(layout["root"], f"{doc_id}.root")

@@ -3,7 +3,6 @@
 import ast
 import glob
 import os
-import re
 import weakref
 
 import numpy as np
@@ -765,8 +764,7 @@ class TestOpSet:
         # every public top-level function and class of src/kpex has a caller:
         # it is named in the package outside its own definition (and, in
         # autodiff, outside Tensor, whose operator methods once kept test-only
-        # ops alive), bench/tracing.py patches it by name, or README lists it
-        # as library API, as kpex.module.name or in a `from kpex.module import`
+        # ops alive), or bench/tracing.py patches it by name
         package = os.path.dirname(ad.__file__)
         root = os.path.join(package, os.pardir, os.pardir)
         defined, used = set(), set()
@@ -790,14 +788,8 @@ class TestOpSet:
         with open(os.path.join(root, "bench", "tracing.py"), encoding="utf-8") as fh:
             patched = {n.args[1].value for n in ast.walk(ast.parse(fh.read()))
                        if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "_patch"}
-        with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
-            readme = fh.read()
-        listed = set(re.findall(r"\bkpex\.(\w+)\.(\w+)", readme))
-        for module, names in re.findall(r"^from kpex\.(\w+) import ([\w, ]+)$", readme, re.M):
-            listed.update((module, name.strip()) for name in names.split(","))
         assert set(ad.__all__) <= {name for module, name in defined if module == "autodiff"}
-        assert sorted(d for d in defined
-                      if d[1] not in used | patched and d not in listed) == []
+        assert sorted(d for d in defined if d[1] not in used | patched) == []
 
     def test_no_generic_ops_or_operator_sugar(self):
         gone = {"add", "mul", "matmul", "reduce_sum", "reshape", "_unbroadcast", "__add__",

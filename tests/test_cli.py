@@ -268,6 +268,30 @@ class TestTopLevel:
         assert captured.err.startswith("error: --set seed: ")
         assert "digest:" not in captured.out
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--set", "model.filters=0"], "filters must be positive"),
+        (["--set", "model.heads=3"], "filters 64 not divisible by heads 3"),
+        (["--set", "embedding.position_dim=3"], "position_dim must be a positive even number"),
+        (["--set", "train.lr_end=1"], "lr_end must not exceed lr_start"),
+        (["--set", "predict.chunk_weight=0"], "chunk_weight must be in (0, 1]"),
+    ], ids=["filters", "heads", "position_dim", "lr_end", "chunk_weight"])
+    def test_out_of_range_config_refused_by_every_command(self, tmp_path, capsys,
+                                                          flags, message):
+        gold = str(tmp_path / "gold.jsonl")
+        write_jsonl(gold, [{"id": "d", "text": "red stapler", "keyphrases": ["red stapler"]}])
+        preds = str(tmp_path / "preds.jsonl")
+        write_jsonl(preds, [{"id": "d", "phrases": [["red stapler", 0.5]]}])
+        out = str(tmp_path / "out.json")
+        commands = [["--show-config"],
+                    ["evaluate", "--preds", preds, "--gold", gold, "--out", out],
+                    ["baseline", "--method", "tfidf", "--data", gold, "--out", out]]
+        for command in commands:
+            assert main(flags + command) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {message}\n"
+            assert "digest:" not in captured.out
+            assert not os.path.exists(out)
+
     def test_bad_set_key_exits_one(self, capsys):
         assert main(["--set", "nope=1", "--show-config"]) == 1
         assert "unknown config key" in capsys.readouterr().err
@@ -345,6 +369,20 @@ class TestFeaturize:
         assert main(["featurize", "--layout-dir", str(tmp_path), "--out", out]) == 1
         assert ("product_page.root.children[0]: non-finite box or font size"
                 in capsys.readouterr().err)
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("text", 5, "one.root: text must be a string, got 5"),
+        ("page", ["wide", 100], "one: page must be [width, height] numbers, got ['wide', 100]"),
+    ], ids=["int-text", "string-page"])
+    def test_bad_layout_value_located(self, tmp_path, capsys, field, value, message):
+        layout = {"page": [100, 100],
+                  "root": {"tag": "p", "box": [0, 0, 10, 10], "font": 10, "text": "x"}}
+        (layout if field == "page" else layout["root"])[field] = value
+        (tmp_path / "one.json").write_text(json.dumps(layout))
+        out = str(tmp_path / "docs.jsonl")
+        assert main(["featurize", "--layout-dir", str(tmp_path), "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not os.path.exists(out)
 
     def test_empty_directory_fails(self, tmp_path):
@@ -659,6 +697,20 @@ class TestTrainCli:
         assert "checkpoint" in err
         assert not os.path.exists(out)
 
+    def test_init_digest_names_the_checkpoint_model(self, pipeline, tmp_path):
+        # values left at their defaults take the checkpoint's (SMALL_MODEL)
+        out = str(tmp_path / "r")
+        argv = ["--set", "train.max_epochs=1", "train", "--data", pipeline["data"],
+                "--out", out, "--init", os.path.join(pipeline["run_dir"], "best")]
+        assert main(argv) == 0
+        from kpex.registry import load_checkpoint
+
+        expected = config_digest(load_run_config(
+            overrides=SMALL_MODEL[1::2] + ["train.max_epochs=1"]))
+        with open(os.path.join(out, "run.meta.json")) as fh:
+            assert json.load(fh)["config_digest"] == expected
+        assert load_checkpoint(os.path.join(out, "best.ckpt"))[0]["config_digest"] == expected
+
     def test_set_matching_init_checkpoint(self, pipeline, tmp_path):
         # the checkpoint's own non-default values may be repeated
         out = str(tmp_path / "r")
@@ -806,6 +858,30 @@ class TestPredictCli:
         assert ckpt in err and "'scorer/w3'" in err
         assert not os.path.exists(out)
         assert os.listdir(tmp_path) == ["inf.ckpt"]
+
+    def test_digest_names_the_checkpoint_model(self, pipeline, tmp_path):
+        out = str(tmp_path / "p.jsonl")
+        argv = ["predict", "--model", os.path.join(pipeline["run_dir"], "best"),
+                "--data", pipeline["data"], "--out", out]
+        assert main(argv) == 0
+        with open(out + ".meta.json") as fh:
+            digest = json.load(fh)["config_digest"]
+        assert digest == config_digest(load_run_config(overrides=SMALL_MODEL[1::2]))
+
+    @pytest.mark.parametrize("key,value,found", [
+        ("model.filters", "48", "8"),
+        ("model.max_span_length", "2", "5"),
+        ("embedding.position_dim", "8", "4"),
+    ])
+    def test_set_contradicting_checkpoint(self, pipeline, tmp_path, capsys, key, value, found):
+        out = str(tmp_path / "p.jsonl")
+        argv = ["--set", f"{key}={value}",
+                "predict", "--model", os.path.join(pipeline["run_dir"], "best"),
+                "--data", pipeline["data"], "--out", out]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{key}={value}" in err and f"{key}={found}" in err and "checkpoint" in err
+        assert not os.path.exists(out)
 
     def test_missing_checkpoint(self, pipeline, tmp_path, capsys):
         argv = ["predict", "--model", str(tmp_path / "ghost"),

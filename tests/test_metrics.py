@@ -1,17 +1,9 @@
-"""Ranked evaluation, judge agreement, and the paired permutation test."""
-
-import math
-from itertools import product
+"""Ranked evaluation and judge agreement."""
 
 import numpy as np
 import pytest
 
-from kpex.metrics import (
-    evaluate,
-    judge_agreement,
-    per_document_scores,
-    permutation_test,
-)
+from kpex.metrics import evaluate, judge_agreement
 
 
 class TestEvaluate:
@@ -125,12 +117,6 @@ class TestEvaluate:
         table = report.as_table()
         assert "@1" in table and "F1@10" in table and "documents: 1" in table
 
-    def test_per_document_scores_aligned(self):
-        preds = {"a": ["x"], "b": ["y"], "c": []}
-        gold = {"b": ["y"], "a": ["z"], "c": ["w"]}
-        scores = per_document_scores(preds, gold, depth=1)
-        np.testing.assert_array_equal(scores, [0.0, 1.0, 0.0])
-
 
 class TestJudgeAgreement:
     def test_identical_judges_100(self):
@@ -178,71 +164,3 @@ class TestJudgeAgreement:
             judge_agreement([[["a"], ["b"]]], depth=1, mode="cosine")
         with pytest.raises(ValueError, match="pairs"):
             judge_agreement([[["a"]]], depth=1)
-
-
-class TestPermutationTest:
-    def test_identical_scores_p_one(self):
-        scores = np.full(10, 0.4)
-        result = permutation_test(scores, scores, resamples=500)
-        assert result.defined
-        assert result.p_value == pytest.approx(1.0)
-        assert result.significant is False
-
-    def test_strong_difference_significant(self):
-        a = np.ones(20)
-        b = np.zeros(20)
-        result = permutation_test(a, b, resamples=2000, seed=1)
-        assert result.p_value < 0.001
-        assert result.significant is True
-        assert result.observed == pytest.approx(1.0)
-
-    def test_too_few_pairs_undefined(self):
-        result = permutation_test(np.ones(4), np.zeros(4))
-        assert not result.defined
-        assert result.p_value is None
-        assert "undefined" in result.summary()
-
-    def test_seed_reproducible(self):
-        rng = np.random.default_rng(2)
-        a, b = rng.random(12), rng.random(12)
-        r1 = permutation_test(a, b, resamples=800, seed=5)
-        r2 = permutation_test(a, b, resamples=800, seed=5)
-        r3 = permutation_test(a, b, resamples=800, seed=6)
-        assert r1.p_value == r2.p_value
-        assert r1.p_value != r3.p_value or r1.observed == r3.observed
-
-    def test_matches_exact_enumeration(self):
-        # with 5 pairs all 32 sign patterns are enumerable, giving the exact
-        # tail probability the sampler should approach
-        diffs = np.array([0.6, -0.2, 0.3, 0.1, 0.5])
-        a = diffs
-        b = np.zeros(5)
-        observed = abs(diffs.mean())
-        tail = 0
-        for signs in product((-1.0, 1.0), repeat=5):
-            if abs((diffs * signs).mean()) >= observed - 1e-12:
-                tail += 1
-        q = tail / 32
-        resamples = 6000
-        result = permutation_test(a, b, resamples=resamples, seed=3)
-        sigma = math.sqrt(q * (1 - q) / resamples)
-        assert result.p_value == pytest.approx(q, abs=4 * sigma + 2 / resamples)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(4)
-        a, b = rng.random(10), rng.random(10)
-        r_ab = permutation_test(a, b, resamples=1000, seed=9)
-        r_ba = permutation_test(b, a, resamples=1000, seed=9)
-        assert r_ab.p_value == pytest.approx(r_ba.p_value)
-        assert r_ab.observed == pytest.approx(-r_ba.observed)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            permutation_test(np.ones(5), np.ones(4))
-        with pytest.raises(ValueError):
-            permutation_test(np.ones(5), np.ones(5), resamples=0)
-
-    def test_summary_strings(self):
-        result = permutation_test(np.ones(8), np.zeros(8), resamples=400)
-        text = result.summary()
-        assert "p =" in text and "+1.0000" in text

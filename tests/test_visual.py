@@ -159,8 +159,16 @@ class TestParseLayout:
         ("bold", "false", "bold must be true or false, got 'false'"),
         ("bold", 0, "bold must be true or false, got 0"),
         ("bold", None, "bold must be true or false, got None"),
+        ("text", 5, "text must be a string, got 5"),
+        ("tag", 7, "tag must be a string, got 7"),
+        ("box", ["0", "0", "10", "10"],
+         "box must be [x, y, w, h] numbers, got ['0', '0', '10', '10']"),
+        ("box", [0, 0, True, 10], "box must be [x, y, w, h] numbers, got [0, 0, True, 10]"),
+        ("font", "12", "font must be a number, got '12'"),
+        ("font", 10 ** 400, "non-finite box or font size"),
     ], ids=["nan-font", "inf-font", "inf-box", "nan-box", "string-bold", "int-bold",
-            "null-bold"])
+            "null-bold", "int-text", "int-tag", "string-box", "bool-box", "string-font",
+            "huge-int-font"])
     def test_bad_node_value_located(self, field, value, message):
         layout = self._load("product_page.json")
         layout["root"]["children"][1][field] = value
@@ -168,13 +176,20 @@ class TestParseLayout:
             parse_layout(layout, "p1")
         assert str(info.value) == f"p1.root.children[1]: {message}"
 
-    @pytest.mark.parametrize("page", [[float("nan"), 100], [100, float("inf")], [0, 100]],
-                             ids=["nan", "inf", "zero"])
-    def test_bad_page_dimensions_rejected(self, page):
+    @pytest.mark.parametrize("page,message", [
+        ([float("nan"), 100], "page dimensions must be positive and finite"),
+        ([100, float("inf")], "page dimensions must be positive and finite"),
+        ([0, 100], "page dimensions must be positive and finite"),
+        (["wide", 100], "page must be [width, height] numbers, got ['wide', 100]"),
+        ([True, 100], "page must be [width, height] numbers, got [True, 100]"),
+        ([100], "page must be [width, height] numbers, got [100]"),
+    ], ids=["nan", "inf", "zero", "string", "bool", "one-entry"])
+    def test_bad_page_dimensions_rejected(self, page, message):
         layout = {"page": page,
                   "root": {"tag": "p", "box": [0, 0, 10, 10], "font": 10, "text": "x"}}
-        with pytest.raises(LayoutError, match="p1: page dimensions must be positive and finite"):
+        with pytest.raises(LayoutError) as info:
             parse_layout(layout, "p1")
+        assert str(info.value) == f"p1: {message}"
 
     def test_text_on_internal_node_rejected(self):
         layout = {
