@@ -205,15 +205,16 @@ def _resolve_checkpoint(path):
     raise CliError(f"checkpoint not found: {path}")
 
 
-def _load_frozen(cfg):
-    from .embedding import FrozenVectors
+def _attach_frozen(cfg, docs):
+    """``docs`` with frozen vectors attached if the model that ``cfg`` names uses them."""
+    if cfg["embedding.source"] != "frozen":
+        return docs
+    from .embedding import attach_vectors
 
     path = cfg["embedding.frozen_vectors"]
-    if cfg["embedding.source"] == "frozen":
-        if not path:
-            raise CliError("embedding.source=frozen needs embedding.frozen_vectors")
-        return FrozenVectors.load(path, cfg["embedding.token_dim"])
-    return None
+    if not path:
+        raise CliError("embedding.source=frozen needs embedding.frozen_vectors")
+    return attach_vectors(docs, path, cfg["embedding.token_dim"])
 
 
 def _load_model(cfg, path):
@@ -226,7 +227,7 @@ def _load_model(cfg, path):
     from .model import SpanScorer
 
     path = _resolve_checkpoint(path)
-    model, _ = SpanScorer.load(path, frozen_vectors=_load_frozen(cfg))
+    model, _ = SpanScorer.load(path)
     settings = model.config.to_dict()
     found = {f"embedding.{k}": v for k, v in settings.pop("embedding").items()}
     found.update((f"model.{k}", v) for k, v in settings.items())
@@ -331,8 +332,8 @@ def _run_train(args, cfg, mode):
                 (truncate(d, train_cfg.max_doc_length) for d in labeled),
                 min_count=model_cfg.embedding.min_count,
             )
-        model = SpanScorer(model_cfg, vocab=vocab, frozen_vectors=_load_frozen(cfg),
-                           seed=cfg["seed"])
+        model = SpanScorer(model_cfg, vocab=vocab, seed=cfg["seed"])
+    labeled = _attach_frozen(cfg, labeled)
     examples, prep = prepare_examples(
         labeled, model.config.max_span_length, train_cfg.max_doc_length
     )
@@ -387,7 +388,7 @@ def cmd_predict(args, cfg):
     docs, ingest = read_dataset(args.data)
     _report_empty(ingest)
     predictions = []
-    for doc in docs:
+    for doc in _attach_frozen(cfg, docs):
         if args.chunked:
             pred = chunk_and_merge(model, doc, predict_cfg.chunk_len,
                                    predict_cfg.chunk_weight)

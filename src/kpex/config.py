@@ -96,6 +96,10 @@ class TrainingConfig:
             raise ValueError("validation_fraction must be in [0, 1)")
         if self.max_doc_length < 1:
             raise ValueError("max_doc_length must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.total_steps is not None and self.total_steps < 0:
+            raise ValueError(f"total_steps must be non-negative, got {self.total_steps}")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Document model: tokenization, candidate spans, and gold-label alignment.
 
 A document is a sequence of lowercased tokens plus one 18-dimensional visual
-feature row per token, and the keyphrases it is labeled with, if any.
+feature row per token, one frozen contextual vector per token once attached,
+and the keyphrases it is labeled with, if any; slices keep rows with tokens.
 Candidate keyphrases are all n-grams up to a maximum width K, one (start,
 length) row each; gold phrases are aligned to the token sequence by exact
 token-level match, and the training target spreads probability uniformly
@@ -44,25 +45,33 @@ class Document:
     tokens: tuple
     visual: np.ndarray
     zero_visual: bool = False
-    token_offset: int = 0  # position of token 0 in the source document
-    source_id: str = ""  # id of the source document; defaults to id
     keyphrases: tuple = ()  # gold or query phrases; empty when unlabeled
+    vectors: np.ndarray | None = None  # (n, token_dim) frozen rows, if attached
 
     def __post_init__(self):
         if not self.id:
             raise ValueError("document id must be non-empty")
-        if not self.source_id:
-            object.__setattr__(self, "source_id", self.id)
-        if len(self.tokens) < 1:
+        n = len(self.tokens)
+        if n < 1:
             raise ValueError(f"document {self.id!r} has no tokens")
-        if self.visual.shape != (len(self.tokens), VISUAL_DIM):
+        if self.visual.shape != (n, VISUAL_DIM):
             raise ValueError(
                 f"document {self.id!r}: visual shape {self.visual.shape} != "
-                f"({len(self.tokens)}, {VISUAL_DIM})"
+                f"({n}, {VISUAL_DIM})"
+            )
+        if self.vectors is not None and (self.vectors.ndim != 2 or len(self.vectors) != n):
+            raise ValueError(
+                f"document {self.id!r}: vectors shape {self.vectors.shape} != ({n}, d)"
             )
 
     def __len__(self):
         return len(self.tokens)
+
+    def slice(self, start, stop, **changes):
+        """Tokens ``start:stop`` and their rows; ``changes`` replace other fields."""
+        vectors = None if self.vectors is None else self.vectors[start:stop]
+        return replace(self, tokens=self.tokens[start:stop], visual=self.visual[start:stop],
+                       vectors=vectors, **changes)
 
     def phrase(self, span):
         start, length = span
@@ -109,12 +118,12 @@ def make_document(doc_id, text, visual_rows=None, where=None, keyphrases=()):
 
 
 def truncate(doc, max_len=MAX_DOC_LENGTH):
-    """Keep the first ``max_len`` tokens (and their visual rows)."""
+    """Keep the first ``max_len`` tokens (and their visual and vector rows)."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     if len(doc) <= max_len:
         return doc
-    return replace(doc, tokens=doc.tokens[:max_len], visual=doc.visual[:max_len])
+    return doc.slice(0, max_len)
 
 
 def enumerate_spans(n_tokens, max_len=MAX_SPAN_LENGTH):

@@ -1,15 +1,17 @@
 """Hybrid word embeddings: contextual + sinusoidal position + visual.
 
 Each token i embeds as the concatenation h_i ++ pos_i ++ v_i, where h_i comes
-from a contextual source (a trainable lookup table, or frozen per-document
-vectors loaded from a sidecar file), pos_i is the fixed sinusoidal position
-code, and v_i is the 18-float visual row. Ablations zero the position or
-visual slice in place, keeping every parameter shape unchanged.
+from a contextual source (a trainable lookup table, or the document's frozen
+vector row, which ``attach_vectors`` reads from a sidecar file), pos_i is the
+fixed sinusoidal position code, and v_i is the 18-float visual row.
+Ablations zero the position or visual slice in place, keeping every
+parameter shape unchanged.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 
@@ -70,58 +72,39 @@ class TokenVocabulary:
         return cls(tuple(tokens))
 
 
-class TrainableLookup:
-    """Contextual-embedding stand-in: a trainable per-type lookup table."""
+def attach_vectors(docs, path, token_dim):
+    """``docs`` with their frozen contextual vectors from a sidecar JSONL file.
 
-    def __init__(self, vocab, table):
-        self.vocab = vocab
-        self.table = table  # (len(vocab), token_dim) parameter Tensor
-
-    def vectors_for(self, doc, columns):
-        return embedding_lookup(self.table, self.vocab.ids(doc.tokens), columns)
-
-
-class FrozenVectors:
-    """Per-document frozen contextual vectors from a sidecar JSONL file.
-
-    Each line is {"id": str, "vectors": [[finite floats]...]} aligned with
-    the document's untruncated token sequence; rows beyond the (possibly
-    truncated) document length are dropped. Lines follow the
-    ``read_records`` contract, so ids are unique.
+    Each line is {"id": str, "vectors": [[finite floats]...]}, at least one
+    ``token_dim``-wide row per token of the document. Lines follow the
+    ``read_records`` contract, and every line is checked at ``path:lineno``,
+    used or not. A document gets its first ``len(doc)`` rows; one with no
+    line, or with fewer rows than tokens, raises DatasetError.
     """
-
-    def __init__(self, by_id, token_dim):
-        self._by_id = by_id
-        self.token_dim = token_dim
-
-    @classmethod
-    def load(cls, path, token_dim):
-        by_id = {}
-        for where, obj in read_records(path, "id", "vectors"):
-            doc_id = str(obj["id"])
-            by_id[doc_id] = float_rows(obj["vectors"], "vectors", token_dim,
-                                       f"{where}: document {doc_id!r}")
-        return cls(by_id, token_dim)
-
-    def vectors_for(self, doc, columns):
-        if doc.source_id not in self._by_id:
-            raise KeyError(f"no frozen vectors for document {doc.source_id!r}")
-        arr = self._by_id[doc.source_id]
-        lo, hi = doc.token_offset, doc.token_offset + len(doc)
-        if arr.shape[0] < hi:
-            raise DatasetError(
-                f"document {doc.id!r}: {arr.shape[0]} frozen vectors cover "
-                f"fewer than {hi} tokens"
-            )
-        return Tensor(np.concatenate([arr[lo:hi], *columns], axis=1))
+    found = {}
+    for where, obj in read_records(path, "id", "vectors"):
+        doc_id = str(obj["id"])
+        where = f"{where}: document {doc_id!r}"
+        found[doc_id] = where, float_rows(obj["vectors"], "vectors", token_dim, where)
+    attached = []
+    for doc in docs:
+        if doc.id not in found:
+            raise DatasetError(f"{path}: no vectors for document {doc.id!r}")
+        where, rows = found[doc.id]
+        if len(rows) < len(doc):
+            raise DatasetError(f"{where}: {len(rows)} vectors for {len(doc)} tokens")
+        attached.append(replace(doc, vectors=rows[: len(doc)]))
+    return attached
 
 
-def embed_document(doc, config, source, no_position=False, no_visual=False):
+def embed_document(doc, config, table=None, vocab=None, no_position=False,
+                   no_visual=False):
     """The (n, width) hybrid embedding matrix as one graph Tensor.
 
-    The source builds it, putting its vectors before the position and visual
-    columns. ``no_position`` / ``no_visual`` zero their slice, so ablated
-    models keep identical parameter shapes and widths.
+    A trainable source looks the tokens up in ``table`` through ``vocab``; a
+    frozen one takes ``doc.vectors``. Those rows come before the position and
+    visual columns. ``no_position`` / ``no_visual`` zero their slice, so
+    ablated models keep identical parameter shapes and widths.
     """
     n = len(doc)
     if no_position:
@@ -129,7 +112,12 @@ def embed_document(doc, config, source, no_position=False, no_visual=False):
     else:
         pos = position_matrix(n, config.position_dim)
     vis = np.zeros((n, config.visual_dim)) if no_visual else doc.visual
-    x = source.vectors_for(doc, (pos, vis))
+    if config.source == "trainable":
+        x = embedding_lookup(table, vocab.ids(doc.tokens), (pos, vis))
+    elif doc.vectors is None:
+        raise ValueError(f"document {doc.id!r} has no frozen vectors")
+    else:
+        x = Tensor(np.concatenate([doc.vectors, pos, vis], axis=1))
     if x.shape != (n, config.width):
         raise ValueError(f"embedding has shape {x.shape}, expected ({n}, {config.width})")
     return x

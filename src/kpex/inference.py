@@ -5,8 +5,9 @@ the shared tokenizer re-joined with single spaces: lowercase, punctuation
 detached, whitespace collapsed. ``rank_phrases`` is the one ranking of scored
 spans, shared by plain and chunked prediction and by the baselines: identical
 phrases collapse to their best-scoring occurrence. For documents longer than
-the model's input budget, fixed-width chunks are scored independently and
-merged with geometrically decaying chunk weights. Near-duplicate
+the model's input budget, fixed-width chunks, each with the visual and
+frozen vector rows of its own tokens, are scored independently and merged
+with geometrically decaying chunk weights. Near-duplicate
 suppression never touches the top quarter of the list (the protected head)
 and drops every lower phrase whose tokens form a contiguous run of a
 protected phrase's tokens; its cost is linear in the number of phrases.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,17 +107,15 @@ def predict_topk(distribution, doc, k):
 
 
 def chunk_document(doc, chunk_len):
-    """Split into consecutive chunk_len-token sub-documents."""
+    """Split into consecutive chunk_len-token sub-documents.
+
+    Chunk p has id ``<id>#chunk<p>`` and carries the visual and frozen vector
+    rows of its own tokens.
+    """
     if chunk_len < 1:
         raise ValueError("chunk length must be at least 1")
-    chunks = []
-    for p, start in enumerate(range(0, len(doc), chunk_len)):
-        stop = min(start + chunk_len, len(doc))
-        chunks.append(replace(
-            doc, id=f"{doc.id}#chunk{p}", tokens=doc.tokens[start:stop],
-            visual=doc.visual[start:stop], token_offset=doc.token_offset + start,
-        ))
-    return chunks
+    return [doc.slice(start, start + chunk_len, id=f"{doc.id}#chunk{p}")
+            for p, start in enumerate(range(0, len(doc), chunk_len))]
 
 
 def chunk_and_merge(model, doc, chunk_len=PredictConfig.chunk_len,

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import ModelConfig
 from .documents import enumerate_spans
-from .embedding import TokenVocabulary, TrainableLookup, embed_document
+from .embedding import TokenVocabulary, embed_document
 from .registry import (
     ParameterRegistry,
     check_arrays,
@@ -115,7 +115,7 @@ def _parameter_layout(config, n_tokens=0):
 class SpanScorer:
     """The end-to-end span classifier with a named parameter registry."""
 
-    def __init__(self, config, vocab=None, frozen_vectors=None, seed=0, arrays=None):
+    def __init__(self, config, vocab=None, seed=0, arrays=None):
         """Parameters drawn from ``seed``, or taken from ``arrays``.
 
         ``arrays`` maps each parameter name to its value, as load_checkpoint
@@ -123,15 +123,8 @@ class SpanScorer:
         """
         self.config = config
         self.vocab = vocab
-        emb = config.embedding
-        if emb.source == "trainable":
-            if vocab is None:
-                raise ValueError("trainable embeddings need a vocabulary")
-        else:
-            if frozen_vectors is None:
-                raise ValueError("frozen embedding source needs loaded vectors")
-            if frozen_vectors.token_dim != emb.token_dim:
-                raise ValueError("frozen vector width != embedding token_dim")
+        if config.embedding.source == "trainable" and vocab is None:
+            raise ValueError("trainable embeddings need a vocabulary")
         layout = _parameter_layout(config, len(vocab) if vocab is not None else 0)
         if arrays is None:
             rng = np.random.default_rng(seed)
@@ -141,10 +134,6 @@ class SpanScorer:
         self.registry = ParameterRegistry()
         for name, _, _ in layout:
             self.registry.add(name, arrays[name])
-        if emb.source == "trainable":
-            self.source = TrainableLookup(vocab, self.registry["embedding/tokens"])
-        else:
-            self.source = frozen_vectors
 
     # -- forward --------------------------------------------------------
 
@@ -197,13 +186,10 @@ class SpanScorer:
         """
         cfg = self.config
         n = len(doc)
-        x = embed_document(
-            doc,
-            cfg.embedding,
-            self.source,
-            no_position=cfg.no_position,
-            no_visual=cfg.no_visual,
-        )
+        emb = cfg.embedding
+        table = self.registry["embedding/tokens"] if emb.source == "trainable" else None
+        x = embed_document(doc, emb, table, self.vocab,
+                           no_position=cfg.no_position, no_visual=cfg.no_visual)
         # the one finiteness check; load_checkpoint refuses non-finite parameters
         if not np.isfinite(x.data).all():
             raise ValueError("non-finite values entering conv1d")
@@ -237,7 +223,8 @@ class SpanScorer:
         save_checkpoint(path, self.registry, meta)
 
     @classmethod
-    def load(cls, path, frozen_vectors=None):
+    def load(cls, path):
+        """The model at ``path`` and its metadata; documents bring any frozen vectors."""
         meta, arrays = load_checkpoint(path)
         config = dict(meta["config"])
         if config.pop("no_transformer", False):  # legacy spelling of layers=0
@@ -249,5 +236,5 @@ class SpanScorer:
             if meta.get("vocab") is not None
             else None
         )
-        model = cls(config, vocab=vocab, frozen_vectors=frozen_vectors, arrays=arrays)
+        model = cls(config, vocab=vocab, arrays=arrays)
         return model, meta

@@ -83,10 +83,11 @@ def _parse_node(obj, path):
         raise LayoutError(f"{path}: negative box dimensions")
     if font < 0:
         raise LayoutError(f"{path}: negative font size")
-    children = tuple(
-        _parse_node(child, f"{path}.children[{i}]")
-        for i, child in enumerate(obj.get("children", ()))
-    )
+    children = obj.get("children")
+    if children is not None and not isinstance(children, list):
+        raise LayoutError(f"{path}: children must be a list, got {children!r}")
+    children = tuple(_parse_node(child, f"{path}.children[{i}]")
+                     for i, child in enumerate(children or ()))
     if text is not None and children:
         raise LayoutError(f"{path}: text is only allowed on leaf nodes")
     return DomNode(tag.lower(), box, font, bold, children, text)

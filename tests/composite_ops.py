@@ -130,18 +130,18 @@ def embedding_lookup(table, ids):
     return _make(data, (table,), backward_fn)
 
 
-def embed_document(doc, config, source, no_position=False, no_visual=False):
+def embed_document(doc, config, table=None, vocab=None, no_position=False, no_visual=False):
     """The hybrid embedding as lookup, position and visual tensors and an axis-1 concat.
 
-    ``source`` is a ``TrainableLookup``, or the (n, token_dim) frozen rows.
+    A trainable source looks tokens up in ``table``; a frozen one reads ``doc.vectors``.
     """
     from kpex.embedding import position_matrix
 
     n = len(doc)
-    if isinstance(source, np.ndarray):
-        h = Tensor(source)
+    if config.source == "trainable":
+        h = embedding_lookup(table, vocab.ids(doc.tokens))
     else:
-        h = embedding_lookup(source.table, source.vocab.ids(doc.tokens))
+        h = Tensor(doc.vectors)
     pos = np.zeros((n, config.position_dim)) if no_position else position_matrix(
         n, config.position_dim)
     vis = np.zeros((n, config.visual_dim)) if no_visual else doc.visual

@@ -230,7 +230,9 @@ class TestConfigTypes:
         "model.dropout=0",
         "model.no_visual=false",
         "train.total_steps=null",
+        "train.total_steps=0",
         "train.total_steps=40",
+        "seed=0",
         "embedding.frozen_vectors=vectors.txt",
     ])
     def test_right_type_accepted(self, item):
@@ -274,7 +276,11 @@ class TestTopLevel:
         (["--set", "embedding.position_dim=3"], "position_dim must be a positive even number"),
         (["--set", "train.lr_end=1"], "lr_end must not exceed lr_start"),
         (["--set", "predict.chunk_weight=0"], "chunk_weight must be in (0, 1]"),
-    ], ids=["filters", "heads", "position_dim", "lr_end", "chunk_weight"])
+        (["--set", "train.total_steps=-3"], "total_steps must be non-negative, got -3"),
+        (["--set", "seed=-1"], "seed must be non-negative, got -1"),
+        (["--seed", "-1"], "seed must be non-negative, got -1"),
+    ], ids=["filters", "heads", "position_dim", "lr_end", "chunk_weight", "total_steps",
+            "seed", "seed-flag"])
     def test_out_of_range_config_refused_by_every_command(self, tmp_path, capsys,
                                                           flags, message):
         gold = str(tmp_path / "gold.jsonl")
@@ -561,6 +567,33 @@ class TestTrainCli:
         assert main(argv) == 1
         assert f"{vectors}:1: expected an object with id and vectors" in capsys.readouterr().err
 
+    def test_init_from_frozen_checkpoint_needs_only_its_vectors(self, tmp_path):
+        from kpex.registry import load_checkpoint
+
+        data, vectors, model = _frozen_checkpoint(tmp_path)
+        out = str(tmp_path / "r")
+        argv = ["--set", f"embedding.frozen_vectors={vectors}", "--set", "train.max_epochs=1",
+                "train", "--data", data, "--out", out, "--init", model]
+        assert main(argv) == 0
+        meta, _ = load_checkpoint(os.path.join(out, "best.ckpt"))
+        assert meta["config"]["embedding"]["source"] == "frozen"
+        assert meta["config"]["embedding"]["token_dim"] == 6
+
+    @pytest.mark.parametrize("command", ["predict", "train", "train --init"])
+    def test_short_vectors_refused_at_their_line(self, tmp_path, capsys, command):
+        # pages are cut to 4 tokens, yet each line must cover all 6
+        data, vectors, model = _frozen_checkpoint(tmp_path, rows=5)
+        out = str(tmp_path / "out")
+        argv = SMALL_MODEL + ["--set", "embedding.source=frozen",
+                              "--set", f"embedding.frozen_vectors={vectors}",
+                              "--set", "train.max_doc_length=4"]
+        argv += {"predict": ["predict", "--model", model], "train": ["train"],
+                 "train --init": ["train", "--init", model]}[command]
+        assert main(argv + ["--data", data, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {vectors}:1: document 'https://x.com/p#top': 5 vectors for 6 tokens\n")
+        assert not os.path.exists(out)
+
     def test_ablate_no_transformer(self, pipeline, tmp_path):
         run_dir = str(tmp_path / "r")
         argv = SMALL_MODEL + [
@@ -728,6 +761,28 @@ class TestTrainCli:
         assert not os.path.exists(out)
 
 
+# two 6-token pages, one id holding a '#' like a chunk id
+FROZEN_PAGES = {"https://x.com/p#top": "red blue stapler on sale now",
+                "d2": "blue office chair with red wheels"}
+
+
+def _frozen_checkpoint(tmp_path, rows=6):
+    """A labeled FROZEN_PAGES dataset, ``rows`` 6-wide vectors for each page,
+    and a checkpoint trained with a 6-wide frozen source on full vectors."""
+    data, vectors = str(tmp_path / "docs.jsonl"), str(tmp_path / "vectors.jsonl")
+    write_jsonl(data, [{"id": i, "text": t, "keyphrases": ["red"]}
+                       for i, t in FROZEN_PAGES.items()])
+    rng = np.random.default_rng(0)
+    full = {i: rng.normal(size=(6, 6)).tolist() for i in FROZEN_PAGES}
+    write_jsonl(vectors, [{"id": i, "vectors": v} for i, v in full.items()])
+    run = str(tmp_path / "frozen")
+    assert main(SMALL_MODEL + [
+        "--set", "embedding.source=frozen", "--set", f"embedding.frozen_vectors={vectors}",
+        "--set", "train.max_epochs=1", "train", "--data", data, "--out", run]) == 0
+    write_jsonl(vectors, [{"id": i, "vectors": v[:rows]} for i, v in full.items()])
+    return data, vectors, os.path.join(run, "best.ckpt")
+
+
 class TestPredictCli:
     def test_predict_writes_ranked_phrases(self, pipeline, capsys):
         out = str(pipeline["root"] / "preds.jsonl")
@@ -753,27 +808,22 @@ class TestPredictCli:
 
     @pytest.mark.parametrize("chunked", [[], ["--chunked"]])
     def test_frozen_vectors_for_id_with_hash(self, tmp_path, chunked):
-        from kpex.config import EmbeddingConfig
-        from kpex.embedding import FrozenVectors
-        from kpex.model import ModelConfig, SpanScorer
+        # the checkpoint's source and token_dim are taken over for its vectors
+        data, vectors, model = _frozen_checkpoint(tmp_path)
 
-        doc_id = "https://x.com/p#top"
-        data = str(tmp_path / "docs.jsonl")
-        write_jsonl(data, [{"id": doc_id, "text": "red blue stapler on sale now"}])
-        vectors = str(tmp_path / "vectors.jsonl")
-        rng = np.random.default_rng(0)
-        write_jsonl(vectors, [{"id": doc_id, "vectors": rng.normal(size=(6, 6)).tolist()}])
-        config = ModelConfig(filters=8, embedding=EmbeddingConfig(
-            token_dim=6, position_dim=4, source="frozen"))
-        model = str(tmp_path / "frozen.ckpt")
-        SpanScorer(config, frozen_vectors=FrozenVectors.load(vectors, 6)).save(model)
-        out = str(tmp_path / "preds.jsonl")
-        argv = ["--set", "embedding.source=frozen", "--set", "embedding.token_dim=6",
-                "--set", f"embedding.frozen_vectors={vectors}", "--set", "predict.chunk_len=4",
-                "predict", "--model", model, "--data", data, "--out", out] + chunked
-        assert main(argv) == 0
-        [line] = [json.loads(l) for l in open(out)]
-        assert line["id"] == doc_id and line["phrases"]
+        def predict(*flags):
+            out = str(tmp_path / f"preds{len(flags)}.jsonl")
+            argv = [*flags, "--set", f"embedding.frozen_vectors={vectors}",
+                    "--set", "predict.chunk_len=4",
+                    "predict", "--model", model, "--data", data, "--out", out] + chunked
+            assert main(argv) == 0
+            return _read_bytes(out)
+
+        spelled = predict("--set", "embedding.source=frozen", "--set", "embedding.token_dim=6")
+        assert predict() == spelled
+        lines = [json.loads(line) for line in spelled.decode().splitlines()]
+        assert [line["id"] for line in lines] == list(FROZEN_PAGES)
+        assert all(line["phrases"] for line in lines)
 
     @pytest.mark.parametrize("flags,digest", [
         ([], GOLDEN_PLAIN),

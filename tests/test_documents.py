@@ -54,6 +54,11 @@ class TestDocument:
         with pytest.raises(ValueError, match="visual shape"):
             Document("d", ("a", "b"), np.zeros((3, VISUAL_DIM)))
 
+    @pytest.mark.parametrize("shape", [(3, 4), (2,), (1, 2, 4)])
+    def test_rejects_misaligned_vectors(self, shape):
+        with pytest.raises(ValueError, match="'d': vectors shape"):
+            Document("d", ("a", "b"), np.zeros((2, VISUAL_DIM)), vectors=np.zeros(shape))
+
     def test_make_document_zero_fills_missing_visual(self):
         doc = make_document("d", "hello world")
         assert doc.zero_visual
@@ -84,6 +89,13 @@ class TestTruncate:
         doc = Document("d", tuple(f"w{i}" for i in range(10)), visual)
         clipped = truncate(doc, 4)
         np.testing.assert_array_equal(clipped.visual, visual[:4])
+
+    def test_vector_rows_in_lockstep(self):
+        vectors = np.arange(10 * 3, dtype=float).reshape(10, 3)
+        doc = _doc([f"w{i}" for i in range(10)])
+        clipped = truncate(Document(doc.id, doc.tokens, doc.visual, vectors=vectors), 4)
+        np.testing.assert_array_equal(clipped.vectors, vectors[:4])
+        assert truncate(doc, 4).vectors is None
 
 
 class TestEnumerateSpans:

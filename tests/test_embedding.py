@@ -1,6 +1,7 @@
 """Position codes, vocabulary, and the hybrid embedding assembly."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,17 +9,17 @@ import pytest
 from composite_ops import mul, reduce_sum
 from kpex.autodiff import Tensor
 from kpex.config import EmbeddingConfig
-from kpex.documents import Document, make_document
+from kpex.documents import Document, make_document, truncate
 from kpex.embedding import (
     MASK_TOKEN,
     UNK_TOKEN,
-    FrozenVectors,
     TokenVocabulary,
-    TrainableLookup,
+    attach_vectors,
     embed_document,
     position_matrix,
 )
 from kpex.fileio import DatasetError, write_jsonl
+from kpex.inference import chunk_document
 
 
 def position_encoding(position, dims):
@@ -36,12 +37,6 @@ def position_encoding(position, dims):
     vec[0::2] = np.sin(angles)
     vec[1::2] = np.cos(angles)
     return vec
-
-
-def _doc(doc_id, tokens, offset=0, source_id=""):
-    visual = np.zeros((len(tokens), 18))
-    return Document(doc_id, tuple(tokens), visual, token_offset=offset,
-                    source_id=source_id)
 
 
 class TestPositionEncoding:
@@ -150,11 +145,11 @@ class TestEmbedDocument:
         config = EmbeddingConfig(token_dim=6, position_dim=4)
         rng = np.random.default_rng(0)
         table = Tensor(rng.normal(size=(len(vocab), 6)), requires_grad=True)
-        return doc, config, TrainableLookup(vocab, table)
+        return doc, config, table, vocab
 
     def test_shape_and_slices(self):
-        doc, config, source = self._setup()
-        emb = embed_document(doc, config, source).data
+        doc, config, *source = self._setup()
+        emb = embed_document(doc, config, *source).data
         assert emb.shape == (3, 28)
         np.testing.assert_allclose(emb[:, 6:10], position_matrix(3, 4))
         np.testing.assert_allclose(emb[:, 10:], np.zeros((3, 18)))
@@ -163,44 +158,60 @@ class TestEmbedDocument:
         assert not np.array_equal(emb[0, :6], emb[1, :6])
 
     def test_position_ablation_zeroes_only_that_slice(self):
-        doc, config, source = self._setup()
-        full = embed_document(doc, config, source).data
-        abl = embed_document(doc, config, source, no_position=True).data
+        doc, config, *source = self._setup()
+        full = embed_document(doc, config, *source).data
+        abl = embed_document(doc, config, *source, no_position=True).data
         np.testing.assert_allclose(abl[:, 6:10], np.zeros((3, 4)))
         np.testing.assert_array_equal(abl[:, :6], full[:, :6])
         np.testing.assert_array_equal(abl[:, 10:], full[:, 10:])
 
     def test_visual_ablation(self):
-        doc, config, source = self._setup()
+        doc, config, *source = self._setup()
         visual = np.full((3, 18), 0.25)
         doc = Document("d", doc.tokens, visual)
-        full = embed_document(doc, config, source).data
-        abl = embed_document(doc, config, source, no_visual=True).data
+        full = embed_document(doc, config, *source).data
+        abl = embed_document(doc, config, *source, no_visual=True).data
         np.testing.assert_allclose(full[:, 10:], visual)
         np.testing.assert_allclose(abl[:, 10:], np.zeros((3, 18)))
 
     def test_gradient_reaches_table(self):
-        doc, config, source = self._setup()
-        emb = embed_document(doc, config, source)
+        doc, config, table, vocab = self._setup()
+        emb = embed_document(doc, config, table, vocab)
         reduce_sum(mul(emb, emb)).backward()
-        assert source.table.grad is not None
+        assert table.grad is not None
         # the unused mask row gets zero gradient
-        np.testing.assert_array_equal(source.table.grad[1], np.zeros(6))
+        np.testing.assert_array_equal(table.grad[1], np.zeros(6))
 
     def test_wrong_width_source_rejected(self):
-        doc, config, _ = self._setup()
-
-        class Bad:
-            def vectors_for(self, doc, columns):
-                return Tensor(np.zeros((len(doc), 5)))
-
+        doc, config, _, vocab = self._setup()
         with pytest.raises(ValueError, match="shape"):
-            embed_document(doc, config, Bad())
+            embed_document(doc, config, Tensor(np.zeros((len(vocab), 5))), vocab)
+
+    def test_frozen_vectors_come_first(self):
+        doc, config, *_ = self._setup()
+        config = EmbeddingConfig(token_dim=6, position_dim=4, source="frozen")
+        vectors = np.arange(3 * 6, dtype=float).reshape(3, 6)
+        emb = embed_document(replace(doc, vectors=vectors), config)
+        assert not emb.requires_grad
+        np.testing.assert_array_equal(emb.data[:, :6], vectors)
+        np.testing.assert_array_equal(emb.data[:, 6:10], position_matrix(3, 4))
+        np.testing.assert_array_equal(emb.data[:, 10:], doc.visual)
+
+    def test_frozen_without_vectors_names_document(self):
+        doc, *_ = self._setup()
+        config = EmbeddingConfig(token_dim=6, position_dim=4, source="frozen")
+        with pytest.raises(ValueError, match="document 'd' has no frozen vectors"):
+            embed_document(doc, config)
+
+    def test_wrong_width_vectors_rejected(self):
+        doc, *_ = self._setup()
+        config = EmbeddingConfig(token_dim=6, position_dim=4, source="frozen")
+        with pytest.raises(ValueError, match="shape"):
+            embed_document(replace(doc, vectors=np.zeros((3, 5))), config)
 
 
-def _rows(frozen, doc):
-    """The document's frozen vector rows, with no columns after them."""
-    return frozen.vectors_for(doc, ()).data
+def _doc(doc_id, tokens):
+    return Document(doc_id, tuple(tokens), np.zeros((len(tokens), 18)))
 
 
 class TestFrozenVectors:
@@ -212,42 +223,45 @@ class TestFrozenVectors:
     def test_load_and_slice(self, tmp_path):
         arr = np.arange(24, dtype=float).reshape(6, 4)
         path = self._write(tmp_path, [{"id": "d1", "vectors": arr.tolist()}])
-        frozen = FrozenVectors.load(path, token_dim=4)
         doc = _doc("d1", ["a", "b", "c", "d", "e", "f"])
-        np.testing.assert_array_equal(_rows(frozen, doc), arr)
+        [attached] = attach_vectors([doc], path, token_dim=4)
+        np.testing.assert_array_equal(attached.vectors, arr)
+        assert attached.tokens == doc.tokens and doc.vectors is None
 
     def test_truncated_document_uses_prefix(self, tmp_path):
+        # extra rows are dropped, and truncation slices the rows it keeps
         arr = np.arange(24, dtype=float).reshape(6, 4)
         path = self._write(tmp_path, [{"id": "d1", "vectors": arr.tolist()}])
-        frozen = FrozenVectors.load(path, token_dim=4)
-        doc = _doc("d1", ["a", "b"])
-        np.testing.assert_array_equal(_rows(frozen, doc), arr[:2])
+        [attached] = attach_vectors([_doc("d1", ["a", "b", "c"])], path, token_dim=4)
+        np.testing.assert_array_equal(attached.vectors, arr[:3])
+        np.testing.assert_array_equal(truncate(attached, 2).vectors, arr[:2])
 
     def test_chunk_offset_slices_middle(self, tmp_path):
         arr = np.arange(24, dtype=float).reshape(6, 4)
         path = self._write(tmp_path, [{"id": "d1", "vectors": arr.tolist()}])
-        frozen = FrozenVectors.load(path, token_dim=4)
-        chunk = _doc("d1#chunk1", ["c", "d", "e"], offset=2, source_id="d1")
-        np.testing.assert_array_equal(_rows(frozen, chunk), arr[2:5])
+        [attached] = attach_vectors([_doc("d1", list("abcdef"))], path, token_dim=4)
+        chunk = chunk_document(attached, 3)[1]
+        assert chunk.id == "d1#chunk1" and chunk.tokens == ("d", "e", "f")
+        np.testing.assert_array_equal(chunk.vectors, arr[3:6])
 
     def test_id_with_hash(self, tmp_path):
-        arr = np.arange(8, dtype=float).reshape(2, 4)
-        path = self._write(tmp_path, [{"id": "https://x.com/p#top", "vectors": arr.tolist()}])
-        frozen = FrozenVectors.load(path, token_dim=4)
-        doc = _doc("https://x.com/p#top", ["a", "b"])
-        np.testing.assert_array_equal(_rows(frozen, doc), arr)
+        path = self._write(tmp_path, [{"id": "d1", "vectors": [[1.0]]},
+                                      {"id": "https://x.com/p#top", "vectors": [[2.0]]}])
+        docs = [_doc("https://x.com/p#top", ["a"]), _doc("d1", ["b"])]
+        attached = attach_vectors(docs, path, token_dim=1)
+        assert [d.vectors.tolist() for d in attached] == [[[2.0]], [[1.0]]]
 
     def test_missing_document(self, tmp_path):
         path = self._write(tmp_path, [{"id": "d1", "vectors": [[0.0]]}])
-        frozen = FrozenVectors.load(path, token_dim=1)
-        with pytest.raises(KeyError, match="d2"):
-            _rows(frozen, _doc("d2", ["a"]))
+        with pytest.raises(DatasetError, match=r"vectors.jsonl: no vectors for document 'd2'"):
+            attach_vectors([_doc("d2", ["a"])], path, token_dim=1)
 
     def test_too_few_rows(self, tmp_path):
-        path = self._write(tmp_path, [{"id": "d1", "vectors": [[0.0], [1.0]]}])
-        frozen = FrozenVectors.load(path, token_dim=1)
-        with pytest.raises(DatasetError, match="fewer"):
-            _rows(frozen, _doc("d1", ["a", "b", "c"]))
+        path = self._write(tmp_path, [{"id": "d0", "vectors": [[0.0]]},
+                                      {"id": "d1", "vectors": [[0.0], [1.0]]}])
+        with pytest.raises(DatasetError,
+                           match=r"vectors.jsonl:2: document 'd1': 2 vectors for 3 tokens"):
+            attach_vectors([_doc("d1", ["a", "b", "c"])], path, token_dim=1)
 
     def test_ragged_rows_located(self, tmp_path):
         path = self._write(tmp_path, [
@@ -255,7 +269,7 @@ class TestFrozenVectors:
             {"id": "d1", "vectors": [[0.0, 1.0], [0.0]]},
         ])
         with pytest.raises(DatasetError, match=r"vectors.jsonl:2: document 'd1': vectors"):
-            FrozenVectors.load(path, token_dim=2)
+            attach_vectors([], path, token_dim=2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_vectors_located(self, tmp_path, bad):
@@ -264,15 +278,15 @@ class TestFrozenVectors:
             {"id": "d1", "vectors": [[0.0, 1.0], [bad, 2.0]]},
         ])
         with pytest.raises(DatasetError, match=r"vectors.jsonl:2: document 'd1': non-finite"):
-            FrozenVectors.load(path, token_dim=2)
+            attach_vectors([_doc("d0", ["a"])], path, token_dim=2)
 
     @pytest.mark.parametrize("line", [5, "id vectors", ["id", "vectors"]])
     def test_non_object_line_located(self, tmp_path, line):
         path = self._write(tmp_path, [{"id": "d0", "vectors": [[0.0]]}, line])
         with pytest.raises(DatasetError, match=r"vectors.jsonl:2: expected an object with id and vectors"):
-            FrozenVectors.load(path, token_dim=1)
+            attach_vectors([], path, token_dim=1)
 
     def test_wrong_width_rejected(self, tmp_path):
         path = self._write(tmp_path, [{"id": "d1", "vectors": [[0.0, 1.0]]}])
         with pytest.raises(DatasetError, match="vectors"):
-            FrozenVectors.load(path, token_dim=3)
+            attach_vectors([], path, token_dim=3)

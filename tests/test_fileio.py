@@ -7,7 +7,7 @@ import pytest
 
 from kpex.cli import cmd_agreement, main
 from kpex.documents import read_dataset
-from kpex.embedding import FrozenVectors
+from kpex.embedding import attach_vectors
 from kpex.fileio import DatasetError, read_json, read_records, write_jsonl
 from kpex.inference import read_predictions
 from kpex.weaksup import read_query_log
@@ -22,7 +22,7 @@ def _agreement(path):
 READERS = {
     "dataset": (read_dataset, {"text": "red stapler"}, ("id", "text")),
     "query_log": (read_query_log, {"queries": ["red stapler"]}, ("id", "queries")),
-    "frozen_vectors": (lambda path: FrozenVectors.load(path, token_dim=2),
+    "frozen_vectors": (lambda path: attach_vectors([], path, token_dim=2),
                        {"vectors": [[0.0, 1.0]]}, ("id", "vectors")),
     "predictions": (read_predictions, {"phrases": [["red stapler", 0.5]]}, ("id", "phrases")),
     "agreement": (_agreement, {"judges": [["red stapler"], ["red"]]}, ("judges",)),

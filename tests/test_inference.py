@@ -1,6 +1,7 @@
 """Phrase ranking, chunked scoring of long documents, and deduplication."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -208,11 +209,15 @@ class TestRankPhrasesPrefix:
 class TestChunkDocument:
     def test_sizes_ids_offsets(self):
         doc = make_document("d", " ".join(f"t{i}" for i in range(10)))
-        chunks = chunk_document(doc, 4)
+        vectors = np.arange(10 * 3, dtype=float).reshape(10, 3)
+        chunks = chunk_document(replace(doc, vectors=vectors), 4)
         assert [len(c) for c in chunks] == [4, 4, 2]
         assert [c.id for c in chunks] == ["d#chunk0", "d#chunk1", "d#chunk2"]
-        assert [c.token_offset for c in chunks] == [0, 4, 8]
         assert chunks[2].tokens == ("t8", "t9")
+        # each chunk's vector rows start at its token offset
+        for chunk, lo in zip(chunks, (0, 4, 8)):
+            np.testing.assert_array_equal(chunk.vectors, vectors[lo : lo + len(chunk)])
+        assert all(c.vectors is None for c in chunk_document(doc, 4))
 
     def test_visual_rows_travel_with_tokens(self):
         visual = np.linspace(0, 1, 6 * 18).reshape(6, 18)
@@ -222,9 +227,12 @@ class TestChunkDocument:
 
     def test_offset_compounds_for_rechunked_chunk(self):
         doc = make_document("d", "a b c d")
-        sub = chunk_document(doc, 2)[1]
+        vectors = np.arange(4 * 2, dtype=float).reshape(4, 2)
+        sub = chunk_document(replace(doc, vectors=vectors), 2)[1]
         nested = chunk_document(sub, 1)
-        assert [c.token_offset for c in nested] == [2, 3]
+        assert [c.tokens for c in nested] == [("c",), ("d",)]
+        np.testing.assert_array_equal(nested[0].vectors, vectors[2:3])
+        np.testing.assert_array_equal(nested[1].vectors, vectors[3:4])
 
     def test_chunk_len_validation(self):
         doc = make_document("d", "a b")

@@ -11,7 +11,7 @@ from kpex import autodiff as ad
 from kpex import model as model_module
 from kpex.config import EmbeddingConfig
 from kpex.documents import Document, count_spans, enumerate_spans, make_document
-from kpex.embedding import FrozenVectors, TokenVocabulary
+from kpex.embedding import TokenVocabulary
 from kpex.model import (
     ModelConfig,
     SpanScorer,
@@ -241,26 +241,18 @@ class TestFusedEmbeddingAndConcat:
     def test_matches_composite_bitwise(self, monkeypatch, source, n):
         rng = np.random.default_rng(n)
         tokens = tuple(rng.choice(["red", "blue", "stapler", "unseen"], size=n))
-        doc = Document("d", tokens, rng.uniform(size=(n, 18)))
+        visual = rng.uniform(size=(n, 18))
+        doc = Document("d", tokens, visual, vectors=rng.normal(size=(n, 8)))
         config = _small_config(embedding=EmbeddingConfig(token_dim=8, position_dim=4,
                                                          source=source))
-        rows = rng.normal(size=(n, 8))
-        if source == "trainable":
-            model = _model(config)
-            composite_source = model.source
-        else:
-            model = SpanScorer(config, frozen_vectors=FrozenVectors({"d": rows}, 8), seed=0)
-            composite_source = rows
+        model = _model(config) if source == "trainable" else SpanScorer(config, seed=0)
         fused = self._loss_and_grads(model, doc)
 
         def composite_concat(columns):
             flat = [composite_ops.reshape(c, (c.shape[0],)) for c in columns]
             return composite_ops.concat(flat, axis=0) if len(flat) > 1 else flat[0]
 
-        monkeypatch.setattr(
-            model_module, "embed_document",
-            lambda doc, config, source, **kw: composite_ops.embed_document(
-                doc, config, composite_source, **kw))
+        monkeypatch.setattr(model_module, "embed_document", composite_ops.embed_document)
         monkeypatch.setattr(ad, "concat", composite_concat)
         assert self._loss_and_grads(model, doc) == fused
 
@@ -326,7 +318,9 @@ class TestPersistence:
             assert q.data.dtype == np.float64 and q.data.shape == p.data.shape
             assert q.data.tobytes() == p.data.tobytes(), name
             assert q.requires_grad
-        assert loaded.source.table is loaded.registry["embedding/tokens"]
+        # the forward looks tokens up in the registry's table, so training moves it
+        reduce_sum(loaded.forward(_doc(4))).backward()
+        assert loaded.registry["embedding/tokens"].grad.any()
 
     def test_load_draws_no_initialization(self, tmp_path, monkeypatch):
         path = str(tmp_path / "model.ckpt")
@@ -417,5 +411,17 @@ class TestPersistence:
         cfg = _small_config(
             embedding=EmbeddingConfig(token_dim=8, position_dim=4, source="frozen")
         )
-        with pytest.raises(ValueError, match="frozen"):
-            SpanScorer(cfg)
+        with pytest.raises(ValueError, match="document 'd' has no frozen vectors"):
+            SpanScorer(cfg).forward(_doc(4))
+
+    def test_frozen_checkpoint_loads_from_path_alone(self, tmp_path):
+        cfg = _small_config(
+            embedding=EmbeddingConfig(token_dim=8, position_dim=4, source="frozen")
+        )
+        model = SpanScorer(cfg, seed=3)
+        path = str(tmp_path / "frozen.ckpt")
+        model.save(path)
+        loaded, _ = SpanScorer.load(path)
+        assert loaded.config == cfg
+        doc = replace(_doc(7), vectors=np.random.default_rng(0).normal(size=(7, 8)))
+        assert loaded.forward(doc).data.tobytes() == model.forward(doc).data.tobytes()

@@ -166,15 +166,24 @@ class TestParseLayout:
         ("box", [0, 0, True, 10], "box must be [x, y, w, h] numbers, got [0, 0, True, 10]"),
         ("font", "12", "font must be a number, got '12'"),
         ("font", 10 ** 400, "non-finite box or font size"),
+        ("children", 5, "children must be a list, got 5"),
+        ("children", {"tag": "p"}, "children must be a list, got {'tag': 'p'}"),
+        ("children", "b", "children must be a list, got 'b'"),
     ], ids=["nan-font", "inf-font", "inf-box", "nan-box", "string-bold", "int-bold",
             "null-bold", "int-text", "int-tag", "string-box", "bool-box", "string-font",
-            "huge-int-font"])
+            "huge-int-font", "int-children", "object-children", "string-children"])
     def test_bad_node_value_located(self, field, value, message):
         layout = self._load("product_page.json")
         layout["root"]["children"][1][field] = value
         with pytest.raises(LayoutError) as info:
             parse_layout(layout, "p1")
         assert str(info.value) == f"p1.root.children[1]: {message}"
+
+    def test_null_children_read_as_none(self):
+        leaf = {"tag": "p", "box": [0, 0, 10, 10], "font": 10, "text": "red stapler"}
+        page = {"page": [100, 100], "root": leaf}
+        expected = parse_layout(page, "p1")
+        assert parse_layout({**page, "root": {**leaf, "children": None}}, "p1") == expected
 
     @pytest.mark.parametrize("page,message", [
         ([float("nan"), 100], "page dimensions must be positive and finite"),
