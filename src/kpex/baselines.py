@@ -11,7 +11,8 @@ spans are ranked by ``inference.rank_phrases``, the ranking and tie-break of
 Both rank a block of documents at a time (``tfidf_block``, ``textrank_block``;
 ``kpex baseline`` passes ``BLOCK_DOCUMENTS`` at a time). A block tests each
 distinct token once for punctuation (and, for TFIDF, idf), and TextRank runs
-PageRank over all its word graphs in one power iteration (``pagerank_block``).
+PageRank over all its word graphs in one power iteration (``pagerank_block``),
+where each graph's scores freeze as it converges and the rest run on.
 Every score is bitwise that of the document ranked alone, which is what
 ``tfidf_rank``, ``textrank_rank`` and ``pagerank`` do: each is a block of one.
 """
@@ -207,9 +208,10 @@ def pagerank_block(graphs, damping=0.85, tol=1e-8, max_iterations=200):
     sums each node's in-flow in its graph's dict order, and one over every
     node sums each graph's L1 change in node order: the sums of the graph
     run alone, left to right (a matmul or a pairwise sum would not keep that
-    order, and would move the last bits). A graph leaves the iteration where
-    it converges, so its scores, ``iterations`` and ``residual`` are bitwise
-    those of a block of one.
+    order, and would move the last bits). A graph's scores and ``residual``
+    freeze at the iteration where it converges, while the others run on, so
+    its scores, ``iterations`` and ``residual`` are bitwise those of a block
+    of one.
     """
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must be in (0, 1)")
@@ -217,8 +219,6 @@ def pagerank_block(graphs, damping=0.85, tol=1e-8, max_iterations=200):
     offset = 0
     for graph in graphs:  # a generator's graphs are freed as they are read
         node_lists.append(graph.nodes)
-        if not graph.nodes:
-            continue
         index = {v: offset + i for i, v in enumerate(graph.nodes)}
         offset += len(graph.nodes)
         weights = graph.weights
@@ -226,51 +226,33 @@ def pagerank_block(graphs, damping=0.85, tol=1e-8, max_iterations=200):
         src.append(np.fromiter(map(index.__getitem__, heads), np.intp, len(weights)))
         dst.append(np.fromiter(map(index.__getitem__, tails), np.intp, len(weights)))
         w.append(np.fromiter(weights.values(), np.float64, len(weights)))
-    results = [PageRankResult({}, 0, 0.0) for _ in node_lists]
-    active = [g for g, nodes in enumerate(node_lists) if nodes]
-    if not active:
-        return results
-    sizes = np.array([len(node_lists[g]) for g in active])
+    if not node_lists:
+        return []
+    sizes = np.array([len(nodes) for nodes in node_lists])
     src, dst, w = np.concatenate(src), np.concatenate(dst), np.concatenate(w)
-    graph_of = np.repeat(np.arange(len(active)), sizes)  # each node's graph
-    degree = np.bincount(src, weights=w, minlength=len(graph_of))
+    graph_of = np.repeat(np.arange(len(sizes)), sizes)  # each node's graph
+    degree = np.bincount(src, weights=w, minlength=offset)
     live = degree[src] > 0
     src, dst = src[live], dst[live]
     coef = w[live] / degree[src]
-    scores = np.ones(len(graph_of))
-    residual = np.full(len(active), np.inf)
-
-    def finish(done, iterations):
-        ends = np.cumsum(sizes).tolist()
-        for r in np.flatnonzero(done).tolist():
-            nodes = node_lists[active[r]]
-            values = scores[ends[r] - len(nodes) : ends[r]].tolist()
-            results[active[r]] = PageRankResult(
-                dict(zip(nodes, values)), iterations, float(residual[r]))
-
-    for iteration in range(1, max_iterations + 1):
-        incoming = np.bincount(dst, weights=coef * scores[src], minlength=len(scores))
+    scores = np.ones(offset)
+    running = sizes > 0  # an empty graph has nothing to iterate
+    residual = np.where(running, np.inf, 0.0)
+    iterations = np.zeros(len(sizes), dtype=np.intp)
+    for _ in range(max_iterations):
+        if not running.any():
+            break
+        iterations += running
+        incoming = np.bincount(dst, weights=coef * scores[src], minlength=offset)
         updated = (1.0 - damping) + damping * incoming
-        residual = np.bincount(graph_of, weights=np.abs(updated - scores),
-                               minlength=len(sizes))
-        scores = updated
-        done = residual < tol
-        if not done.any():
-            continue
-        finish(done, iteration)
-        if done.all():
-            return results
-        # drop the converged graphs' nodes and edges, renumbering the rest
-        keep = ~done[graph_of]
-        renumber = np.cumsum(keep) - 1
-        edges = keep[dst]
-        src, dst, coef = renumber[src[edges]], renumber[dst[edges]], coef[edges]
-        graph_of = (np.cumsum(~done) - 1)[graph_of[keep]]
-        scores = scores[keep]
-        active = [g for g, d in zip(active, done.tolist()) if not d]
-        sizes, residual = sizes[~done], residual[~done]
-    finish(np.ones(len(active), dtype=bool), max_iterations)
-    return results
+        change = np.bincount(graph_of, weights=np.abs(updated - scores), minlength=len(sizes))
+        scores = np.where(running[graph_of], updated, scores)
+        residual = np.where(running, change, residual)
+        running &= ~(residual < tol)
+    pieces = np.split(scores, np.cumsum(sizes)[:-1])  # each graph's scores
+    return [PageRankResult(dict(zip(nodes, piece.tolist())), count, res)
+            for nodes, piece, count, res
+            in zip(node_lists, pieces, iterations.tolist(), residual.tolist())]
 
 
 def textrank_block(docs, max_span_length=MAX_SPAN_LENGTH, top_k=PredictConfig.top_k,

@@ -28,15 +28,15 @@ from .config import EmbeddingConfig, ModelConfig, PredictConfig, TrainingConfig
 from .fileio import read_json, read_records, string_list, write_json, write_jsonl
 
 # Config sections: key prefix -> dataclass. Every field is a key except the
-# nested embedding section, the fixed visual width, and the training seed,
-# which the top-level "seed" feeds.
+# nested embedding section and the training seed, which the top-level "seed"
+# feeds.
 SECTIONS = {
     "model": ModelConfig,
     "embedding": EmbeddingConfig,
     "train": TrainingConfig,
     "predict": PredictConfig,
 }
-_NOT_KEYS = ("model.embedding", "embedding.visual_dim", "train.seed")
+_NOT_KEYS = ("model.embedding", "train.seed")
 
 # The paper's ablation names, as the --set items that --ablate stands for.
 ABLATIONS = {
@@ -158,7 +158,7 @@ def _section(cfg, prefix):
             values[f.name] = _section(cfg, f.name)
         elif key == "train.seed":
             values[f.name] = cfg["seed"]
-        elif key not in _NOT_KEYS:
+        else:
             value = cfg[key]
             if f.default is None:
                 values[f.name] = value or None
@@ -233,8 +233,6 @@ def _load_model(cfg, path):
     found.update((f"model.{k}", v) for k, v in settings.items())
     defaults = default_config()
     for key, have in found.items():
-        if key not in defaults:  # embedding.visual_dim, which is fixed
-            continue
         if cfg[key] not in (defaults[key], have):
             raise CliError(f"requested {key}={json.dumps(cfg[key])}, but checkpoint "
                            f"{path} has {key}={json.dumps(have)}")
@@ -408,17 +406,25 @@ def cmd_predict(args, cfg):
     return 0
 
 
+def _int_list(raw, flag):
+    """The integers of the comma list ``raw``; a malformed one names ``flag``."""
+    try:
+        return tuple(int(item) for item in raw.split(","))
+    except ValueError:
+        raise CliError(f"{flag} must be a comma list of integers, got {raw!r}") from None
+
+
 def cmd_evaluate(args, cfg):
     from .documents import read_dataset
     from .inference import read_predictions
     from .metrics import evaluate
 
+    depths = _int_list(args.depths, "--depths")
+    f1_depths = _int_list(args.f1, "--f1") if args.f1 else ()
     preds = {p.doc_id: p.phrase_list() for p in read_predictions(args.preds)}
     docs, ingest = read_dataset(args.gold)
     _report_empty(ingest)
     gold = {doc.id: list(doc.keyphrases) for doc in docs}
-    depths = tuple(int(d) for d in args.depths.split(","))
-    f1_depths = tuple(int(d) for d in args.f1.split(",")) if args.f1 else ()
     report = evaluate(preds, gold, depths=depths, f1_depths=f1_depths,
                       stem=args.stem)
     report.skipped += ingest.skipped_empty
@@ -502,6 +508,8 @@ def cmd_gradcheck(args, cfg):
     from .model import SpanScorer
     from .training import TrainingExample, keyphrase_loss
 
+    if args.samples < 1:
+        raise CliError(f"--samples must be at least 1, got {args.samples}")
     model_cfg = _section(cfg, "model")
     if model_cfg.embedding.source != "trainable":
         raise CliError("gradcheck runs on the trainable-embedding configuration")

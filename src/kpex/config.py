@@ -18,7 +18,6 @@ MAX_DOC_LENGTH = 256
 class EmbeddingConfig:
     token_dim: int = 64
     position_dim: int = 32
-    visual_dim: int = VISUAL_DIM
     source: str = "trainable"  # or "frozen"
     min_count: int = 2
 
@@ -27,14 +26,12 @@ class EmbeddingConfig:
             raise ValueError("token_dim must be positive")
         if self.position_dim < 2 or self.position_dim % 2 != 0:
             raise ValueError("position_dim must be a positive even number")
-        if self.visual_dim != VISUAL_DIM:
-            raise ValueError(f"visual_dim is fixed at {VISUAL_DIM}")
         if self.source not in ("trainable", "frozen"):
             raise ValueError(f"unknown embedding source {self.source!r}")
 
     @property
     def width(self):
-        return self.token_dim + self.position_dim + self.visual_dim
+        return self.token_dim + self.position_dim + VISUAL_DIM
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ class Document:
     id: str
     tokens: tuple
     visual: np.ndarray
-    zero_visual: bool = False
     keyphrases: tuple = ()  # gold or query phrases; empty when unlabeled
     vectors: np.ndarray | None = None  # (n, token_dim) frozen rows, if attached
 
@@ -100,9 +99,10 @@ def float_rows(rows, name, width, where, n_rows=None):
 def make_document(doc_id, text, visual_rows=None, where=None, keyphrases=()):
     """Tokenize raw text into a Document; returns None for empty token lists.
 
-    Missing visual features are zero-filled and flagged via ``zero_visual``;
-    given rows are clamped to [0, 1], and ``where`` locates bad rows in their
-    file. ``keyphrases`` labels the document; none leaves it unlabeled.
+    Missing visual features are zero-filled (``read_dataset`` lists those
+    documents in its report); given rows are clamped to [0, 1], and ``where``
+    locates bad rows in their file. ``keyphrases`` labels the document; none
+    leaves it unlabeled.
     """
     tokens = tuple(tokenize(text))
     if not tokens:
@@ -113,8 +113,7 @@ def make_document(doc_id, text, visual_rows=None, where=None, keyphrases=()):
         source = f"{where}: document {doc_id!r}" if where else f"document {doc_id!r}"
         rows = float_rows(visual_rows, "visual features", VISUAL_DIM, source, len(tokens))
         visual = np.clip(rows, 0.0, 1.0)
-    return Document(doc_id, tokens, visual, zero_visual=visual_rows is None,
-                    keyphrases=tuple(keyphrases))
+    return Document(doc_id, tokens, visual, keyphrases=tuple(keyphrases))
 
 
 def truncate(doc, max_len=MAX_DOC_LENGTH):
@@ -220,7 +219,7 @@ def build_labels(doc, max_len=MAX_SPAN_LENGTH):
 @dataclass
 class IngestReport:
     skipped_empty: list = field(default_factory=list)
-    zero_visual: list = field(default_factory=list)
+    zero_visual: list = field(default_factory=list)  # ids given no visual rows
 
 
 def read_dataset(path):
@@ -251,7 +250,7 @@ def dataset_from_records(records):
         if doc is None:
             report.skipped_empty.append(doc_id)
             continue
-        if doc.zero_visual:
+        if obj.get("visual") is None:
             report.zero_visual.append(doc_id)
         docs.append(doc)
     return docs, report

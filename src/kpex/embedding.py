@@ -111,7 +111,7 @@ def embed_document(doc, config, table=None, vocab=None, no_position=False,
         pos = np.zeros((n, config.position_dim))
     else:
         pos = position_matrix(n, config.position_dim)
-    vis = np.zeros((n, config.visual_dim)) if no_visual else doc.visual
+    vis = np.zeros_like(doc.visual) if no_visual else doc.visual
     if config.source == "trainable":
         x = embedding_lookup(table, vocab.ids(doc.tokens), (pos, vis))
     elif doc.vectors is None:

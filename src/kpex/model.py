@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .config import ModelConfig
+from .config import VISUAL_DIM, ModelConfig
 from .documents import enumerate_spans
 from .embedding import TokenVocabulary, embed_document
 from .registry import (
+    CheckpointError,
     ParameterRegistry,
     check_arrays,
     load_checkpoint,
@@ -230,6 +231,11 @@ class SpanScorer:
         if config.pop("no_transformer", False):  # legacy spelling of layers=0
             config["layers"] = 0
             arrays = {n: a for n, a in arrays.items() if not n.startswith("transformer/")}
+        # older checkpoints record the visual width, which is fixed
+        config["embedding"] = dict(config["embedding"])
+        visual_dim = config["embedding"].pop("visual_dim", VISUAL_DIM)
+        if visual_dim != VISUAL_DIM:
+            raise CheckpointError(f"{path}: visual_dim {visual_dim!r} is not {VISUAL_DIM}")
         config = ModelConfig.from_dict(config)
         vocab = (
             TokenVocabulary.from_list(meta["vocab"])

@@ -21,7 +21,7 @@ import numpy as np
 from .autodiff import no_grad, softmax_cross_entropy
 from .config import MAX_DOC_LENGTH
 from .documents import build_labels, span_target, truncate
-from .fileio import write_atomic, write_json, write_jsonl
+from .fileio import write_json, write_jsonl
 from .optim import Adam, geometric_lr
 
 
@@ -124,10 +124,11 @@ def run_training(model, examples, config, run_dir=None, log=None, checkpoint_met
     """Optimize ``model`` on prepared examples; returns a TrainRunRecord.
 
     When ``run_dir`` is given the loop writes config.json, per-epoch
-    metrics.jsonl, one checkpoint per epoch, and a ``best.ckpt`` copy of the
-    epoch with the lowest validation loss (training loss when no validation
-    split exists). ``checkpoint_metadata`` is merged into every checkpoint's
-    metadata block. Non-finite losses abort with the failing step in the error.
+    metrics.jsonl, one checkpoint per epoch, and ``best.ckpt``: the epoch with
+    the lowest validation loss (training loss when no validation split
+    exists), saved a second time with that epoch checkpoint's bytes.
+    ``checkpoint_metadata`` is merged into every checkpoint's metadata block.
+    Non-finite losses abort with the failing step in the error.
     """
     if not examples:
         raise ValueError("no training examples after preparation")
@@ -201,8 +202,6 @@ def run_training(model, examples, config, run_dir=None, log=None, checkpoint_met
             extra = dict(checkpoint_metadata or {})
             extra["epoch"] = epoch
             model.save(epoch_path, extra_metadata=extra)
-            if is_best:  # streamed through one rename: a failed copy keeps the old best
-                with open(epoch_path, "rb") as fh:
-                    write_atomic(os.path.join(run_dir, "best.ckpt"),
-                                 iter(lambda: fh.read(1 << 20), b""))
+            if is_best:  # the epoch's bytes, through one rename: a failed write keeps the old best
+                model.save(os.path.join(run_dir, "best.ckpt"), extra_metadata=extra)
     return record

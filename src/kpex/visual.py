@@ -4,9 +4,10 @@ A layout file is JSON: a {"page": [width, height]} header and a "root" node
 tree where each node carries tag, box [x, y, w, h] in page pixels, font size,
 bold flag, optional leaf text, and children. Every token of the document gets
 an 18-float vector: nine features for the node that carries the word and the
-same nine for its parent block (the nearest block-tagged ancestor). Continuous
-features are normalized by page dimensions and the page's maximum font size so
-everything lands in [0, 1].
+same nine for its parent block: the nearest block-tagged ancestor, or the root
+when there is none. One depth-first walk hands each node its parent block.
+Continuous features are normalized by page dimensions and the page's maximum
+font size so everything lands in [0, 1].
 
 Feature order (word value then parent value for each):
 font, block width, block height, x, y, bold, inline-tag, block-tag, DOM-leaf.
@@ -128,19 +129,17 @@ def compute_word_features(word_node, parent_block, page_dims, max_font):
     return np.clip(vec, 0.0, 1.0)
 
 
-def _walk_leaves(node, ancestors):
-    if node.text is not None:
-        yield node, ancestors
-    chain = ancestors + (node,)
+def _walk(node, block):
+    """``node`` and every node below it, depth first, each with its parent block.
+
+    ``block`` is the parent block of ``node``: its nearest block-tagged
+    ancestor, or the root when it has none.
+    """
+    yield node, block
+    if node.tag in BLOCK_TAGS:
+        block = node
     for child in node.children:
-        yield from _walk_leaves(child, chain)
-
-
-def _nearest_block(ancestors, root):
-    for node in reversed(ancestors):
-        if node.tag in BLOCK_TAGS:
-            return node
-    return root
+        yield from _walk(child, block)
 
 
 def parse_layout(layout, doc_id="layout"):
@@ -159,28 +158,19 @@ def parse_layout(layout, doc_id="layout"):
     if not all(0 < v < math.inf for v in page_dims):
         raise LayoutError(f"{doc_id}: page dimensions must be positive and finite")
     root = _parse_node(layout["root"], f"{doc_id}.root")
-    fonts = []
-
-    def collect(node):
-        fonts.append(node.font)
-        for child in node.children:
-            collect(child)
-
-    collect(root)
-    max_font = max(fonts)
+    nodes = list(_walk(root, root))
+    max_font = max(node.font for node, _ in nodes)
     if max_font <= 0:
         raise LayoutError(f"{doc_id}: no positive font size on any node")
 
     pieces = []
     rows = []
-    for leaf, ancestors in _walk_leaves(root, ()):
-        tokens = tokenize(leaf.text)
+    for node, block in nodes:
+        tokens = tokenize(node.text or "")
         if not tokens:
             continue
-        pieces.append(leaf.text)
-        features = compute_word_features(
-            leaf, _nearest_block(ancestors, root), page_dims, max_font
-        )
+        pieces.append(node.text)
+        features = compute_word_features(node, block, page_dims, max_font)
         rows.extend([features] * len(tokens))
     text = " ".join(pieces)
     if not rows:

@@ -144,7 +144,7 @@ def embed_document(doc, config, table=None, vocab=None, no_position=False, no_vi
         h = Tensor(doc.vectors)
     pos = np.zeros((n, config.position_dim)) if no_position else position_matrix(
         n, config.position_dim)
-    vis = np.zeros((n, config.visual_dim)) if no_visual else doc.visual
+    vis = np.zeros_like(doc.visual) if no_visual else doc.visual
     return concat([h, Tensor(pos), Tensor(vis)], axis=1)
 
 

@@ -970,6 +970,20 @@ class TestEvaluateCli:
         assert "depths must be at least 1" in captured.err
         assert "@" not in captured.out
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--depths", "a"), ("--depths", "1,,3"), ("--depths", ""), ("--f1", "x"),
+        ("--f1", "10,"),
+    ])
+    def test_malformed_depths_name_the_flag(self, tmp_path, capsys, flag, value):
+        gold = _write_dataset(tmp_path / "gold.jsonl", n=3)
+        preds = str(tmp_path / "preds.jsonl")
+        write_jsonl(preds, [{"id": "d0", "phrases": [["w0 w1", 1.0]]}])
+        assert main(["evaluate", "--preds", preds, "--gold", gold, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {flag} must be a comma list of integers, "
+                                f"got {value!r}\n")
+        assert "@" not in captured.out
+
     def test_empty_documents_reported(self, tmp_path, capsys):
         lines = [{"id": "a", "text": "red stapler on sale", "keyphrases": ["red stapler"]},
                  {"id": "blank", "text": "   ", "keyphrases": ["lost phrase"]},
@@ -1202,3 +1216,11 @@ class TestGradcheckCli:
         argv = ["--set", "embedding.source=frozen", "gradcheck"]
         assert main(argv) == 1
         assert "trainable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_rejected(self, capsys, samples):
+        # 0 samples checked nothing and passed; a negative count failed in numpy
+        assert main(SMALL_MODEL + ["gradcheck", "--samples", samples]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --samples must be at least 1, got {samples}\n"
+        assert "passed" not in captured.out

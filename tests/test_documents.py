@@ -61,7 +61,6 @@ class TestDocument:
 
     def test_make_document_zero_fills_missing_visual(self):
         doc = make_document("d", "hello world")
-        assert doc.zero_visual
         np.testing.assert_array_equal(doc.visual, np.zeros((2, VISUAL_DIM)))
 
     def test_make_document_empty_text_returns_none(self):

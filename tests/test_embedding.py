@@ -133,8 +133,6 @@ class TestEmbeddingConfig:
         with pytest.raises(ValueError):
             EmbeddingConfig(position_dim=5)
         with pytest.raises(ValueError):
-            EmbeddingConfig(visual_dim=17)
-        with pytest.raises(ValueError):
             EmbeddingConfig(source="elmo")
 
 

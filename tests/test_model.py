@@ -1,5 +1,7 @@
 """Span scorer: architecture shape, softmax, sharing, and persistence."""
 
+import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,7 @@ import composite_ops
 from composite_ops import mul, reduce_sum
 from kpex import autodiff as ad
 from kpex import model as model_module
-from kpex.config import EmbeddingConfig
+from kpex.config import VISUAL_DIM, EmbeddingConfig
 from kpex.documents import Document, count_spans, enumerate_spans, make_document
 from kpex.embedding import TokenVocabulary
 from kpex.model import (
@@ -402,6 +404,32 @@ class TestPersistence:
         assert loaded.config == model.config
         doc = _doc(7)
         np.testing.assert_array_equal(loaded.forward(doc).data, model.forward(doc).data)
+
+    # saved when EmbeddingConfig still had a visual_dim field, always 18
+    VISUAL_DIM_CHECKPOINT = os.path.join(os.path.dirname(__file__), "data", "checkpoints",
+                                         "visual_dim_18.ckpt")
+
+    def test_checkpoint_with_visual_dim_loads(self):
+        loaded, meta = SpanScorer.load(self.VISUAL_DIM_CHECKPOINT)
+        assert meta["config"]["embedding"]["visual_dim"] == 18
+        # the model it was saved from: the same config and seed draw the same weights
+        config = ModelConfig(max_span_length=2, filters=4, heads=2, layers=1, dropout=0.0,
+                             embedding=EmbeddingConfig(token_dim=2, position_dim=2))
+        assert loaded.config == config
+        drawn = _model(config, seed=3)
+        visual = np.linspace(0.0, 1.0, 7 * VISUAL_DIM).reshape(7, VISUAL_DIM)
+        doc = make_document("d", "red blue stapler red blue stapler red", visual)
+        got, want = loaded.distribution(doc), drawn.distribution(doc)
+        assert got.probs.tobytes() == want.probs.tobytes()
+
+    def test_checkpoint_with_other_visual_dim_refused(self, tmp_path):
+        with open(self.VISUAL_DIM_CHECKPOINT, "rb") as fh:
+            data = fh.read()
+        path = str(tmp_path / "visual_dim_17.ckpt")
+        with open(path, "wb") as fh:  # the same length, so the header still fits
+            fh.write(data.replace(b'"visual_dim": 18', b'"visual_dim": 17'))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(path)}: visual_dim 17 is not 18$"):
+            SpanScorer.load(path)
 
     def test_trainable_requires_vocab(self):
         with pytest.raises(ValueError, match="vocabulary"):

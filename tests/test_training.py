@@ -194,15 +194,15 @@ class TestRunTraining:
         assert record.best_epoch == vals.index(min(vals)) + 1
 
     def test_interrupted_best_copy_keeps_previous(self, tmp_path, monkeypatch):
-        # reading epoch 2's checkpoint fails after its first 64 bytes, while
-        # it is copied over best.ckpt
+        # writing epoch 2's model over best.ckpt fails after its first 64 bytes
         import builtins
 
         real_open = builtins.open
+        best_writes = []
 
-        class FailingReader:
+        class FailingWriter:
             def __init__(self, fh):
-                self.fh, self.reads = fh, 0
+                self.fh, self.written = fh, 0
 
             def __enter__(self):
                 return self
@@ -210,18 +210,24 @@ class TestRunTraining:
             def __exit__(self, *exc):
                 self.fh.close()
 
-            def fileno(self):  # no fd to copy from: readers must call read()
-                raise OSError("not a plain file")
+            def write(self, data):
+                if self.written >= 64:
+                    raise OSError("write failed partway")
+                data = bytes(data)[: 64 - self.written]
+                self.written += len(data)
+                return self.fh.write(data)
 
-            def read(self, n=-1):
-                self.reads += 1
-                if self.reads > 1:
-                    raise OSError("read failed partway")
-                return self.fh.read(64)
+            def writelines(self, chunks):
+                for chunk in chunks:
+                    self.write(chunk)
 
         def failing_open(path, mode="r", *args, **kwargs):
             fh = real_open(path, mode, *args, **kwargs)
-            return FailingReader(fh) if str(path).endswith("epoch2.ckpt") and mode == "rb" else fh
+            if os.path.basename(str(path)).startswith("best.ckpt") and "w" in mode:
+                best_writes.append(path)
+                if len(best_writes) == 2:
+                    return FailingWriter(fh)
+            return fh
 
         run_dir = str(tmp_path / "run")
         config = TrainingConfig(max_epochs=2, batch_size=4, lr_start=5e-3,
@@ -230,6 +236,7 @@ class TestRunTraining:
         with pytest.raises(OSError, match="partway"):
             run_training(_model(), _corpus(), config, run_dir=run_dir)
         monkeypatch.undo()
+        assert len(best_writes) == 2
         with open(os.path.join(run_dir, "epoch1.ckpt"), "rb") as fh:
             epoch1 = fh.read()
         with open(os.path.join(run_dir, "best.ckpt"), "rb") as fh:

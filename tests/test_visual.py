@@ -136,6 +136,15 @@ class TestParseLayout:
         assert bold_row[15] == 1.0  # parent is a block tag
         assert bold_row[3] == pytest.approx(800 / 1000)  # parent width
 
+    def test_word_without_block_ancestor_gets_root_parent(self):
+        # no ancestor of the <a> is block-tagged, so its parent block is the root
+        link = {"tag": "a", "box": [10, 20, 100, 10], "font": 8, "text": "deep link"}
+        span = {"tag": "span", "box": [0, 0, 200, 40], "font": 8, "children": [link]}
+        root = {"tag": "body", "box": [0, 0, 500, 1000], "font": 16, "children": [span]}
+        _, rows = parse_layout({"page": [1000, 2000], "root": root})
+        np.testing.assert_array_equal(
+            np.asarray(rows)[:, 1::2], [[1.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]] * 2)
+
     def test_heading_row_features(self):
         _, rows = parse_layout(self._load("product_page.json"))
         head = np.asarray(rows)[0]
