@@ -11,14 +11,25 @@ over every occurrence of every matched phrase.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
 import re
+import stat
+import sys
+import time
+import zlib
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
+from functools import cache
+from itertools import chain
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import MAX_DOC_LENGTH, MAX_SPAN_LENGTH, VISUAL_DIM
-from .fileio import DatasetError, read_records, string_list
+from .fileio import DatasetError, read_records, string_list, write_atomic
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
@@ -82,15 +93,23 @@ def float_rows(rows, name, width, where, n_rows=None):
 
     ``n_rows``, when given, is the required row count. ``where`` locates the
     rows, as ``path:lineno: document 'id'`` for a JSONL line; ragged rows,
-    a non-number, a wrong shape or a NaN or infinity raise DatasetError there.
+    a non-number (strings, booleans and null included), a wrong shape or a
+    NaN or infinity raise DatasetError there.
     """
     expected = f"({'n' if n_rows is None else n_rows}, {width})"
+    not_numbers = DatasetError(f"{where}: {name} must form a {expected} array of numbers")
     try:
         arr = np.asarray(rows, dtype=np.float64)
+    except OverflowError as exc:  # an integer past float range
+        raise DatasetError(f"{where}: non-finite {name}") from exc
     except (TypeError, ValueError) as exc:  # ragged rows or a non-number
-        raise DatasetError(f"{where}: {name} must form a {expected} array of numbers") from exc
+        raise not_numbers from exc
     if arr.ndim != 2 or arr.shape[1] != width or n_rows not in (None, arr.shape[0]):
         raise DatasetError(f"{where}: {name} have shape {arr.shape}, expected {expected}")
+    # numpy reads "0.5" as 0.5, true as 1.0 and null as NaN
+    if any(kind is bool or not issubclass(kind, Real)
+           for kind in set(map(type, chain.from_iterable(rows)))):
+        raise not_numbers
     if not np.isfinite(arr).all():
         raise DatasetError(f"{where}: non-finite {name}")
     return arr
@@ -231,8 +250,20 @@ def read_dataset(path):
     not a string, keyphrases that are not a list of strings, bad visual rows,
     and every breach of the ``read_records`` contract raise DatasetError at
     ``path:lineno``.
+
+    A regular file's parse is cached under ``$XDG_CACHE_HOME/kpex/datasets``,
+    keyed by the SHA-256 of its bytes and of the parsing sources, so a later
+    read of the same bytes loads the entry instead. A cache that cannot be
+    read or written only costs the parse.
     """
-    return dataset_from_records(read_records(path, "id", "text"))
+    slot = _cache_slot(path)
+    found = slot and _load_entry(*slot[:2])
+    if found:
+        return found
+    docs, report = dataset_from_records(read_records(path, "id", "text"))
+    if slot:
+        _save_entry(slot, path, docs, report)
+    return docs, report
 
 
 def dataset_from_records(records):
@@ -254,3 +285,121 @@ def dataset_from_records(records):
             report.zero_visual.append(doc_id)
         docs.append(doc)
     return docs, report
+
+
+# -- the parse cache -----------------------------------------------------
+
+_CACHE_MAGIC = b"kpex dataset cache\n"
+_CACHE_KEEP = 8  # entries kept after a write, the most recently used
+_PARSER_SOURCES = ("documents.py", "fileio.py", "config.py")
+
+
+def _sha256_file(path):
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        # blocks under glibc's 128 KiB mmap threshold: freeing a larger one
+        # raises the threshold and moves later arrays onto the heap
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(block)
+    return digest.digest()
+
+
+@cache
+def _parser_digest():
+    """SHA-256 of the Python version (its Unicode tables tokenize) and the parsing sources."""
+    here = os.path.dirname(__file__)
+    return hashlib.sha256(sys.version.encode() + b"".join(
+        _sha256_file(os.path.join(here, name)) for name in _PARSER_SOURCES)).digest()
+
+
+def _stamp(path):
+    """What changes when the file at ``path`` is written or replaced."""
+    st = os.stat(path)
+    return st.st_mode, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
+def _cache_slot(path):
+    """(entry path, key, stamp) for a regular file at ``path``, else None.
+
+    A pipe is never hashed, since that would consume it.
+    """
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    try:
+        stamp = _stamp(path)  # taken before the hash, compared after the parse
+        if not (os.path.isabs(root) and stat.S_ISREG(stamp[0])):
+            return None
+        key = hashlib.sha256(_parser_digest() + _sha256_file(path)).digest()
+    except OSError:
+        return None
+    return os.path.join(root, "kpex", "datasets", key.hex()), key, stamp
+
+
+def _touch(entry):
+    now = time.time_ns()  # finer than the file system's clock, so the order holds
+    os.utime(entry, ns=(now, now))
+
+
+def _load_entry(entry, key):
+    """The (documents, IngestReport) stored at ``entry`` under ``key``.
+
+    None for an entry that is missing, cut short, altered or out of [0, 1].
+    Each document's rows are read into an array of its own, as a parse makes
+    them, so a hit holds no buffer the size of the file.
+    """
+    try:
+        with open(entry, "rb") as fh:
+            head = fh.read(len(_CACHE_MAGIC) + len(key) + 8)
+            if head[:-8] != _CACHE_MAGIC + key:
+                return None
+            raw = fh.read(int.from_bytes(head[-8:], "little"))
+            crc = zlib.crc32(raw, zlib.crc32(head))
+            meta = json.loads(raw)
+            docs = []
+            for doc_id, tokens, keyphrases in meta["docs"]:
+                rows = np.empty((len(tokens), VISUAL_DIM), "<f8")
+                if fh.readinto(rows) != rows.nbytes or not 0 <= rows.min() <= rows.max() <= 1:
+                    return None
+                crc = zlib.crc32(rows, crc)
+                docs.append(Document(doc_id, tuple(tokens), rows, keyphrases=tuple(keyphrases)))
+            if fh.read() != crc.to_bytes(4, "little"):
+                return None
+        with suppress(OSError):  # a read-only cache still serves its entries
+            _touch(entry)
+        return docs, IngestReport(meta["skipped_empty"], meta["zero_visual"])
+    except (OSError, ValueError, TypeError, KeyError, RecursionError):
+        return None
+
+
+def _save_entry(slot, path, docs, report):
+    """Store a parse of ``path`` at ``slot``, then evict all but the newest entries.
+
+    The rows are written one document at a time. Nothing is stored if ``path``
+    changed since it was hashed, and a failed write is ignored.
+    """
+    entry, key, stamp = slot
+    meta = json.dumps({"docs": [(d.id, d.tokens, d.keyphrases) for d in docs],
+                       "skipped_empty": report.skipped_empty,
+                       "zero_visual": report.zero_visual}).encode()
+
+    def chunks():  # header, token metadata, rows, then the CRC-32 of all of them
+        crc = 0
+        for chunk in chain((_CACHE_MAGIC, key, len(meta).to_bytes(8, "little"), meta),
+                           (np.ascontiguousarray(d.visual, "<f8") for d in docs)):
+            crc = zlib.crc32(chunk, crc)
+            yield chunk
+        yield crc.to_bytes(4, "little")
+
+    try:
+        if _stamp(path) != stamp:
+            return
+        folder = os.path.dirname(entry)
+        os.makedirs(folder, exist_ok=True)
+        write_atomic(entry, chunks())
+        _touch(entry)
+        by_age = sorted(os.scandir(folder), key=lambda e: e.stat().st_mtime_ns, reverse=True)
+        for old in by_age[_CACHE_KEEP:]:
+            os.unlink(old.path)
+    except OSError:
+        pass

@@ -22,7 +22,8 @@ def _invalid_json(path, exc, lineno=None):
     """DatasetError at ``path:lineno``, or at ``path`` for a whole file.
 
     A syntax error adds its column (and its line in a whole file). An integer
-    literal past Python's digit limit raises a plain ValueError, with no position.
+    literal past Python's digit limit raises a plain ValueError, and nesting
+    past the recursion limit a RecursionError, both with no position.
     """
     if isinstance(exc, json.JSONDecodeError):
         return DatasetError(
@@ -36,7 +37,7 @@ def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise _invalid_json(path, exc) from exc
 
 
@@ -58,7 +59,7 @@ def read_records(path, *fields):
             where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise _invalid_json(path, exc, lineno) from exc
             if not isinstance(obj, dict) or any(f not in obj for f in fields):
                 raise DatasetError(f"{where}: {expected}")

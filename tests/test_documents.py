@@ -1,10 +1,14 @@
 """Tokenizer, span enumeration, label alignment, and dataset ingestion."""
 
 import json
+import os
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from kpex import documents
 from kpex.documents import (
     VISUAL_DIM,
     Document,
@@ -233,6 +237,25 @@ class TestReadDataset:
         with pytest.raises(DatasetError, match=r":2: document 'a': " + message):
             read_dataset(path)
 
+    @pytest.mark.parametrize("value", ["0.5", True, None], ids=["string", "bool", "null"])
+    def test_non_number_visual_values_located(self, tmp_path, value):
+        # numpy would read "0.5" as 0.5, true as 1.0 and null as NaN
+        for visual in ([[value] * VISUAL_DIM] * 2, [[0.5] * VISUAL_DIM, [0.5] * 17 + [value]]):
+            path = self._write(tmp_path, [
+                {"id": "z", "text": "fine"},
+                {"id": "a", "text": "one two", "visual": visual},
+            ])
+            with pytest.raises(DatasetError, match=r"data.jsonl:2: document 'a': visual "
+                               r"features must form a \(2, 18\) array of numbers"):
+                read_dataset(path)
+
+    def test_integer_past_float_range_is_non_finite(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        row = ", ".join(["0.5"] * (VISUAL_DIM - 1) + ["1" + "0" * 400])
+        path.write_text('{"id": "a", "text": "one", "visual": [[%s]]}\n' % row)
+        with pytest.raises(DatasetError, match=r":1: document 'a': non-finite visual features"):
+            read_dataset(str(path))
+
     def test_ragged_visual_rows_located(self, tmp_path):
         # numpy's own "inhomogeneous shape" error names no file or document
         visual = [[0.1] * VISUAL_DIM, [0.1] * (VISUAL_DIM - 1)]
@@ -279,3 +302,214 @@ class TestReadDataset:
         ])
         with pytest.raises(DatasetError, match=r":1: keyphrases must be a list of strings"):
             read_dataset(path)
+
+
+def _snapshot(docs, report):
+    """Everything a read returns, as bytes and tuples, for bitwise comparison."""
+    return ([(d.id, d.tokens, d.keyphrases, d.visual.dtype.str, d.visual.shape,
+              d.visual.tobytes(), d.vectors) for d in docs],
+            (report.skipped_empty, report.zero_visual))
+
+
+class TestDatasetCache:
+    LINES = [
+        {"id": "a", "text": "Red stapler, heavy-duty!", "keyphrases": ["red stapler"],
+         "visual": [[(i * VISUAL_DIM + j) / 40 - 0.5 for j in range(VISUAL_DIM)]
+                    for i in range(7)]},
+        {"id": "blank", "text": " \t "},
+        {"id": 7, "text": "Büro stühle naïve café", "keyphrases": []},
+        {"id": "c", "text": "one", "visual": [[-0.0] * VISUAL_DIM]},
+    ]
+
+    @pytest.fixture
+    def entries(self, tmp_path, monkeypatch):
+        """The cache's entry directory, in a cache home of this test's own."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        return tmp_path / "cache" / "kpex" / "datasets"
+
+    @staticmethod
+    def _write(path, lines=LINES):
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        return str(path)
+
+    @staticmethod
+    def _no_parse(monkeypatch):
+        def parse(records):
+            raise AssertionError("parsed on a cache hit")
+        monkeypatch.setattr(documents, "dataset_from_records", parse)
+
+    def test_hit_is_bitwise_the_miss(self, tmp_path, entries, monkeypatch):
+        path = self._write(tmp_path / "data.jsonl")
+        miss = _snapshot(*read_dataset(path))
+        assert [e.name for e in entries.iterdir()] == [documents._cache_slot(path)[0][-64:]]
+        self._no_parse(monkeypatch)
+        hit = read_dataset(path)
+        assert _snapshot(*hit) == miss
+        assert miss[1] == (["blank"], ["7"])
+        assert all(d.visual.flags.writeable for d in hit[0])
+
+    def test_hit_reports_the_same_skips(self, tmp_path, entries, capsys):
+        from kpex.cli import main
+
+        data = self._write(tmp_path / "data.jsonl")
+        runs = []
+        for out in ("miss.jsonl", "hit.jsonl"):
+            out = str(tmp_path / out)
+            assert main(["baseline", "--method", "tfidf", "--data", data, "--out", out]) == 0
+            with open(out, "rb") as fh:
+                runs.append((capsys.readouterr().err, fh.read()))
+            assert len(list(entries.iterdir())) == 1
+        assert runs[0] == runs[1]
+        assert runs[0][0] == "skipped: 1 empty\n"
+
+    def test_one_byte_edit_misses(self, tmp_path, entries):
+        path = tmp_path / "data.jsonl"
+        self._write(path)
+        read_dataset(str(path))
+        path.write_bytes(path.read_bytes().replace(b"Red stapler", b"Red staples"))
+        docs, _ = read_dataset(str(path))
+        assert docs[0].tokens[:2] == ("red", "staples")
+        assert len(list(entries.iterdir())) == 2
+
+    @pytest.mark.parametrize("damage", [
+        lambda b: b[: len(b) // 2],
+        lambda b: b[:-1],
+        lambda b: b"",
+        lambda b: b"kpex dataset cachf" + b[18:],
+        lambda b: b[:200] + bytes([b[200] ^ 1]) + b[201:],
+        lambda b: b[:-40] + bytes([b[-40] ^ 0x40]) + b[-39:],
+    ], ids=["half", "last-byte", "empty", "magic", "meta-bit", "row-bit"])
+    def test_damaged_entry_reparsed_and_rewritten(self, tmp_path, entries, damage):
+        path = self._write(tmp_path / "data.jsonl")
+        want = _snapshot(*read_dataset(path))
+        (entry,) = entries.iterdir()
+        good = entry.read_bytes()
+        entry.write_bytes(damage(good))
+        assert _snapshot(*read_dataset(path)) == want
+        assert entry.read_bytes() == good
+
+    def test_file_changed_during_parse_not_stored(self, tmp_path, entries, monkeypatch):
+        path = tmp_path / "data.jsonl"
+        self._write(path)
+        parse = documents.dataset_from_records
+
+        def parse_then_edit(records):
+            parsed = parse(records)
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps({"id": "late", "text": "added mid-read"}) + "\n")
+            return parsed
+
+        monkeypatch.setattr(documents, "dataset_from_records", parse_then_edit)
+        read_dataset(str(path))
+        assert not entries.exists() or not list(entries.iterdir())
+
+    def test_out_of_range_value_is_a_miss(self, tmp_path, entries):
+        path = self._write(tmp_path / "data.jsonl")
+        docs, report = read_dataset(path)
+        (entry,) = entries.iterdir()
+        entry.unlink()
+        # a well-formed entry holding values the parse would have clamped
+        slot = documents._cache_slot(path)
+        documents._save_entry(slot, path, [replace(docs[0], visual=docs[0].visual * 2.0)]
+                              + docs[1:], report)
+        assert entry.exists()
+        assert documents._load_entry(*slot[:2]) is None
+        assert _snapshot(*read_dataset(path)) == _snapshot(docs, report)
+
+    def test_unwritable_cache_home_same_output(self, tmp_path, monkeypatch, capsys):
+        from kpex.cli import main
+
+        data = self._write(tmp_path / "data.jsonl")
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file where the cache home's parent should be")
+        runs = []
+        out = str(tmp_path / "out.jsonl")
+        for home in (tmp_path / "cache", blocker / "cache"):
+            monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+            code = main(["baseline", "--method", "textrank", "--data", data, "--out", out])
+            with open(out, "rb") as fh:
+                runs.append((code, capsys.readouterr(), fh.read()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+        assert len(list((tmp_path / "cache" / "kpex" / "datasets").iterdir())) == 1
+
+    def test_read_only_entry_still_hits(self, tmp_path, entries, monkeypatch):
+        path = self._write(tmp_path / "data.jsonl")
+        want = _snapshot(*read_dataset(path))
+
+        def refuse(entry):
+            raise PermissionError(entry)
+
+        monkeypatch.setattr(documents, "_touch", refuse)
+        self._no_parse(monkeypatch)
+        assert _snapshot(*read_dataset(path)) == want
+
+    def test_fifo_read_and_never_cached(self, tmp_path, entries):
+        fifo = tmp_path / "data.fifo"
+        os.mkfifo(fifo)
+        payload = "".join(json.dumps(obj) + "\n" for obj in self.LINES).encode()
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(payload)
+
+        got = []
+        # a reader that hashed the FIFO first would block on reopening it
+        reader = threading.Thread(target=lambda: got.append(read_dataset(str(fifo))),
+                                  daemon=True)
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        reader.start()
+        reader.join(timeout=30)
+        writer.join(timeout=1)
+        assert not reader.is_alive() and not writer.is_alive()
+        assert _snapshot(*got[0]) == _snapshot(*read_dataset(self._write(tmp_path / "data.jsonl")))
+        assert len(list(entries.iterdir())) == 1  # the regular file's only
+
+    def test_bad_file_never_cached(self, tmp_path, entries):
+        path = self._write(tmp_path / "data.jsonl", self.LINES + [
+            {"id": "d", "text": "one two", "visual": [[0.5] * VISUAL_DIM]}])
+        for _ in range(2):
+            with pytest.raises(DatasetError, match=r"data.jsonl:5: document 'd': visual"):
+                read_dataset(path)
+            assert not entries.exists() or not list(entries.iterdir())
+
+    def test_changed_parser_digest_misses(self, tmp_path, entries, monkeypatch):
+        path = self._write(tmp_path / "data.jsonl")
+        want = _snapshot(*read_dataset(path))
+        monkeypatch.setattr(documents, "_parser_digest", lambda: b"\0" * 32)
+        parsed = []
+        parse = documents.dataset_from_records
+        monkeypatch.setattr(documents, "dataset_from_records",
+                            lambda records: parsed.append(1) or parse(records))
+        assert _snapshot(*read_dataset(path)) == want
+        assert parsed == [1]
+        assert len(list(entries.iterdir())) == 2
+
+    def test_parser_digest_reads_the_parsing_sources(self, monkeypatch):
+        read, sha256_file = [], documents._sha256_file
+        monkeypatch.setattr(documents, "_sha256_file",
+                            lambda path: read.append(os.path.basename(path)) or sha256_file(path))
+        assert documents._parser_digest.__wrapped__() == documents._parser_digest()
+        assert read == ["documents.py", "fileio.py", "config.py"]
+
+    def test_eight_most_recent_kept(self, tmp_path, entries):
+        paths = []
+        for i in range(10):
+            paths.append(self._write(tmp_path / f"data{i}.jsonl",
+                                     [{"id": "a", "text": f"page {i}"}]))
+            read_dataset(paths[-1])
+        keys = {documents._cache_slot(p)[0][-64:] for p in paths[2:]}
+        assert {e.name for e in entries.iterdir()} == keys
+
+    def test_hit_refreshes_its_entry(self, tmp_path, entries):
+        paths = [self._write(tmp_path / f"data{i}.jsonl", [{"id": "a", "text": f"page {i}"}])
+                 for i in range(9)]
+        for path in paths[:8]:
+            read_dataset(path)
+        read_dataset(paths[0])  # a hit: now the most recently used
+        read_dataset(paths[8])
+        names = {e.name for e in entries.iterdir()}
+        assert documents._cache_slot(paths[0])[0][-64:] in names
+        assert documents._cache_slot(paths[1])[0][-64:] not in names
+        assert len(names) == 8

@@ -278,6 +278,16 @@ class TestFrozenVectors:
         with pytest.raises(DatasetError, match=r"vectors.jsonl:2: document 'd1': non-finite"):
             attach_vectors([_doc("d0", ["a"])], path, token_dim=2)
 
+    @pytest.mark.parametrize("bad", ["0.5", True, None], ids=["string", "bool", "null"])
+    def test_non_number_vectors_located(self, tmp_path, bad):
+        path = self._write(tmp_path, [
+            {"id": "d0", "vectors": [[0.0, 1.0]]},
+            {"id": "d1", "vectors": [[0.0, 1.0], [bad, 0.5]]},
+        ])
+        with pytest.raises(DatasetError, match=r"vectors.jsonl:2: document 'd1': vectors "
+                           r"must form a \(n, 2\) array of numbers"):
+            attach_vectors([_doc("d0", ["a"])], path, token_dim=2)
+
     @pytest.mark.parametrize("line", [5, "id vectors", ["id", "vectors"]])
     def test_non_object_line_located(self, tmp_path, line):
         path = self._write(tmp_path, [{"id": "d0", "vectors": [[0.0]]}, line])

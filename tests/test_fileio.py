@@ -1,6 +1,7 @@
 """The shared JSONL record contract, held by every reader of a JSONL file."""
 
 import argparse
+import os
 import re
 
 import pytest
@@ -96,3 +97,49 @@ def test_integer_past_digit_limit_exits_one_naming_the_file(tmp_path, capsys, co
         where = str(bad)
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: {where}: invalid JSON: ")
+
+
+# nesting past Python's recursion limit: json raises RecursionError, not a
+# ValueError, and names no file
+DEEP = 100_000
+DEEP_ARRAY = "[" * DEEP + "]" * DEEP
+
+
+def test_deep_nesting_located(tmp_path):
+    records = tmp_path / "records.jsonl"
+    records.write_text('{"id": "d1"}\n{"id": "d2", "n": %s}\n' % DEEP_ARRAY)
+    with pytest.raises(DatasetError, match=re.escape(
+            f"{records}:2: invalid JSON: maximum recursion depth exceeded")):
+        list(read_records(str(records), "id"))
+    whole = tmp_path / "config.json"
+    whole.write_text('{"seed": %s}\n' % DEEP_ARRAY)
+    with pytest.raises(DatasetError, match=re.escape(
+            f"{whole}: invalid JSON: maximum recursion depth exceeded")):
+        read_json(str(whole))
+
+
+def _deep_layout(divs):
+    """A layout whose root holds one leaf under ``divs`` nested div nodes."""
+    div = '{"tag": "div", "box": [0, 0, 10, 10], "font": 10, "children": ['
+    leaf = '{"tag": "p", "box": [0, 0, 10, 10], "font": 10, "text": "x"}'
+    return '{"page": [100, 100], "root": %s%s%s}' % (div * divs, leaf, "]}" * divs)
+
+
+@pytest.mark.parametrize("command", ["baseline", "featurize"])
+def test_deep_nesting_exits_one_naming_the_file(tmp_path, capsys, command):
+    out = str(tmp_path / "out.jsonl")
+    if command == "baseline":
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"id": "d1", "text": "red stapler"}\n'
+                       '{"id": "d2", "text": "blue chair", "n": %s}\n' % DEEP_ARRAY)
+        argv = ["baseline", "--method", "tfidf", "--data", str(bad), "--out", out]
+        where = f"{bad}:2"
+    else:
+        bad = tmp_path / "page.json"
+        bad.write_text(_deep_layout(600))
+        argv = ["featurize", "--layout-dir", str(tmp_path), "--out", out]
+        where = str(bad)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {where}: invalid JSON: maximum recursion depth exceeded")
+    assert not os.path.exists(out)
