@@ -12,16 +12,10 @@ over every occurrence of every matched phrase.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 import stat
-import sys
-import time
-import zlib
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from functools import cache
 from itertools import chain
 from numbers import Real
 from typing import NamedTuple
@@ -29,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import MAX_DOC_LENGTH, MAX_SPAN_LENGTH, VISUAL_DIM
-from .fileio import DatasetError, read_records, string_list, write_atomic
+from .fileio import DatasetError, read_records, string_list
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]", re.UNICODE)
 
@@ -251,19 +245,25 @@ def read_dataset(path):
     and every breach of the ``read_records`` contract raise DatasetError at
     ``path:lineno``.
 
-    A regular file's parse is cached under ``$XDG_CACHE_HOME/kpex/datasets``,
-    keyed by the SHA-256 of its bytes and of the parsing sources, so a later
-    read of the same bytes loads the entry instead. A cache that cannot be
-    read or written only costs the parse.
+    A regular file's parse is kept until another file is parsed, keyed by the
+    SHA-256 of its bytes, so reading the same bytes again in this process
+    skips the JSON parse. The documents are shared between such reads, so
+    their visual rows are read-only; the list and the report are fresh.
     """
-    slot = _cache_slot(path)
-    found = slot and _load_entry(*slot[:2])
-    if found:
-        return found
-    docs, report = dataset_from_records(read_records(path, "id", "text"))
-    if slot:
-        _save_entry(slot, path, docs, report)
-    return docs, report
+    global _last_parse
+    stamp = _stamp(path)
+    digest = _sha256_file(path) if stamp and stat.S_ISREG(stamp[0]) else None
+    if digest is None:  # a pipe, which hashing would consume, or an unreadable path
+        return dataset_from_records(read_records(path, "id", "text"))
+    memo = _last_parse  # read once: another thread may replace it
+    if memo is None or memo[0] != digest:
+        _last_parse = None  # never hold two parses at once
+        parsed = dataset_from_records(read_records(path, "id", "text"))
+        if _stamp(path) != stamp:  # changed while read: the digest may not name it
+            return parsed
+        memo = _last_parse = digest, *parsed
+    _, docs, report = memo
+    return list(docs), IngestReport(list(report.skipped_empty), list(report.zero_visual))
 
 
 def dataset_from_records(records):
@@ -283,123 +283,34 @@ def dataset_from_records(records):
             continue
         if obj.get("visual") is None:
             report.zero_visual.append(doc_id)
+        doc.visual.flags.writeable = False
         docs.append(doc)
     return docs, report
 
 
-# -- the parse cache -----------------------------------------------------
+# -- the parse memo --------------------------------------------------------
 
-_CACHE_MAGIC = b"kpex dataset cache\n"
-_CACHE_KEEP = 8  # entries kept after a write, the most recently used
-_PARSER_SOURCES = ("documents.py", "fileio.py", "config.py")
-
-
-def _sha256_file(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        # blocks under glibc's 128 KiB mmap threshold: freeing a larger one
-        # raises the threshold and moves later arrays onto the heap
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
-    return digest.digest()
-
-
-@cache
-def _parser_digest():
-    """SHA-256 of the Python version (its Unicode tables tokenize) and the parsing sources."""
-    here = os.path.dirname(__file__)
-    return hashlib.sha256(sys.version.encode() + b"".join(
-        _sha256_file(os.path.join(here, name)) for name in _PARSER_SOURCES)).digest()
+_last_parse = None  # (SHA-256, documents, IngestReport) of the last regular file parsed
 
 
 def _stamp(path):
-    """What changes when the file at ``path`` is written or replaced."""
-    st = os.stat(path)
+    """What changes when the file at ``path`` is written or replaced; None if ``os.stat`` fails."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
     return st.st_mode, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
 
 
-def _cache_slot(path):
-    """(entry path, key, stamp) for a regular file at ``path``, else None.
-
-    A pipe is never hashed, since that would consume it.
-    """
-    root = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(root):
-        root = os.path.join(os.path.expanduser("~"), ".cache")
+def _sha256_file(path):
+    """The file's SHA-256, or None if it cannot be read."""
+    digest = hashlib.sha256()
     try:
-        stamp = _stamp(path)  # taken before the hash, compared after the parse
-        if not (os.path.isabs(root) and stat.S_ISREG(stamp[0])):
-            return None
-        key = hashlib.sha256(_parser_digest() + _sha256_file(path)).digest()
+        with open(path, "rb") as fh:
+            # blocks under glibc's 128 KiB mmap threshold: freeing a larger one
+            # raises the threshold and moves later arrays onto the heap
+            for block in iter(lambda: fh.read(1 << 16), b""):
+                digest.update(block)
     except OSError:
         return None
-    return os.path.join(root, "kpex", "datasets", key.hex()), key, stamp
-
-
-def _touch(entry):
-    now = time.time_ns()  # finer than the file system's clock, so the order holds
-    os.utime(entry, ns=(now, now))
-
-
-def _load_entry(entry, key):
-    """The (documents, IngestReport) stored at ``entry`` under ``key``.
-
-    None for an entry that is missing, cut short, altered or out of [0, 1].
-    Each document's rows are read into an array of its own, as a parse makes
-    them, so a hit holds no buffer the size of the file.
-    """
-    try:
-        with open(entry, "rb") as fh:
-            head = fh.read(len(_CACHE_MAGIC) + len(key) + 8)
-            if head[:-8] != _CACHE_MAGIC + key:
-                return None
-            raw = fh.read(int.from_bytes(head[-8:], "little"))
-            crc = zlib.crc32(raw, zlib.crc32(head))
-            meta = json.loads(raw)
-            docs = []
-            for doc_id, tokens, keyphrases in meta["docs"]:
-                rows = np.empty((len(tokens), VISUAL_DIM), "<f8")
-                if fh.readinto(rows) != rows.nbytes or not 0 <= rows.min() <= rows.max() <= 1:
-                    return None
-                crc = zlib.crc32(rows, crc)
-                docs.append(Document(doc_id, tuple(tokens), rows, keyphrases=tuple(keyphrases)))
-            if fh.read() != crc.to_bytes(4, "little"):
-                return None
-        with suppress(OSError):  # a read-only cache still serves its entries
-            _touch(entry)
-        return docs, IngestReport(meta["skipped_empty"], meta["zero_visual"])
-    except (OSError, ValueError, TypeError, KeyError, RecursionError):
-        return None
-
-
-def _save_entry(slot, path, docs, report):
-    """Store a parse of ``path`` at ``slot``, then evict all but the newest entries.
-
-    The rows are written one document at a time. Nothing is stored if ``path``
-    changed since it was hashed, and a failed write is ignored.
-    """
-    entry, key, stamp = slot
-    meta = json.dumps({"docs": [(d.id, d.tokens, d.keyphrases) for d in docs],
-                       "skipped_empty": report.skipped_empty,
-                       "zero_visual": report.zero_visual}).encode()
-
-    def chunks():  # header, token metadata, rows, then the CRC-32 of all of them
-        crc = 0
-        for chunk in chain((_CACHE_MAGIC, key, len(meta).to_bytes(8, "little"), meta),
-                           (np.ascontiguousarray(d.visual, "<f8") for d in docs)):
-            crc = zlib.crc32(chunk, crc)
-            yield chunk
-        yield crc.to_bytes(4, "little")
-
-    try:
-        if _stamp(path) != stamp:
-            return
-        folder = os.path.dirname(entry)
-        os.makedirs(folder, exist_ok=True)
-        write_atomic(entry, chunks())
-        _touch(entry)
-        by_age = sorted(os.scandir(folder), key=lambda e: e.stat().st_mtime_ns, reverse=True)
-        for old in by_age[_CACHE_KEEP:]:
-            os.unlink(old.path)
-    except OSError:
-        pass
+    return digest.digest()

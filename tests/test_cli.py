@@ -839,24 +839,6 @@ class TestPredictCli:
         with open(out, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
 
-    def test_subprocess_caches_under_the_session_home(self, golden_model, tmp_path,
-                                                      cache_home):
-        from kpex.documents import _cache_slot
-
-        data = tmp_path / "pages.jsonl"
-        data.write_bytes(_read_bytes(GOLDEN_PAGES)
-                         + b'{"id": "fresh", "text": "a page no other test reads"}\n')
-        entry = _cache_slot(str(data))[0]
-        assert entry.startswith(os.path.join(cache_home, "kpex", "datasets", ""))
-        assert not os.path.exists(entry)
-        code = "import sys; from kpex.cli import main; sys.exit(main(sys.argv[1:]))"
-        proc = subprocess.run([sys.executable, "-c", code, "predict", "--model", golden_model,
-                               "--data", str(data), "--out", str(tmp_path / "preds.jsonl")],
-                              capture_output=True, text=True, timeout=120,
-                              env=dict(os.environ, PYTHONPATH=SRC_DIR))
-        assert proc.returncode == 0, proc.stderr
-        assert os.path.exists(entry)
-
     @pytest.mark.parametrize("flags", [[], ["--dedup"]], ids=["plain", "dedup"])
     def test_top_k_is_a_prefix_of_the_full_list(self, golden_model, tmp_path, flags):
         def predict(top_k):

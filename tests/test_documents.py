@@ -2,8 +2,8 @@
 
 import json
 import os
+import sys
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ from kpex.documents import (
     tokenize,
     truncate,
 )
-from kpex.fileio import DatasetError
+from kpex.fileio import DatasetError, read_records
 
 
 class TestTokenize:
@@ -311,7 +311,7 @@ def _snapshot(docs, report):
             (report.skipped_empty, report.zero_visual))
 
 
-class TestDatasetCache:
+class TestParseMemo:
     LINES = [
         {"id": "a", "text": "Red stapler, heavy-duty!", "keyphrases": ["red stapler"],
          "visual": [[(i * VISUAL_DIM + j) / 40 - 0.5 for j in range(VISUAL_DIM)]
@@ -322,73 +322,70 @@ class TestDatasetCache:
     ]
 
     @pytest.fixture
-    def entries(self, tmp_path, monkeypatch):
-        """The cache's entry directory, in a cache home of this test's own."""
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-        return tmp_path / "cache" / "kpex" / "datasets"
+    def parses(self, monkeypatch):
+        """Paths parsed so far, counted from an empty memo."""
+        monkeypatch.setattr(documents, "_last_parse", None)
+        parsed = []
+
+        def counted(path, *fields):
+            parsed.append(path)
+            return read_records(path, *fields)
+
+        monkeypatch.setattr(documents, "read_records", counted)
+        return parsed
 
     @staticmethod
     def _write(path, lines=LINES):
         path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
         return str(path)
 
-    @staticmethod
-    def _no_parse(monkeypatch):
-        def parse(records):
-            raise AssertionError("parsed on a cache hit")
-        monkeypatch.setattr(documents, "dataset_from_records", parse)
-
-    def test_hit_is_bitwise_the_miss(self, tmp_path, entries, monkeypatch):
+    def test_repeat_read_is_bitwise_the_parse(self, tmp_path, parses):
         path = self._write(tmp_path / "data.jsonl")
-        miss = _snapshot(*read_dataset(path))
-        assert [e.name for e in entries.iterdir()] == [documents._cache_slot(path)[0][-64:]]
-        self._no_parse(monkeypatch)
-        hit = read_dataset(path)
-        assert _snapshot(*hit) == miss
-        assert miss[1] == (["blank"], ["7"])
-        assert all(d.visual.flags.writeable for d in hit[0])
+        first = read_dataset(path)
+        second = read_dataset(path)
+        assert parses == [path]
+        assert _snapshot(*second) == _snapshot(*first)
+        assert _snapshot(*first)[1] == (["blank"], ["7"])
+        # fresh containers, shared read-only documents
+        assert second[0] is not first[0] and second[1] is not first[1]
+        second[1].skipped_empty.append("x")
+        assert read_dataset(path)[1].skipped_empty == ["blank"]
+        for doc in first[0]:
+            with pytest.raises(ValueError, match="read-only"):
+                doc.visual[0, 0] = 0.5
 
-    def test_hit_reports_the_same_skips(self, tmp_path, entries, capsys):
+    def test_repeat_command_reports_the_same_skips(self, tmp_path, parses, capsys):
         from kpex.cli import main
 
         data = self._write(tmp_path / "data.jsonl")
         runs = []
-        for out in ("miss.jsonl", "hit.jsonl"):
+        for out in ("first.jsonl", "second.jsonl"):
             out = str(tmp_path / out)
             assert main(["baseline", "--method", "tfidf", "--data", data, "--out", out]) == 0
             with open(out, "rb") as fh:
                 runs.append((capsys.readouterr().err, fh.read()))
-            assert len(list(entries.iterdir())) == 1
         assert runs[0] == runs[1]
         assert runs[0][0] == "skipped: 1 empty\n"
+        assert parses == [data]
 
-    def test_one_byte_edit_misses(self, tmp_path, entries):
+    def test_same_size_edit_parses_again(self, tmp_path, parses):
         path = tmp_path / "data.jsonl"
         self._write(path)
         read_dataset(str(path))
         path.write_bytes(path.read_bytes().replace(b"Red stapler", b"Red staples"))
         docs, _ = read_dataset(str(path))
         assert docs[0].tokens[:2] == ("red", "staples")
-        assert len(list(entries.iterdir())) == 2
+        assert parses == [str(path)] * 2
 
-    @pytest.mark.parametrize("damage", [
-        lambda b: b[: len(b) // 2],
-        lambda b: b[:-1],
-        lambda b: b"",
-        lambda b: b"kpex dataset cachf" + b[18:],
-        lambda b: b[:200] + bytes([b[200] ^ 1]) + b[201:],
-        lambda b: b[:-40] + bytes([b[-40] ^ 0x40]) + b[-39:],
-    ], ids=["half", "last-byte", "empty", "magic", "meta-bit", "row-bit"])
-    def test_damaged_entry_reparsed_and_rewritten(self, tmp_path, entries, damage):
-        path = self._write(tmp_path / "data.jsonl")
-        want = _snapshot(*read_dataset(path))
-        (entry,) = entries.iterdir()
-        good = entry.read_bytes()
-        entry.write_bytes(damage(good))
-        assert _snapshot(*read_dataset(path)) == want
-        assert entry.read_bytes() == good
+    def test_only_the_last_file_kept(self, tmp_path, parses):
+        a = self._write(tmp_path / "a.jsonl")
+        b = self._write(tmp_path / "b.jsonl", self.LINES[:2])
+        copy = self._write(tmp_path / "copy.jsonl")
+        for path in (a, copy, b, a, a):
+            read_dataset(path)
+        assert parses == [a, b, a]  # a copy has the same bytes
 
-    def test_file_changed_during_parse_not_stored(self, tmp_path, entries, monkeypatch):
+    def test_file_changed_during_parse_not_kept(self, tmp_path, parses, monkeypatch):
         path = tmp_path / "data.jsonl"
         self._write(path)
         parse = documents.dataset_from_records
@@ -401,50 +398,9 @@ class TestDatasetCache:
 
         monkeypatch.setattr(documents, "dataset_from_records", parse_then_edit)
         read_dataset(str(path))
-        assert not entries.exists() or not list(entries.iterdir())
+        assert documents._last_parse is None
 
-    def test_out_of_range_value_is_a_miss(self, tmp_path, entries):
-        path = self._write(tmp_path / "data.jsonl")
-        docs, report = read_dataset(path)
-        (entry,) = entries.iterdir()
-        entry.unlink()
-        # a well-formed entry holding values the parse would have clamped
-        slot = documents._cache_slot(path)
-        documents._save_entry(slot, path, [replace(docs[0], visual=docs[0].visual * 2.0)]
-                              + docs[1:], report)
-        assert entry.exists()
-        assert documents._load_entry(*slot[:2]) is None
-        assert _snapshot(*read_dataset(path)) == _snapshot(docs, report)
-
-    def test_unwritable_cache_home_same_output(self, tmp_path, monkeypatch, capsys):
-        from kpex.cli import main
-
-        data = self._write(tmp_path / "data.jsonl")
-        blocker = tmp_path / "blocker"
-        blocker.write_text("a file where the cache home's parent should be")
-        runs = []
-        out = str(tmp_path / "out.jsonl")
-        for home in (tmp_path / "cache", blocker / "cache"):
-            monkeypatch.setenv("XDG_CACHE_HOME", str(home))
-            code = main(["baseline", "--method", "textrank", "--data", data, "--out", out])
-            with open(out, "rb") as fh:
-                runs.append((code, capsys.readouterr(), fh.read()))
-        assert runs[0] == runs[1]
-        assert runs[0][0] == 0
-        assert len(list((tmp_path / "cache" / "kpex" / "datasets").iterdir())) == 1
-
-    def test_read_only_entry_still_hits(self, tmp_path, entries, monkeypatch):
-        path = self._write(tmp_path / "data.jsonl")
-        want = _snapshot(*read_dataset(path))
-
-        def refuse(entry):
-            raise PermissionError(entry)
-
-        monkeypatch.setattr(documents, "_touch", refuse)
-        self._no_parse(monkeypatch)
-        assert _snapshot(*read_dataset(path)) == want
-
-    def test_fifo_read_and_never_cached(self, tmp_path, entries):
+    def test_fifo_read_and_never_kept(self, tmp_path, parses):
         fifo = tmp_path / "data.fifo"
         os.mkfifo(fifo)
         payload = "".join(json.dumps(obj) + "\n" for obj in self.LINES).encode()
@@ -463,53 +419,43 @@ class TestDatasetCache:
         reader.join(timeout=30)
         writer.join(timeout=1)
         assert not reader.is_alive() and not writer.is_alive()
+        assert documents._last_parse is None
         assert _snapshot(*got[0]) == _snapshot(*read_dataset(self._write(tmp_path / "data.jsonl")))
-        assert len(list(entries.iterdir())) == 1  # the regular file's only
 
-    def test_bad_file_never_cached(self, tmp_path, entries):
+    def test_bad_file_never_kept(self, tmp_path, parses):
+        good = self._write(tmp_path / "good.jsonl")
+        read_dataset(good)
         path = self._write(tmp_path / "data.jsonl", self.LINES + [
             {"id": "d", "text": "one two", "visual": [[0.5] * VISUAL_DIM]}])
         for _ in range(2):
             with pytest.raises(DatasetError, match=r"data.jsonl:5: document 'd': visual"):
                 read_dataset(path)
-            assert not entries.exists() or not list(entries.iterdir())
+            assert documents._last_parse is None  # the good parse is dropped first
+        assert parses == [good, path, path]
 
-    def test_changed_parser_digest_misses(self, tmp_path, entries, monkeypatch):
-        path = self._write(tmp_path / "data.jsonl")
-        want = _snapshot(*read_dataset(path))
-        monkeypatch.setattr(documents, "_parser_digest", lambda: b"\0" * 32)
-        parsed = []
-        parse = documents.dataset_from_records
-        monkeypatch.setattr(documents, "dataset_from_records",
-                            lambda records: parsed.append(1) or parse(records))
-        assert _snapshot(*read_dataset(path)) == want
-        assert parsed == [1]
-        assert len(list(entries.iterdir())) == 2
+    def test_threads_reading_two_files_get_their_own(self, tmp_path, parses):
+        paths = [self._write(tmp_path / "a.jsonl"),
+                 self._write(tmp_path / "b.jsonl", self.LINES[2:])]
+        want = [_snapshot(*read_dataset(p)) for p in paths]
+        wrong = []
 
-    def test_parser_digest_reads_the_parsing_sources(self, monkeypatch):
-        read, sha256_file = [], documents._sha256_file
-        monkeypatch.setattr(documents, "_sha256_file",
-                            lambda path: read.append(os.path.basename(path)) or sha256_file(path))
-        assert documents._parser_digest.__wrapped__() == documents._parser_digest()
-        assert read == ["documents.py", "fileio.py", "config.py"]
+        def read(i):
+            try:
+                for _ in range(30):
+                    if _snapshot(*read_dataset(paths[i % 2])) != want[i % 2]:
+                        wrong.append(i)
+            except Exception as exc:  # a thread's exception would go unseen
+                wrong.append(exc)
 
-    def test_eight_most_recent_kept(self, tmp_path, entries):
-        paths = []
-        for i in range(10):
-            paths.append(self._write(tmp_path / f"data{i}.jsonl",
-                                     [{"id": "a", "text": f"page {i}"}]))
-            read_dataset(paths[-1])
-        keys = {documents._cache_slot(p)[0][-64:] for p in paths[2:]}
-        assert {e.name for e in entries.iterdir()} == keys
-
-    def test_hit_refreshes_its_entry(self, tmp_path, entries):
-        paths = [self._write(tmp_path / f"data{i}.jsonl", [{"id": "a", "text": f"page {i}"}])
-                 for i in range(9)]
-        for path in paths[:8]:
-            read_dataset(path)
-        read_dataset(paths[0])  # a hit: now the most recently used
-        read_dataset(paths[8])
-        names = {e.name for e in entries.iterdir()}
-        assert documents._cache_slot(paths[0])[0][-64:] in names
-        assert documents._cache_slot(paths[1])[0][-64:] not in names
-        assert len(names) == 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(i,), daemon=True) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
