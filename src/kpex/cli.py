@@ -47,7 +47,7 @@ ABLATIONS = {
 
 
 # The keys whose default is null, and the type of a value that is not.
-_NULLABLE = {"train.total_steps": int, "embedding.frozen_vectors": str}
+_NULLABLE = {"embedding.frozen_vectors": str}
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
                str: "a string"}
 
@@ -147,9 +147,7 @@ def _section(cfg, prefix):
     """The dataclass of section ``prefix`` built from the flat ``cfg`` alone.
 
     ``cfg`` is type-checked by load_run_config; an int given for a float
-    field becomes a float. The training seed is the top-level ``seed``. The
-    one optional field, train.total_steps, is a step count, or None when it
-    is null or 0.
+    field becomes a float. The training seed is the top-level ``seed``.
     """
     values = {}
     for f in fields(SECTIONS[prefix]):
@@ -160,10 +158,7 @@ def _section(cfg, prefix):
             values[f.name] = cfg["seed"]
         else:
             value = cfg[key]
-            if f.default is None:
-                values[f.name] = value or None
-            else:
-                values[f.name] = float(value) if type(f.default) is float else value
+            values[f.name] = float(value) if type(f.default) is float else value
     return SECTIONS[prefix](**values)
 
 
@@ -181,15 +176,23 @@ def _shortcut_items(args):
     return items
 
 
-def _write_meta(out_path, cfg, command, extra=None):
+def _write_meta(out_path, cfg, command, extra=None, counts=None):
+    """Write ``out_path``.meta.json.
+
+    ``counts`` (name -> number of documents zero-filled or phrases dropped)
+    go into it as well, and into one stderr line when any is non-zero.
+    """
     meta = {
         "command": command,
         "config_digest": config_digest(cfg),
         "seed": cfg["seed"],
     }
-    if extra:
-        meta.update(extra)
+    meta.update(extra or {})
+    meta.update(counts or {})
     write_json(out_path + ".meta.json", meta)
+    if counts and any(counts.values()):
+        print("zero-filled or dropped: "
+              + ", ".join(f"{name}={n}" for name, n in counts.items()), file=sys.stderr)
 
 
 def _report_empty(ingest):
@@ -363,6 +366,9 @@ def _run_train(args, cfg, mode):
             "steps": record.steps,
             "examples": prep.prepared,
         },
+        {"zero_visual": len(ingest.zero_visual),
+         "phrases_too_long": prep.phrases_too_long,
+         "phrases_unmatched": prep.phrases_unmatched},
     )
     print(f"{mode} finished: best epoch {record.best_epoch} "
           f"-> {os.path.join(args.out, 'best.ckpt')}")
@@ -385,13 +391,13 @@ def cmd_predict(args, cfg):
     model = _load_model(cfg, args.model)
     docs, ingest = read_dataset(args.data)
     _report_empty(ingest)
+    max_len = cfg["train.max_doc_length"]  # the model's input budget
     predictions = []
     for doc in _attach_frozen(cfg, docs):
         if args.chunked:
-            pred = chunk_and_merge(model, doc, predict_cfg.chunk_len,
-                                   predict_cfg.chunk_weight)
+            pred = chunk_and_merge(model, doc, max_len, predict_cfg.chunk_weight)
         else:
-            clipped = truncate(doc, cfg["train.max_doc_length"])
+            clipped = truncate(doc, max_len)
             # dedup protects the top quarter of the full list, so it needs all of it
             pred = predict_topk(model.distribution(clipped), clipped,
                                 k=None if args.dedup else predict_cfg.top_k)
@@ -401,7 +407,8 @@ def cmd_predict(args, cfg):
     write_predictions(args.out, predictions)
     _write_meta(args.out, cfg, "predict",
                 {"model": args.model, "documents": len(predictions),
-                 "chunked": bool(args.chunked), "dedup": bool(args.dedup)})
+                 "chunked": bool(args.chunked), "dedup": bool(args.dedup)},
+                {"zero_visual": len(ingest.zero_visual)})
     print(f"wrote predictions for {len(predictions)} documents -> {args.out}")
     return 0
 
@@ -466,7 +473,7 @@ def cmd_baseline(args, cfg):
     ]
     write_predictions(args.out, predictions)
     _write_meta(args.out, cfg, f"baseline:{args.method}",
-                {"documents": len(predictions)})
+                {"documents": len(predictions)}, {"zero_visual": len(ingest.zero_visual)})
     print(f"{args.method} predictions for {len(predictions)} documents -> {args.out}")
     return 0
 

@@ -78,7 +78,6 @@ class TrainingConfig:
     validation_fraction: float = 0.1
     max_doc_length: int = MAX_DOC_LENGTH
     seed: int = 0
-    total_steps: int | None = None  # schedule horizon; default = planned steps
 
     def __post_init__(self):
         if self.lr_start <= 0 or self.lr_end <= 0:
@@ -95,20 +94,15 @@ class TrainingConfig:
             raise ValueError("max_doc_length must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.total_steps is not None and self.total_steps < 0:
-            raise ValueError(f"total_steps must be non-negative, got {self.total_steps}")
 
 
 @dataclass(frozen=True)
 class PredictConfig:
     top_k: int = 10
-    chunk_len: int = MAX_DOC_LENGTH  # the model's input budget
     chunk_weight: float = 0.9
 
     def __post_init__(self):
         if self.top_k < 1:
             raise ValueError("top_k must be at least 1")
-        if self.chunk_len < 1:
-            raise ValueError("chunk_len must be at least 1")
         if not 0.0 < self.chunk_weight <= 1.0:
             raise ValueError("chunk_weight must be in (0, 1]")

@@ -12,6 +12,7 @@ import numpy as np
 
 from .autodiff import no_grad
 from .documents import MAX_SPAN_LENGTH, VISUAL_DIM, Document, Span, span_target
+from .optim import clear_grads
 
 DEFAULT_EPSILON = 1e-5
 # below this scale the comparison is effectively absolute at floor * tolerance
@@ -62,7 +63,7 @@ def finite_difference_check(
             "disable dropout and fix all seeds before gradient checking"
         )
 
-    registry.clear_grads()
+    clear_grads(registry)
     loss = loss_fn()
     loss.backward()
     analytic = {}
@@ -70,7 +71,7 @@ def finite_difference_check(
         if p.grad is None:
             raise RuntimeError(f"parameter {name!r} received no gradient")
         analytic[name] = p.grad.copy()
-    registry.clear_grads()
+    clear_grads(registry)
 
     rng = np.random.default_rng(seed)
     errors = {}

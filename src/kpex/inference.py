@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PredictConfig
+from .config import MAX_DOC_LENGTH, PredictConfig
 from .documents import tokenize
 from .fileio import DatasetError, read_records, write_jsonl
 
@@ -118,7 +118,7 @@ def chunk_document(doc, chunk_len):
             for p, start in enumerate(range(0, len(doc), chunk_len))]
 
 
-def chunk_and_merge(model, doc, chunk_len=PredictConfig.chunk_len,
+def chunk_and_merge(model, doc, chunk_len=MAX_DOC_LENGTH,
                     chunk_weight=PredictConfig.chunk_weight):
     """Zero-shot scoring of arbitrarily long documents.
 

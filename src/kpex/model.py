@@ -20,7 +20,6 @@ from .documents import enumerate_spans
 from .embedding import TokenVocabulary, embed_document
 from .registry import (
     CheckpointError,
-    ParameterRegistry,
     check_arrays,
     load_checkpoint,
     save_checkpoint,
@@ -114,7 +113,7 @@ def _parameter_layout(config, n_tokens=0):
 
 
 class SpanScorer:
-    """The end-to-end span classifier with a named parameter registry."""
+    """The end-to-end span classifier; ``registry`` maps each parameter name to its Tensor."""
 
     def __init__(self, config, vocab=None, seed=0, arrays=None):
         """Parameters drawn from ``seed``, or taken from ``arrays``.
@@ -132,9 +131,10 @@ class SpanScorer:
             arrays = {name: init(rng, shape) for name, shape, init in layout}
         else:
             check_arrays({name: shape for name, shape, _ in layout}, arrays)
-        self.registry = ParameterRegistry()
-        for name, _, _ in layout:
-            self.registry.add(name, arrays[name])
+        self.registry = {
+            name: ad.Tensor(np.asarray(arrays[name], dtype=np.float64), requires_grad=True)
+            for name, _, _ in layout
+        }
 
     # -- forward --------------------------------------------------------
 

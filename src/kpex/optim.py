@@ -1,4 +1,4 @@
-"""Adam optimizer over a ParameterRegistry."""
+"""Adam over a name -> Tensor parameter dict, and the learning-rate schedule."""
 
 from __future__ import annotations
 
@@ -9,6 +9,12 @@ import numpy as np
 
 class MissingGradientError(RuntimeError):
     pass
+
+
+def clear_grads(params):
+    """Drop the gradient of every Tensor in the name -> Tensor dict ``params``."""
+    for t in params.values():
+        t.grad = None
 
 
 class Adam:
@@ -48,7 +54,7 @@ class Adam:
             m_hat = m / correct1
             v_hat = v / correct2
             p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        self.registry.clear_grads()
+        clear_grads(self.registry)
 
 
 def geometric_lr(step, total_steps, lr_start, lr_end):

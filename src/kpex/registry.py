@@ -1,10 +1,11 @@
-"""Named parameter registry and binary checkpoint serialization.
+"""Xavier initialization and binary checkpoint serialization.
 
-Parameters live in an insertion-ordered name -> Tensor map so optimizers and
-checkpoints agree on iteration order. Checkpoints are a single binary file:
-a magic/version header, a JSON metadata block (model config, vocab, caller
-extras such as the CLI's config digest), then one record per parameter with
-its name, shape, and little-endian float64 payload. Round-trips are exact.
+A model's parameters are a plain name -> Tensor dict (``SpanScorer.registry``)
+whose insertion order optimizers and checkpoints both follow. Checkpoints are
+a single binary file: a magic/version header, a JSON metadata block (model
+config, vocab, caller extras such as the CLI's config digest), then one record
+per parameter, in that order, with its name, shape, and little-endian float64
+payload. Round-trips are exact.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import struct
 
 import numpy as np
 
-from .autodiff import Tensor
 from .fileio import write_atomic
 
 MAGIC = b"KPEX"
@@ -32,33 +32,6 @@ def xavier_uniform(rng, shape):
     fan_in, fan_out = (shape[0], shape[-1]) if len(shape) > 1 else (shape[0], shape[0])
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
-
-
-class ParameterRegistry:
-    """Ordered collection of trainable tensors addressed by unique names."""
-
-    def __init__(self):
-        self._params: dict[str, Tensor] = {}
-
-    def add(self, name, array):
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.asarray(array, dtype=np.float64), requires_grad=True)
-        self._params[name] = t
-        return t
-
-    def __getitem__(self, name):
-        return self._params[name]
-
-    def __len__(self):
-        return len(self._params)
-
-    def items(self):
-        return self._params.items()
-
-    def clear_grads(self):
-        for t in self._params.values():
-            t.grad = None
 
 
 def check_arrays(shapes, arrays):

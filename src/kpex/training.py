@@ -22,7 +22,7 @@ from .autodiff import no_grad, softmax_cross_entropy
 from .config import MAX_DOC_LENGTH
 from .documents import build_labels, span_target, truncate
 from .fileio import write_json, write_jsonl
-from .optim import Adam, geometric_lr
+from .optim import Adam, clear_grads, geometric_lr
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +143,7 @@ def run_training(model, examples, config, run_dir=None, log=None, checkpoint_met
         raise ValueError("validation split consumed every example")
 
     steps_per_epoch = math.ceil(len(train_set) / config.batch_size)
-    total_steps = config.total_steps or steps_per_epoch * config.max_epochs
+    total_steps = steps_per_epoch * config.max_epochs
     optimizer = Adam(model.registry)
     if run_dir:
         os.makedirs(run_dir, exist_ok=True)
@@ -161,7 +161,7 @@ def run_training(model, examples, config, run_dir=None, log=None, checkpoint_met
         started = time.monotonic()
         epoch_losses = []
         for batch in _length_batches(train_set, config.batch_size, rng):
-            model.registry.clear_grads()
+            clear_grads(model.registry)
             scale = 1.0 / len(batch)
             total = 0.0  # added in order: sum() rounds differently from Python 3.12 on
             for ex in batch:

@@ -18,7 +18,7 @@ README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 # sha256 of the canonical default config; moves only when a key or default does
-DEFAULT_DIGEST = "0fcd828e52b005c1d9a626379b33a79a7066c9fe488c358686f8b803c668a877"
+DEFAULT_DIGEST = "5e7227d8c25a4017cb55171dd0363ee16e40d17ed17fff580f901a7cf82ff885"
 
 # sha256 of the predictions JSONL of the golden corpus (float64, x86-64)
 GOLDEN_PAGES = os.path.join(os.path.dirname(__file__), "data", "golden", "pages.jsonl")
@@ -150,7 +150,7 @@ class TestConfigMerging:
 
     def test_default_digest_pinned(self):
         cfg = load_run_config()
-        assert len(cfg) == 24
+        assert len(cfg) == 22
         assert config_digest(cfg) == DEFAULT_DIGEST
 
     def test_loading_config_leaves_numpy_unloaded(self, tmp_path):
@@ -167,12 +167,21 @@ class TestConfigMerging:
         assert proc.stdout.strip() == "False"
 
     def test_readme_table_lists_every_key(self):
+        # each row's Default column, read as JSON, is the key's default;
+        # the `a` / `b` row gives its two defaults in the same order
         with open(README, encoding="utf-8") as fh:
             rows = [line for line in fh if line.startswith("| `")]
-        documented = set()
+        documented = {}
         for row in rows:
-            documented.update(re.findall(r"`([\w.]+)`", row.split("|")[1]))
-        assert documented == set(load_run_config())
+            cells = row.split("|")
+            keys = re.findall(r"`([\w.]+)`", cells[1])
+            values = [json.loads(v) for v in cells[2].split(" / ")]
+            assert len(keys) == len(values), row
+            documented.update(zip(keys, values))
+        defaults = load_run_config()
+        assert set(documented) == set(defaults)
+        for key, value in documented.items():
+            assert (type(value), value) == (type(defaults[key]), defaults[key]), key
 
     def test_digest_stable_and_sensitive(self):
         a = config_digest(load_run_config())
@@ -194,7 +203,7 @@ class TestConfigTypes:
         ("seed", 3.7),
         ("model.dropout", True),
         ("train.lr_start", "0.01"),
-        ("train.total_steps", 1.5),
+        ("embedding.frozen_vectors", 1.5),
         ("embedding.source", 3),
     ]
 
@@ -229,16 +238,22 @@ class TestConfigTypes:
         "train.lr_start=1",  # an int is a valid float
         "model.dropout=0",
         "model.no_visual=false",
-        "train.total_steps=null",
-        "train.total_steps=0",
-        "train.total_steps=40",
+        "embedding.frozen_vectors=null",
         "seed=0",
         "embedding.frozen_vectors=vectors.txt",
     ])
     def test_right_type_accepted(self, item):
         key, _, raw = item.partition("=")
         cfg = load_run_config(overrides=[item])
-        assert cfg[key] == (raw if key == "embedding.frozen_vectors" else json.loads(raw))
+        assert cfg[key] == (raw if raw == "vectors.txt" else json.loads(raw))
+
+    @pytest.mark.parametrize("item", ["train.total_steps=40", "predict.chunk_len=4"])
+    def test_retired_key_is_unknown(self, capsys, item):
+        # the schedule horizon is the planned step count, and --chunked cuts
+        # chunks at train.max_doc_length
+        assert main(["--set", item, "--show-config"]) == 1
+        key = item.partition("=")[0]
+        assert capsys.readouterr().err == f"error: --set: unknown config key {key!r}\n"
 
 
 class TestTopLevel:
@@ -276,10 +291,10 @@ class TestTopLevel:
         (["--set", "embedding.position_dim=3"], "position_dim must be a positive even number"),
         (["--set", "train.lr_end=1"], "lr_end must not exceed lr_start"),
         (["--set", "predict.chunk_weight=0"], "chunk_weight must be in (0, 1]"),
-        (["--set", "train.total_steps=-3"], "total_steps must be non-negative, got -3"),
+        (["--set", "train.max_doc_length=0"], "max_doc_length must be at least 1"),
         (["--set", "seed=-1"], "seed must be non-negative, got -1"),
         (["--seed", "-1"], "seed must be non-negative, got -1"),
-    ], ids=["filters", "heads", "position_dim", "lr_end", "chunk_weight", "total_steps",
+    ], ids=["filters", "heads", "position_dim", "lr_end", "chunk_weight", "max_doc_length",
             "seed", "seed-flag"])
     def test_out_of_range_config_refused_by_every_command(self, tmp_path, capsys,
                                                           flags, message):
@@ -583,6 +598,7 @@ class TestTrainCli:
     def test_short_vectors_refused_at_their_line(self, tmp_path, capsys, command):
         # pages are cut to 4 tokens, yet each line must cover all 6
         data, vectors, model = _frozen_checkpoint(tmp_path, rows=5)
+        capsys.readouterr()  # the checkpoint's own training reports its zero-filled pages
         out = str(tmp_path / "out")
         argv = SMALL_MODEL + ["--set", "embedding.source=frozen",
                               "--set", f"embedding.frozen_vectors={vectors}",
@@ -799,12 +815,32 @@ class TestPredictCli:
 
     def test_chunked_dedup_flags(self, pipeline, tmp_path):
         out = str(tmp_path / "preds.jsonl")
-        argv = ["--set", "predict.chunk_len=4",
+        argv = ["--set", "train.max_doc_length=4",
                 "predict", "--model", os.path.join(pipeline["run_dir"], "best.ckpt"),
                 "--data", pipeline["data"], "--out", out, "--chunked", "--dedup"]
         assert main(argv) == 0
         meta = json.load(open(out + ".meta.json"))
         assert meta["chunked"] is True and meta["dedup"] is True
+
+    def test_chunked_cuts_at_max_doc_length(self, pipeline, tmp_path):
+        from kpex.documents import read_dataset
+        from kpex.inference import Prediction, chunk_and_merge, write_predictions
+        from kpex.model import SpanScorer
+
+        model_path = os.path.join(pipeline["run_dir"], "best.ckpt")
+        data = str(tmp_path / "page.jsonl")
+        write_jsonl(data, [{"id": "p", "text": "w0 w1 w2 w3 w4 w5 w6 w7 w8 w9"}])
+        out = str(tmp_path / "preds.jsonl")
+        assert main(["--set", "train.max_doc_length=4", "predict", "--model", model_path,
+                     "--data", data, "--out", out, "--chunked"]) == 0
+        model, _ = SpanScorer.load(model_path)
+        (doc,), _ = read_dataset(data)
+        assert len(doc) == 10
+        merged = chunk_and_merge(model, doc, 4)
+        assert merged.phrases != chunk_and_merge(model, doc, 10).phrases  # one chunk
+        expected = str(tmp_path / "expected.jsonl")
+        write_predictions(expected, [Prediction(doc.id, merged.top(10))])
+        assert _read_bytes(out) == _read_bytes(expected)
 
     @pytest.mark.parametrize("chunked", [[], ["--chunked"]])
     def test_frozen_vectors_for_id_with_hash(self, tmp_path, chunked):
@@ -814,7 +850,7 @@ class TestPredictCli:
         def predict(*flags):
             out = str(tmp_path / f"preds{len(flags)}.jsonl")
             argv = [*flags, "--set", f"embedding.frozen_vectors={vectors}",
-                    "--set", "predict.chunk_len=4",
+                    "--set", "train.max_doc_length=4",
                     "predict", "--model", model, "--data", data, "--out", out] + chunked
             assert main(argv) == 0
             return _read_bytes(out)
@@ -1131,6 +1167,60 @@ class TestBaselineCli:
         assert main(argv) == 0
         with open(out, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+class TestDataCounts:
+    """Visual rows zero-filled on reading and gold phrases dropped in labelling
+    are counted in the .meta.json and said in one stderr line."""
+
+    PLANTED = [  # 2 pages without visual rows, 1 phrase too long, 1 unmatched
+        {"id": "a", "text": "red stapler on sale now", "visual": [[0.5] * 18] * 5,
+         "keyphrases": ["red stapler"]},
+        {"id": "b", "text": "blue office chair with wheels",
+         "keyphrases": ["office chair", "one two three four five six"]},
+        {"id": "c", "text": "green desk lamp for sale",
+         "keyphrases": ["desk lamp", "purple elephant", "sale"]},
+    ]
+    LINE = "zero-filled or dropped: zero_visual=2, phrases_too_long=1, phrases_unmatched=1\n"
+
+    def _data(self, tmp_path, planted=True):
+        lines = self.PLANTED if planted else self.PLANTED[:1]
+        path = str(tmp_path / ("planted.jsonl" if planted else "clean.jsonl"))
+        write_jsonl(path, lines)
+        return path
+
+    @pytest.mark.parametrize("command", ["train", "pretrain"])
+    @pytest.mark.parametrize("planted", [True, False], ids=["planted", "clean"])
+    def test_train_counts(self, tmp_path, capsys, command, planted):
+        run_dir = str(tmp_path / "run")
+        argv = SMALL_MODEL + ["--set", "train.max_epochs=1", "--set", "embedding.min_count=1",
+                              command, "--data", self._data(tmp_path, planted),
+                              "--out", run_dir]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        meta = json.load(open(os.path.join(run_dir, "run.meta.json")))
+        counts = {k: meta[k] for k in ("zero_visual", "phrases_too_long", "phrases_unmatched")}
+        if planted:
+            assert counts == {"zero_visual": 2, "phrases_too_long": 1, "phrases_unmatched": 1}
+            assert self.LINE in err
+        else:
+            assert counts == {"zero_visual": 0, "phrases_too_long": 0, "phrases_unmatched": 0}
+            assert "zero-filled" not in err
+
+    @pytest.mark.parametrize("command", [["predict", "--model", None],
+                                         ["baseline", "--method", "tfidf"]],
+                             ids=["predict", "baseline"])
+    @pytest.mark.parametrize("planted", [True, False], ids=["planted", "clean"])
+    def test_zero_visual_counted(self, pipeline, tmp_path, capsys, command, planted):
+        command = [c or os.path.join(pipeline["run_dir"], "best.ckpt") for c in command]
+        out = str(tmp_path / "out.jsonl")
+        assert main(command + ["--data", self._data(tmp_path, planted), "--out", out]) == 0
+        err = capsys.readouterr().err
+        assert json.load(open(out + ".meta.json"))["zero_visual"] == (2 if planted else 0)
+        if planted:
+            assert "zero-filled or dropped: zero_visual=2\n" in err
+        else:
+            assert "zero-filled" not in err
 
 
 class TestAgreementCli:

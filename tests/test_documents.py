@@ -365,7 +365,7 @@ class TestParseMemo:
             with open(out, "rb") as fh:
                 runs.append((capsys.readouterr().err, fh.read()))
         assert runs[0] == runs[1]
-        assert runs[0][0] == "skipped: 1 empty\n"
+        assert runs[0][0] == "skipped: 1 empty\nzero-filled or dropped: zero_visual=1\n"
         assert parses == [data]
 
     def test_same_size_edit_parses_again(self, tmp_path, parses):

@@ -422,7 +422,7 @@ class TestPredictionIO:
 
 class TestPredictConfig:
     @pytest.mark.parametrize("field,value", [
-        ("top_k", 0), ("top_k", -2), ("chunk_len", 0),
+        ("top_k", 0), ("top_k", -2),
         ("chunk_weight", 0.0), ("chunk_weight", 1.5),
     ])
     def test_out_of_range_rejected(self, field, value):
@@ -430,4 +430,4 @@ class TestPredictConfig:
             PredictConfig(**{field: value})
 
     def test_bounds_accepted(self):
-        PredictConfig(top_k=1, chunk_len=1, chunk_weight=1.0)
+        PredictConfig(top_k=1, chunk_weight=1.0)

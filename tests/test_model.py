@@ -19,7 +19,8 @@ from kpex.model import (
     SpanScorer,
     score_spans,
 )
-from kpex.registry import CheckpointError, ParameterRegistry, save_checkpoint
+from kpex.optim import clear_grads
+from kpex.registry import CheckpointError, load_checkpoint, save_checkpoint
 from synthetic import full_scale_config
 
 # Logits of the small 8-filter model (seed 0) with the old no_transformer=True
@@ -231,7 +232,7 @@ class TestFusedEmbeddingAndConcat:
         logits = model.forward(doc, train=True, rng=np.random.default_rng(7))
         target = np.full(logits.shape, 1.0 / logits.shape[0])
         loss = ad.softmax_cross_entropy(logits, target)
-        model.registry.clear_grads()
+        clear_grads(model.registry)
         loss.backward()
         # banks wider than the document get no gradient
         grads = {name: p.grad if p.grad is None else p.grad.tobytes()
@@ -314,7 +315,7 @@ class TestPersistence:
         path = str(tmp_path / "model.ckpt")
         model.save(path)
         loaded, _ = SpanScorer.load(path)
-        assert list(dict(loaded.registry.items())) == list(dict(model.registry.items()))
+        assert list(loaded.registry) == list(model.registry)
         for name, p in model.registry.items():
             q = loaded.registry[name]
             assert q.data.dtype == np.float64 and q.data.shape == p.data.shape
@@ -323,6 +324,21 @@ class TestPersistence:
         # the forward looks tokens up in the registry's table, so training moves it
         reduce_sum(loaded.forward(_doc(4))).backward()
         assert loaded.registry["embedding/tokens"].grad.any()
+
+    def test_registry_in_layout_order_through_save_and_load(self, tmp_path):
+        # Adam's moment buffers and the checkpoint records follow this order
+        model = _model(_small_config(layers=2))
+        layout = [name for name, _, _ in
+                  model_module._parameter_layout(model.config, len(model.vocab))]
+        assert list(model.registry) == layout
+        path = str(tmp_path / "model.ckpt")
+        model.save(path)
+        _, arrays = load_checkpoint(path)
+        assert list(arrays) == layout
+        assert list(SpanScorer.load(path)[0].registry) == layout
+        shuffled = dict(reversed(list(arrays.items())))
+        rebuilt = SpanScorer(model.config, vocab=model.vocab, arrays=shuffled)
+        assert list(rebuilt.registry) == layout
 
     def test_load_draws_no_initialization(self, tmp_path, monkeypatch):
         path = str(tmp_path / "model.ckpt")
@@ -338,9 +354,7 @@ class TestPersistence:
         model = _model()
         arrays = {name: p.data for name, p in model.registry.items()}
         edit(arrays)
-        registry = ParameterRegistry()
-        for name, array in arrays.items():
-            registry.add(name, array)
+        registry = {name: ad.Tensor(array) for name, array in arrays.items()}
         save_checkpoint(path, registry, {"format": "span-scorer",
                                          "config": model.config.to_dict(),
                                          "vocab": model.vocab.to_list()})

@@ -1,4 +1,4 @@
-"""Parameter registry, checkpoint format, Adam, and the gradient checker."""
+"""Parameter dicts, checkpoint format, Adam, and the gradient checker."""
 
 import json
 import os
@@ -12,12 +12,11 @@ from kpex import autodiff as ad
 from kpex.autodiff import Tensor
 from kpex.fileio import write_atomic
 from kpex.gradcheck import finite_difference_check
-from kpex.optim import Adam, MissingGradientError, geometric_lr
+from kpex.optim import Adam, MissingGradientError, clear_grads, geometric_lr
 from kpex.registry import (
     FORMAT_VERSION,
     MAGIC,
     CheckpointError,
-    ParameterRegistry,
     check_arrays,
     load_checkpoint,
     save_checkpoint,
@@ -25,27 +24,28 @@ from kpex.registry import (
 )
 
 
-class TestRegistry:
-    def test_insertion_order_and_lookup(self):
-        reg = ParameterRegistry()
-        reg.add("b/2", np.zeros(2))
-        reg.add("a/1", np.zeros(3))
-        assert list(dict(reg.items())) == ["b/2", "a/1"]
-        assert reg["a/1"].data.shape == (3,)
-        assert "b/2" in dict(reg.items()) and "missing" not in dict(reg.items())
+def _param(values):
+    """A trainable float64 parameter, as ``SpanScorer`` keeps each one."""
+    return Tensor(np.asarray(values, dtype=np.float64), requires_grad=True)
 
-    def test_duplicate_name_rejected(self):
-        reg = ParameterRegistry()
-        reg.add("w", np.zeros(2))
-        with pytest.raises(ValueError, match="duplicate"):
-            reg.add("w", np.zeros(2))
+
+class TestRegistry:
+    def test_insertion_order_and_lookup(self, tmp_path):
+        # Adam's moment buffers and the checkpoint records follow insertion order
+        reg = {"b/2": _param(np.zeros(2)), "a/1": _param(np.zeros(3))}
+        assert list(Adam(reg)._m) == list(Adam(reg)._v) == ["b/2", "a/1"]
+        path = str(tmp_path / "order.ckpt")
+        save_checkpoint(path, reg, {})
+        _, arrays = load_checkpoint(path)
+        assert list(arrays) == ["b/2", "a/1"]
+        assert arrays["a/1"].shape == reg["a/1"].data.shape == (3,)
 
     def test_clear_grads(self):
-        reg = ParameterRegistry()
-        p = reg.add("w", np.ones(2))
-        p.grad = np.ones(2)
-        reg.clear_grads()
-        assert p.grad is None
+        reg = {"w": _param(np.ones(2)), "b": _param(np.ones(3))}
+        for p in reg.values():
+            p.grad = np.ones_like(p.data)
+        clear_grads(reg)
+        assert all(p.grad is None for p in reg.values())
 
     def test_check_arrays_shape_mismatch_names_offenders(self):
         with pytest.raises(CheckpointError, match="w1"):
@@ -80,13 +80,13 @@ def _joined_checkpoint(registry, metadata):
 
 def _odd_registry():
     rng = np.random.default_rng(3)
-    reg = ParameterRegistry()
-    reg.add("a/w", rng.normal(size=(5, 3)))
-    reg.add("a/wT", rng.normal(size=(3, 4)).T)  # not C-contiguous
-    reg.add("s", rng.normal(size=()))
-    reg.add("empty", np.zeros((0, 3)))
-    reg.add("é/b", rng.normal(size=(7,)))
-    return reg
+    return {
+        "a/w": _param(rng.normal(size=(5, 3))),
+        "a/wT": _param(rng.normal(size=(3, 4)).T),  # not C-contiguous
+        "s": _param(rng.normal(size=())),
+        "empty": _param(np.zeros((0, 3))),
+        "é/b": _param(rng.normal(size=(7,))),
+    }
 
 
 class TestCheckpoint:
@@ -99,7 +99,7 @@ class TestCheckpoint:
             assert fh.read() == _joined_checkpoint(reg, meta)
         loaded_meta, arrays = load_checkpoint(path)
         assert loaded_meta == meta
-        assert list(arrays) == list(dict(reg.items()))
+        assert list(arrays) == list(reg)
         for name, tensor in reg.items():
             want = np.ascontiguousarray(tensor.data)
             assert arrays[name].dtype == np.float64
@@ -116,8 +116,7 @@ class TestCheckpoint:
 
     def test_huge_shape_fails_as_truncated(self, tmp_path):
         # a corrupt shape is caught against the file size, before allocating
-        reg = ParameterRegistry()
-        reg.add("w", np.ones(3))
+        reg = {"w": _param(np.ones(3))}
         blob = bytearray(_joined_checkpoint(reg, {}))
         shape_at = len(blob) - 3 * 8 - 8
         blob[shape_at : shape_at + 8] = struct.pack("<Q", 2**60)
@@ -127,8 +126,7 @@ class TestCheckpoint:
             load_checkpoint(str(path))
 
     def test_every_truncation_rejected(self, tmp_path):
-        reg = ParameterRegistry()
-        reg.add("w", np.ones((2, 2)))
+        reg = {"w": _param(np.ones((2, 2)))}
         blob = _joined_checkpoint(reg, {"k": 1})
         path = tmp_path / "model.ckpt"
         for cut in range(4, len(blob)):
@@ -138,11 +136,11 @@ class TestCheckpoint:
 
     def test_exact_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
-        reg = ParameterRegistry()
+        reg = {}
         originals = {}
         for name, shape in (("a/w", (5, 3)), ("a/b", (3,)), ("s", ())):
             arr = rng.normal(size=shape)
-            reg.add(name, arr)
+            reg[name] = _param(arr)
             originals[name] = arr
         path = str(tmp_path / "model.ckpt")
         meta = {"config": {"filters": 64}, "config_digest": "abc123"}
@@ -161,8 +159,7 @@ class TestCheckpoint:
             load_checkpoint(str(path))
 
     def test_rejects_truncated_file(self, tmp_path):
-        reg = ParameterRegistry()
-        reg.add("w", np.ones((4, 4)))
+        reg = {"w": _param(np.ones((4, 4)))}
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(path, reg, {})
         with open(path, "rb") as fh:
@@ -206,43 +203,40 @@ class TestWriteAtomic:
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters(self):
-        reg = ParameterRegistry()
-        p = reg.add("w", np.array([1.0, -2.0]))
+        p = _param([1.0, -2.0])
+        reg = {"w": p}
         p.grad = np.zeros(2)
         Adam(reg).step(0.1)
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_first_step_is_signed_lr(self):
-        reg = ParameterRegistry()
-        p = reg.add("w", np.zeros(3))
+        p = _param(np.zeros(3))
+        reg = {"w": p}
         p.grad = np.array([0.5, -2.0, 1e-3])
         Adam(reg).step(0.1)
         np.testing.assert_allclose(p.data, [-0.1, 0.1, -0.1], rtol=1e-4)
 
     def test_minimizes_quadratic(self):
-        reg = ParameterRegistry()
-        theta = reg.add("theta", np.array(3.0))
+        theta = _param(3.0)
+        reg = {"theta": theta}
         opt = Adam(reg)
         for _ in range(200):
-            reg.clear_grads()
+            clear_grads(reg)
             loss = mul(theta, theta)
             loss.backward()
             opt.step(0.1)
         assert abs(float(theta.data)) < 0.05
 
     def test_missing_gradient_names_parameter(self):
-        reg = ParameterRegistry()
-        reg.add("w/ok", np.zeros(2))
-        reg.add("w/missing", np.zeros(2))
+        reg = {"w/ok": _param(np.zeros(2)), "w/missing": _param(np.zeros(2))}
         reg["w/ok"].grad = np.ones(2)
         with pytest.raises(MissingGradientError, match="w/missing"):
             Adam(reg).step(0.1)
 
     def test_step_clears_grads(self):
-        reg = ParameterRegistry()
-        p = reg.add("w", np.ones(2))
+        p = _param(np.ones(2))
         p.grad = np.ones(2)
-        Adam(reg).step(0.01)
+        Adam({"w": p}).step(0.01)
         assert p.grad is None
 
 
@@ -267,8 +261,8 @@ class TestLearningRateSchedule:
 
 def _quadratic_setup():
     rng = np.random.default_rng(3)
-    reg = ParameterRegistry()
-    theta = reg.add("theta", rng.normal(size=(3,)))
+    theta = _param(rng.normal(size=(3,)))
+    reg = {"theta": theta}
     xs = rng.normal(size=(8, 3))
     ys = rng.normal(size=(8, 1))
 
@@ -288,8 +282,8 @@ class TestFiniteDifferenceCheck:
 
     def test_corrupted_backward_flagged(self):
         rng = np.random.default_rng(4)
-        reg = ParameterRegistry()
-        theta = reg.add("theta", rng.uniform(1.0, 2.0, size=(4,)))
+        theta = _param(rng.uniform(1.0, 2.0, size=(4,)))
+        reg = {"theta": theta}
 
         def corrupted_square(t):
             data = t.data**2
@@ -305,8 +299,7 @@ class TestFiniteDifferenceCheck:
         assert max(errors.values()) > 1e-2
 
     def test_nondeterministic_loss_rejected(self):
-        reg = ParameterRegistry()
-        reg.add("w", np.ones(2))
+        reg = {"w": _param(np.ones(2))}
         state = {"count": 0}
 
         def noisy():
