@@ -22,7 +22,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 from .config import EmbeddingConfig, ModelConfig, PredictConfig, TrainingConfig
 from .fileio import read_json, read_records, string_list, write_json, write_jsonl
@@ -304,15 +304,13 @@ def cmd_build_qp(args, cfg):
         line["keyphrases"] = list(ex.keyphrases)
         lines.append(line)
     write_jsonl(args.out, lines)
-    report = stats.to_dict()
-    report["config_digest"] = config_digest(cfg)
-    write_json(args.out + ".stats.json", report)
+    write_json(args.out + ".stats.json", dict(asdict(stats), config_digest=config_digest(cfg)))
     print(stats.as_table())
     print(f"wrote {len(lines)} query-prediction documents -> {args.out}")
     return 0
 
 
-def _run_train(args, cfg, mode):
+def _run_train(args, cfg):
     from .documents import read_dataset, truncate
     from .embedding import TokenVocabulary
     from .model import SpanScorer
@@ -355,12 +353,12 @@ def _run_train(args, cfg, mode):
             + (f" val {s.val_loss:.4f}" if s.val_loss is not None else "")
             + f" lr {s.lr_last:.2e} [{s.seconds:.1f}s]"
         ),
-        checkpoint_metadata={"config_digest": config_digest(cfg), "mode": mode},
+        checkpoint_metadata={"config_digest": config_digest(cfg), "mode": args.command},
     )
     _write_meta(
         os.path.join(args.out, "run"),
         cfg,
-        mode,
+        args.command,
         {
             "best_epoch": record.best_epoch,
             "steps": record.steps,
@@ -370,17 +368,9 @@ def _run_train(args, cfg, mode):
          "phrases_too_long": prep.phrases_too_long,
          "phrases_unmatched": prep.phrases_unmatched},
     )
-    print(f"{mode} finished: best epoch {record.best_epoch} "
+    print(f"{args.command} finished: best epoch {record.best_epoch} "
           f"-> {os.path.join(args.out, 'best.ckpt')}")
     return 0
-
-
-def cmd_pretrain(args, cfg):
-    return _run_train(args, cfg, "pretrain")
-
-
-def cmd_train(args, cfg):
-    return _run_train(args, cfg, "train")
 
 
 def cmd_predict(args, cfg):
@@ -495,15 +485,8 @@ def cmd_agreement(args, cfg):
         + (f", {report.skipped_pairs} skipped pairs" if report.skipped_pairs else "")
     )
     if args.out:
-        write_json(args.out, {
-            "depth": args.depth,
-            "mode": args.mode,
-            "percentage": report.percentage,
-            "pairs": report.pairs,
-            "truncated_lists": report.truncated_lists,
-            "skipped_pairs": report.skipped_pairs,
-            "config_digest": config_digest(cfg),
-        })
+        write_json(args.out, dict(asdict(report), depth=args.depth, mode=args.mode,
+                                  config_digest=config_digest(cfg)))
     return 0
 
 
@@ -580,14 +563,14 @@ def build_parser():
     p.add_argument("--blocklist", help="file of queries to drop, one per line")
     p.set_defaults(handler=cmd_build_qp)
 
-    for name, handler in (("pretrain", cmd_pretrain), ("train", cmd_train)):
+    for name in ("pretrain", "train"):
         p = sub.add_parser(name, help=f"{name} the span classifier")
         p.add_argument("--data", required=True)
         p.add_argument("--out", required=True, help="run directory")
         p.add_argument("--init", help="warm-start checkpoint (e.g. run/best)")
         p.add_argument("--ablate", type=_ablate_list, default=[],
                        help="comma list: " + ",".join(ABLATIONS))
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=_run_train)
 
     p = sub.add_parser("predict", help="rank keyphrases for a dataset")
     p.add_argument("--model", required=True)
@@ -659,6 +642,10 @@ def main(argv=None):
         return 1
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a path of the wrong kind, or one that may not be used
+        where = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"error: {where}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

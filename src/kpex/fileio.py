@@ -32,11 +32,18 @@ def _invalid_json(path, exc, lineno=None):
     return DatasetError(f"{where}: invalid JSON: {exc}")
 
 
+def _not_utf8(where, exc):
+    return DatasetError(
+        f"{where}: not UTF-8: byte {exc.object[exc.start]:#04x}, {exc.reason}")
+
+
 def read_json(path):
     """The JSON value in ``path``; a syntax error fails at ``path:line:col``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
         except (ValueError, RecursionError) as exc:
             raise _invalid_json(path, exc) from exc
 
@@ -51,12 +58,16 @@ def read_records(path, *fields):
     """
     expected = f"expected an object with {' and '.join(fields)}"
     seen_ids = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    # each line is decoded on its own, so a byte that is not UTF-8 is found on its line
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise _not_utf8(where, exc) from None
             if not line:
                 continue
-            where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
             except (ValueError, RecursionError) as exc:
@@ -74,7 +85,11 @@ def read_records(path, *fields):
 def read_lines(path):
     """The stripped lines of a text file, skipping blank lines and # comments."""
     with open(path, "r", encoding="utf-8") as fh:
-        return [line for line in map(str.strip, fh) if line and not line.startswith("#")]
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
+    return [line for line in map(str.strip, lines) if line and not line.startswith("#")]
 
 
 def string_list(value, name, where):
@@ -100,9 +115,12 @@ def write_atomic(path, chunks):
         with open(tmp, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            # name the file the caller asked for, not its temporary
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

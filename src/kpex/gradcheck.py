@@ -14,12 +14,13 @@ from .autodiff import no_grad
 from .documents import MAX_SPAN_LENGTH, VISUAL_DIM, Document, Span, span_target
 from .optim import clear_grads
 
-DEFAULT_EPSILON = 1e-5
+EPSILON = 1e-5
 # below this scale the comparison is effectively absolute at floor * tolerance
 RELATIVE_FLOOR = 1e-3
+EXAMPLE_TOKENS, EXAMPLE_TYPES = 12, 4
 
 
-def gradcheck_example(seed=0, n_tokens=12, n_types=4, max_span_length=MAX_SPAN_LENGTH):
+def gradcheck_example(seed=0, max_span_length=MAX_SPAN_LENGTH):
     """A small document and its dense span target for finite-difference checks.
 
     Token types repeat so a min-count-2 vocabulary keeps them all, and the
@@ -27,22 +28,21 @@ def gradcheck_example(seed=0, n_tokens=12, n_types=4, max_span_length=MAX_SPAN_L
     spans are cut to ``max_span_length`` tokens, so every one is a candidate.
     """
     rng = np.random.default_rng(seed)
-    tokens = tuple(f"w{i % n_types}" for i in range(n_tokens))
-    visual = rng.uniform(0.0, 1.0, size=(n_tokens, VISUAL_DIM))
+    tokens = tuple(f"w{i % EXAMPLE_TYPES}" for i in range(EXAMPLE_TOKENS))
+    visual = rng.uniform(0.0, 1.0, size=(EXAMPLE_TOKENS, VISUAL_DIM))
     doc = Document(f"gradcheck{seed}", tokens, visual)
     spans = [Span(start, min(length, max_span_length)) for start, length in
              ((1, 2), (5, 1), (4, 3))]
-    return doc, span_target(n_tokens, max_span_length, spans)
+    return doc, span_target(EXAMPLE_TOKENS, max_span_length, spans)
 
 
-def relative_error(a, b, floor=RELATIVE_FLOOR):
-    return abs(a - b) / max(abs(a), abs(b), floor)
+def relative_error(a, b):
+    return abs(a - b) / max(abs(a), abs(b), RELATIVE_FLOOR)
 
 
 def finite_difference_check(
     loss_fn,
     registry,
-    epsilon=DEFAULT_EPSILON,
     samples_per_param=16,
     seed=0,
 ):
@@ -86,14 +86,14 @@ def finite_difference_check(
         grad_flat = analytic[name].reshape(-1)
         for idx in coords:
             original = flat[idx]
-            flat[idx] = original + epsilon
+            flat[idx] = original + EPSILON
             with no_grad():
                 f_plus = float(loss_fn().data)
-            flat[idx] = original - epsilon
+            flat[idx] = original - EPSILON
             with no_grad():
                 f_minus = float(loss_fn().data)
             flat[idx] = original
-            fd = (f_plus - f_minus) / (2.0 * epsilon)
+            fd = (f_plus - f_minus) / (2.0 * EPSILON)
             worst = max(worst, relative_error(fd, grad_flat[idx]))
         errors[name] = worst
     return errors

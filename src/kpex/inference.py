@@ -95,15 +95,9 @@ def rank_phrases(doc, spans, scores, k=None):
     return ranked
 
 
-def _unmasked(distribution):
-    """The spans a distribution scores, with their probabilities."""
-    mask = distribution.mask
-    return distribution.spans[mask], distribution.probs[mask]
-
-
 def predict_topk(distribution, doc, k):
     """The k best phrases of a span distribution, ranked by rank_phrases."""
-    return Prediction(doc.id, tuple(rank_phrases(doc, *_unmasked(distribution), k)))
+    return Prediction(doc.id, tuple(rank_phrases(doc, distribution.spans, distribution.probs, k)))
 
 
 def chunk_document(doc, chunk_len):
@@ -131,7 +125,8 @@ def chunk_and_merge(model, doc, chunk_len=MAX_DOC_LENGTH,
     merged = {}
     tie_key = {}
     for p, chunk in enumerate(chunk_document(doc, chunk_len)):
-        ranked = rank_phrases(chunk, *_unmasked(model.distribution(chunk)))
+        dist = model.distribution(chunk)
+        ranked = rank_phrases(chunk, dist.spans, dist.probs)
         weight = chunk_weight**p
         for rank, (phrase, score) in enumerate(ranked):
             merged[phrase] = merged.get(phrase, 0.0) + weight * score

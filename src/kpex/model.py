@@ -29,11 +29,10 @@ from .registry import (
 
 @dataclass(frozen=True, eq=False)
 class SpanDistribution:
-    """Softmax output: the enumerate_spans rows, their probabilities, and the mask."""
+    """Softmax output: the enumerate_spans rows and their probabilities, one per row."""
 
     spans: np.ndarray
     probs: np.ndarray
-    mask: np.ndarray
 
 
 def score_spans(logits, mask=None):
@@ -203,13 +202,13 @@ class SpanScorer:
             columns.append(self._scorer(grams, train, rng))
         return ad.concat(columns)
 
-    def distribution(self, doc, mask=None):
-        """Inference-mode span probabilities (no tape, no dropout)."""
+    def distribution(self, doc):
+        """Inference-mode probabilities of every candidate span (no tape, no dropout)."""
         with ad.no_grad():
             logits = self.forward(doc, train=False)
-        probs, mask = score_spans(logits.data, mask)
+        probs, _ = score_spans(logits.data)
         spans = enumerate_spans(len(doc), self.config.max_span_length)
-        return SpanDistribution(spans, probs, mask)
+        return SpanDistribution(spans, probs)
 
     # -- persistence ----------------------------------------------------
 

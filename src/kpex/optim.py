@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 
+# the moment decay rates and denominator guard: Kingma and Ba's defaults
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class MissingGradientError(RuntimeError):
     pass
@@ -18,18 +21,15 @@ def clear_grads(params):
 
 
 class Adam:
-    """Adam with bias-corrected first and second moment estimates.
+    """Adam with bias-corrected moment estimates, decayed at BETA1 and BETA2.
 
     Moment buffers persist across steps; the learning rate is supplied per
     step so callers can drive any schedule. Gradients are consumed: a step
     clears them, so every step must be preceded by a fresh backward pass.
     """
 
-    def __init__(self, registry, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, registry):
         self.registry = registry
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self._m = {name: np.zeros_like(p.data) for name, p in registry.items()}
         self._v = {name: np.zeros_like(p.data) for name, p in registry.items()}
@@ -41,19 +41,19 @@ class Adam:
             if p.grad is None:
                 raise MissingGradientError(f"parameter {name!r} has no gradient")
         self.t += 1
-        correct1 = 1.0 - self.beta1**self.t
-        correct2 = 1.0 - self.beta2**self.t
+        correct1 = 1.0 - BETA1**self.t
+        correct2 = 1.0 - BETA2**self.t
         for name, p in self.registry.items():
             g = p.grad
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
             m_hat = m / correct1
             v_hat = v / correct2
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + EPS)
         clear_grads(self.registry)
 
 

@@ -64,52 +64,45 @@ def filter_queries(doc, queries, max_span_length=MAX_SPAN_LENGTH, blocklist=None
 
 @dataclass
 class QueryDatasetStats:
-    """Corpus statistics over the surviving query-prediction examples."""
+    """Corpus statistics over the surviving query-prediction examples.
+
+    The field names are the keys of ``build-qp``'s ``.stats.json``, which
+    holds ``asdict`` of this record; each ``*_std`` is a population std.
+    """
 
     n_documents: int = 0
     n_unique_queries: int = 0
-    doc_length: tuple = (0.0, 0.0)  # mean, population std
-    queries_per_doc: tuple = (0.0, 0.0)
-    query_length: tuple = (0.0, 0.0)
-    doc_vocabulary: int = 0
-    query_vocabulary: int = 0
+    doc_length_mean: float = 0.0
+    doc_length_std: float = 0.0
+    queries_per_doc_mean: float = 0.0
+    queries_per_doc_std: float = 0.0
+    query_length_mean: float = 0.0
+    query_length_std: float = 0.0
+    doc_vocabulary_size: int = 0
+    query_vocabulary_size: int = 0
     dropped: dict = field(default_factory=dict)
 
     def as_table(self):
         rows = [
             ("# of Documents", f"{self.n_documents}"),
             ("# of Unique Queries", f"{self.n_unique_queries}"),
-            ("Doc Length", f"{self.doc_length[0]:.2f} +/- {self.doc_length[1]:.2f}"),
+            ("Doc Length", f"{self.doc_length_mean:.2f} +/- {self.doc_length_std:.2f}"),
             ("# of Query per Doc",
-             f"{self.queries_per_doc[0]:.2f} +/- {self.queries_per_doc[1]:.2f}"),
+             f"{self.queries_per_doc_mean:.2f} +/- {self.queries_per_doc_std:.2f}"),
             ("Query Length",
-             f"{self.query_length[0]:.2f} +/- {self.query_length[1]:.2f}"),
-            ("Doc Vocabulary Size", f"{self.doc_vocabulary}"),
-            ("Query Vocabulary Size", f"{self.query_vocabulary}"),
+             f"{self.query_length_mean:.2f} +/- {self.query_length_std:.2f}"),
+            ("Doc Vocabulary Size", f"{self.doc_vocabulary_size}"),
+            ("Query Vocabulary Size", f"{self.query_vocabulary_size}"),
         ]
         width = max(len(k) for k, _ in rows)
         return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
 
-    def to_dict(self):
-        return {
-            "n_documents": self.n_documents,
-            "n_unique_queries": self.n_unique_queries,
-            "doc_length_mean": self.doc_length[0],
-            "doc_length_std": self.doc_length[1],
-            "queries_per_doc_mean": self.queries_per_doc[0],
-            "queries_per_doc_std": self.queries_per_doc[1],
-            "query_length_mean": self.query_length[0],
-            "query_length_std": self.query_length[1],
-            "doc_vocabulary_size": self.doc_vocabulary,
-            "query_vocabulary_size": self.query_vocabulary,
-            "dropped": dict(self.dropped),
-        }
 
-
-def _mean_std(values):
+def _mean_std(name, values):
+    """The ``<name>_mean`` and ``<name>_std`` fields of QueryDatasetStats over ``values``."""
     if not values:
-        return (0.0, 0.0)
-    return (float(mean(values)), float(pstdev(values)))
+        return {f"{name}_mean": 0.0, f"{name}_std": 0.0}
+    return {f"{name}_mean": float(mean(values)), f"{name}_std": float(pstdev(values))}
 
 
 def build_qp_dataset(
@@ -158,11 +151,11 @@ def build_qp_dataset(
     stats = QueryDatasetStats(
         n_documents=len(examples),
         n_unique_queries=len(unique_queries),
-        doc_length=_mean_std(doc_lengths),
-        queries_per_doc=_mean_std(query_counts),
-        query_length=_mean_std(query_lengths),
-        doc_vocabulary=len(doc_vocab),
-        query_vocabulary=len(query_vocab),
+        **_mean_std("doc_length", doc_lengths),
+        **_mean_std("queries_per_doc", query_counts),
+        **_mean_std("query_length", query_lengths),
+        doc_vocabulary_size=len(doc_vocab),
+        query_vocabulary_size=len(query_vocab),
         dropped=dropped,
     )
     return examples, stats

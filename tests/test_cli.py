@@ -1,5 +1,6 @@
 """Command-line interface: config merging, each subcommand, exit codes."""
 
+import errno
 import hashlib
 import json
 import os
@@ -339,6 +340,58 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert "digest:" in proc.stdout
+
+
+class TestPathErrors:
+    """An OSError on a path the user named exits 1 with one line giving reason and path."""
+
+    def _fails(self, capsys, argv, path, errno_code):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}: {os.strerror(errno_code)}\n"
+
+    def test_data_is_a_directory(self, tmp_path, capsys):
+        argv = ["baseline", "--method", "tfidf", "--data", str(tmp_path),
+                "--out", str(tmp_path / "o.jsonl")]
+        self._fails(capsys, argv, tmp_path, errno.EISDIR)
+
+    def test_annotations_is_a_directory(self, tmp_path, capsys):
+        self._fails(capsys, ["agreement", "--annotations", str(tmp_path)], tmp_path,
+                    errno.EISDIR)
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        self._fails(capsys, ["--config", str(tmp_path), "--show-config"], tmp_path,
+                    errno.EISDIR)
+
+    def test_layout_dir_is_a_file(self, tmp_path, capsys):
+        page = tmp_path / "page.json"
+        page.write_text("{}")
+        argv = ["featurize", "--layout-dir", str(page), "--out", str(tmp_path / "o.jsonl")]
+        self._fails(capsys, argv, page, errno.ENOTDIR)
+
+    def test_run_dir_is_a_file(self, tmp_path, capsys):
+        data = _write_dataset(tmp_path / "train.jsonl", n=4)
+        taken = tmp_path / "run"
+        taken.write_text("")
+        argv = SMALL_MODEL + ["--set", "train.max_epochs=1", "train", "--data", data,
+                              "--out", str(taken)]
+        self._fails(capsys, argv, taken, errno.EEXIST)
+
+    def test_out_is_a_directory(self, tmp_path, capsys):
+        data = _write_dataset(tmp_path / "docs.jsonl", n=2)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["baseline", "--method", "tfidf", "--data", data, "--out", str(out)]
+        self._fails(capsys, argv, out, errno.EISDIR)
+        assert sorted(os.listdir(tmp_path)) == ["docs.jsonl", "out"]
+        assert os.listdir(out) == []
+
+    def test_missing_out_directory_named(self, tmp_path, capsys):
+        data = _write_dataset(tmp_path / "docs.jsonl", n=2)
+        out = str(tmp_path / "nodir" / "o.jsonl")
+        argv = ["baseline", "--method", "tfidf", "--data", data, "--out", out]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: file not found: {out}\n"
+        assert os.listdir(tmp_path) == ["docs.jsonl"]
 
 
 class TestFeaturize:
@@ -1273,6 +1326,28 @@ class TestAgreementCli:
         write_jsonl(path, [{"id": "d1", "judges": [["x"], ["x"]]}, line])
         assert main(["agreement", "--annotations", path]) == 1
         assert f"{path}:2: expected an object with judges" in capsys.readouterr().err
+
+
+class TestReportKeys:
+    def test_stats_and_agreement_keys_pinned(self, tmp_path):
+        # both files are written from their report records; these keys are the format
+        docs, clicks = TestBuildQp()._inputs(tmp_path)
+        out = str(tmp_path / "qp.jsonl")
+        assert main(["build-qp", "--docs", docs, "--clicks", clicks, "--out", out]) == 0
+        assert set(json.load(open(out + ".stats.json"))) == {
+            "n_documents", "n_unique_queries", "doc_length_mean", "doc_length_std",
+            "queries_per_doc_mean", "queries_per_doc_std", "query_length_mean",
+            "query_length_std", "doc_vocabulary_size", "query_vocabulary_size",
+            "dropped", "config_digest",
+        }
+        annotations = str(tmp_path / "annotations.jsonl")
+        write_jsonl(annotations, [{"id": "d1", "judges": [["x", "y"], ["x", "z"]]}])
+        report = str(tmp_path / "agreement.json")
+        assert main(["agreement", "--annotations", annotations, "--out", report]) == 0
+        assert set(json.load(open(report))) == {
+            "depth", "mode", "percentage", "pairs", "truncated_lists", "skipped_pairs",
+            "config_digest",
+        }
 
 
 class TestGradcheckCli:

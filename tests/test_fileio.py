@@ -9,7 +9,7 @@ import pytest
 from kpex.cli import cmd_agreement, main
 from kpex.documents import read_dataset
 from kpex.embedding import attach_vectors
-from kpex.fileio import DatasetError, read_json, read_records, write_jsonl
+from kpex.fileio import DatasetError, read_json, read_lines, read_records, write_jsonl
 from kpex.inference import read_predictions
 from kpex.weaksup import read_query_log
 
@@ -143,3 +143,59 @@ def test_deep_nesting_exits_one_naming_the_file(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith(
         f"error: {where}: invalid JSON: maximum recursion depth exceeded")
     assert not os.path.exists(out)
+
+
+# 0xE9 is Latin-1 "é"; in UTF-8 it opens a sequence that the next byte must continue
+NOT_UTF8 = b'{"id": "bad", "text": "caf\xe9 au lait"}\n'
+
+
+@pytest.mark.parametrize("before", [1, 400], ids=["line-2", "past-first-8KiB"])
+def test_non_utf8_line_located(tmp_path, before):
+    # text mode decodes 8 KiB at a time, so a late bad byte needs its own line's decode
+    path = tmp_path / "records.jsonl"
+    good = b"".join(b'{"id": "d%d", "text": "tea"}\n' % i for i in range(before))
+    path.write_bytes(good + NOT_UTF8 + b'{"id": "last", "text": "milk"}\n')
+    with pytest.raises(DatasetError, match=re.escape(f"{path}:{before + 1}: not UTF-8: ")):
+        list(read_records(str(path), "id"))
+
+
+def test_non_utf8_whole_file_located(tmp_path):
+    whole = tmp_path / "config.json"
+    whole.write_bytes(b'{"name": "caf\xe9"}\n')
+    with pytest.raises(DatasetError, match=re.escape(f"{whole}: not UTF-8: ")):
+        read_json(str(whole))
+    lines = tmp_path / "stopwords.txt"
+    lines.write_bytes(b"the\ncaf\xe9\n")
+    with pytest.raises(DatasetError, match=re.escape(f"{lines}: not UTF-8: ")):
+        read_lines(str(lines))
+
+
+@pytest.mark.parametrize("command", ["baseline", "config"])
+def test_non_utf8_exits_one_naming_the_file(tmp_path, capsys, command):
+    bad = tmp_path / "bad.jsonl"
+    if command == "baseline":
+        bad.write_bytes(b'{"id": "d1", "text": "red stapler"}\n' + NOT_UTF8)
+        argv = ["baseline", "--method", "tfidf", "--data", str(bad),
+                "--out", str(tmp_path / "out.jsonl")]
+        where = f"{bad}:2"
+    else:
+        bad.write_bytes(b'{"seed": 1, "x": "caf\xe9"}\n')
+        argv = ["--config", str(bad), "--show-config"]
+        where = str(bad)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: not UTF-8: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_line_ends_read_alike(tmp_path, newline):
+    path = tmp_path / "records.jsonl"
+    lines = ['{"id": "d1", "text": "café"}', "  ", '{"id": "d2", "text": "tea"}', ""]
+    path.write_bytes(newline.join(lines).encode("utf-8"))
+    assert list(read_records(str(path), "id")) == [
+        (f"{path}:1", {"id": "d1", "text": "café"}),
+        (f"{path}:3", {"id": "d2", "text": "tea"}),
+    ]
+    listed = tmp_path / "stopwords.txt"
+    listed.write_bytes(newline.join(["# words", "the", "", " café "]).encode("utf-8"))
+    assert read_lines(str(listed)) == ["the", "café"]

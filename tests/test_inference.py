@@ -27,13 +27,11 @@ from kpex.inference import (
 from kpex.model import ModelConfig, SpanDistribution, SpanScorer
 
 
-def _distribution(n_tokens, probs, max_span_length=5, mask=None):
+def _distribution(n_tokens, probs, max_span_length=5):
     spans = enumerate_spans(n_tokens, max_span_length)
     probs = np.asarray(probs, dtype=np.float64)
     assert len(spans) == len(probs)
-    if mask is None:
-        mask = np.ones(len(spans), dtype=bool)
-    return SpanDistribution(spans, probs, np.asarray(mask, dtype=bool))
+    return SpanDistribution(spans, probs)
 
 
 def _contiguous_in(needle, haystack):
@@ -65,9 +63,8 @@ def _collapse_oracle(distribution, doc):
     )
     ranked = {}
     for i in order:
-        if distribution.mask[i]:
-            phrase = normalize_phrase(doc.phrase(distribution.spans[i]))
-            ranked.setdefault(phrase, float(distribution.probs[i]))
+        phrase = normalize_phrase(doc.phrase(distribution.spans[i]))
+        ranked.setdefault(phrase, float(distribution.probs[i]))
     return tuple(ranked.items())
 
 
@@ -123,13 +120,6 @@ class TestPredictTopk:
             "delta", "delta echo", "echo", "echo fox", "fox",
         ]
 
-    def test_masked_spans_skipped(self):
-        doc = make_document("d", "a b c")
-        mask = [False, True, True]
-        dist = _distribution(3, [0.9, 0.05, 0.05], max_span_length=1, mask=mask)
-        pred = predict_topk(dist, doc, k=3)
-        assert pred.phrase_list() == ["b", "c"]
-
     def test_k_cuts_list(self):
         doc = make_document("d", "a b c")
         dist = _distribution(3, [0.5, 0.3, 0.2], max_span_length=1)
@@ -153,19 +143,16 @@ class TestPredictTopk:
     @given(
         text=st.text(min_size=1, max_size=40),
         levels=st.lists(st.integers(0, 3), min_size=1),
-        masked=st.lists(st.booleans(), min_size=1),
     )
-    @example(text="İstanbul ß ﬁle σχολή!! ﬁle", levels=[1, 0], masked=[False])
-    def test_matches_renormalizing_oracle(self, text, levels, masked):
+    @example(text="İstanbul ß ﬁle σχολή!! ﬁle", levels=[1, 0])
+    def test_matches_renormalizing_oracle(self, text, levels):
         doc = make_document("d", text)
         if doc is None:
             return
         spans = enumerate_spans(len(doc), 5)
         # few distinct probability levels, so ties decide most of the order
         probs = np.array([levels[i % len(levels)] + 1.0 for i in range(len(spans))])
-        mask = np.array([not masked[i % len(masked)] for i in range(len(spans))])
-        mask[0] = True
-        dist = _distribution(len(doc), probs / probs.sum(), mask=mask)
+        dist = _distribution(len(doc), probs / probs.sum())
         pred = predict_topk(dist, doc, k=len(spans))
         assert pred.phrases == _collapse_oracle(dist, doc)
 

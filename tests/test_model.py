@@ -186,14 +186,6 @@ class TestForward:
         assert dist.probs.sum() == pytest.approx(1.0, abs=1e-6)
         assert (dist.probs > 0).all()
 
-    def test_distribution_respects_mask(self):
-        model = _model()
-        mask = np.ones(50, dtype=bool)
-        mask[10:] = False
-        dist = model.distribution(_doc(12), mask=mask)
-        assert dist.probs[10:].sum() == 0.0
-        assert dist.probs[:10].sum() == pytest.approx(1.0, abs=1e-6)
-
     def test_zero_layer_config(self):
         model = _model(_small_config(layers=0))
         assert parameter_census(model)["transformer_layers"] == 0

@@ -103,7 +103,7 @@ class TestBuildQpDataset:
         doc = _doc("d", " ".join(["tok"] * 30))
         examples, stats = build_qp_dataset([doc], {"d": ["tok"]}, max_doc_length=10)
         assert len(examples[0]) == 10
-        assert stats.doc_length == (30.0, 0.0)
+        assert (stats.doc_length_mean, stats.doc_length_std) == (30.0, 0.0)
 
     def test_stats_values(self):
         docs = [
@@ -114,11 +114,11 @@ class TestBuildQpDataset:
         _, stats = build_qp_dataset(docs, log)
         assert stats.n_documents == 2
         assert stats.n_unique_queries == 2  # "a b" shared, "c"
-        assert stats.doc_length[0] == pytest.approx(5.0)
-        assert stats.queries_per_doc[0] == pytest.approx(1.5)
-        assert stats.query_length[0] == pytest.approx((2 + 1 + 2) / 3)
-        assert stats.doc_vocabulary == 8
-        assert stats.query_vocabulary == 3  # a, b, c
+        assert stats.doc_length_mean == pytest.approx(5.0)
+        assert stats.queries_per_doc_mean == pytest.approx(1.5)
+        assert stats.query_length_mean == pytest.approx((2 + 1 + 2) / 3)
+        assert stats.doc_vocabulary_size == 8
+        assert stats.query_vocabulary_size == 3  # a, b, c
 
     def test_table_labels(self):
         table = QueryDatasetStats().as_table()
@@ -133,12 +133,13 @@ class TestBuildQpDataset:
         ):
             assert label in table
 
-    def test_to_dict_roundtrips_through_json(self):
+    def test_asdict_roundtrips_through_json(self):
         import json
+        from dataclasses import asdict
 
         docs, log = self._corpus()
         _, stats = build_qp_dataset(docs, log)
-        blob = json.dumps(stats.to_dict())
+        blob = json.dumps(asdict(stats))
         assert json.loads(blob)["n_documents"] == 1
 
 
