@@ -80,10 +80,7 @@ def load_run_config(config_path=None, overrides=()):
     """
     merged = default_config()
     if config_path:
-        try:
-            file_cfg = read_json(config_path)
-        except FileNotFoundError:
-            raise CliError(f"config file not found: {config_path}")
+        file_cfg = read_json(config_path)
         if not isinstance(file_cfg, dict):
             raise CliError(f"{config_path}: config must be a JSON object")
         for key, value in file_cfg.items():
@@ -202,19 +199,25 @@ def _report_empty(ingest):
 
 
 def _resolve_checkpoint(path):
-    for candidate in (path, path + ".ckpt"):
-        if os.path.isfile(candidate):
-            return candidate
-    raise CliError(f"checkpoint not found: {path}")
+    """``path``, or ``path``.ckpt when only that is a file; opening it reports a bad path."""
+    if not os.path.isfile(path) and os.path.isfile(path + ".ckpt"):
+        return path + ".ckpt"
+    return path
 
 
 def _attach_frozen(cfg, docs):
-    """``docs`` with frozen vectors attached if the model that ``cfg`` names uses them."""
+    """``docs`` with frozen vectors attached if the model that ``cfg`` names uses them.
+
+    A vectors path given for a trainable-embedding model is an error, not ignored.
+    """
+    path = cfg["embedding.frozen_vectors"]
     if cfg["embedding.source"] != "frozen":
+        if path:
+            raise CliError("embedding.frozen_vectors is set, but the model has "
+                           "embedding.source=trainable")
         return docs
     from .embedding import attach_vectors
 
-    path = cfg["embedding.frozen_vectors"]
     if not path:
         raise CliError("embedding.source=frozen needs embedding.frozen_vectors")
     return attach_vectors(docs, path, cfg["embedding.token_dim"])
@@ -231,7 +234,7 @@ def _load_model(cfg, path):
 
     path = _resolve_checkpoint(path)
     model, _ = SpanScorer.load(path)
-    settings = model.config.to_dict()
+    settings = asdict(model.config)
     found = {f"embedding.{k}": v for k, v in settings.pop("embedding").items()}
     found.update((f"model.{k}", v) for k, v in settings.items())
     defaults = default_config()
@@ -393,7 +396,7 @@ def cmd_predict(args, cfg):
                                 k=None if args.dedup else predict_cfg.top_k)
         if args.dedup:
             pred = dedup_substrings(pred)
-        predictions.append(type(pred)(pred.doc_id, pred.top(predict_cfg.top_k)))
+        predictions.append(type(pred)(pred.doc_id, pred.phrases[:predict_cfg.top_k]))
     write_predictions(args.out, predictions)
     _write_meta(args.out, cfg, "predict",
                 {"model": args.model, "documents": len(predictions),
@@ -505,6 +508,7 @@ def cmd_gradcheck(args, cfg):
         raise CliError("gradcheck runs on the trainable-embedding configuration")
     doc, target = gradcheck_example(seed=cfg["seed"],
                                     max_span_length=model_cfg.max_span_length)
+    (doc,) = _attach_frozen(cfg, [doc])  # refuses a vectors path, attaching none
     vocab = TokenVocabulary.build([doc], min_count=2)
     model = SpanScorer(model_cfg, vocab=vocab, seed=cfg["seed"])
     # Zero-initialized biases over all-zero ReLU rows put pre-activations
@@ -637,9 +641,6 @@ def main(argv=None):
             return 2
         _apply_threads(cfg)
         return args.handler(args, cfg)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 1
@@ -647,7 +648,7 @@ def main(argv=None):
         where = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
         print(f"error: {where}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, RuntimeError) as exc:
+    except (ValueError, KeyError, RuntimeError) as exc:  # CliError is a RuntimeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,7 +7,7 @@ to take effect before any BLAS library loads.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 VISUAL_DIM = 18
 MAX_SPAN_LENGTH = 5
@@ -58,9 +58,6 @@ class ModelConfig:
             raise ValueError(
                 f"filters {self.filters} not divisible by heads {self.heads}"
             )
-
-    def to_dict(self):
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):

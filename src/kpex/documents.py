@@ -163,8 +163,7 @@ def span_index(n_tokens, span):
     start, k = span
     if start + k > n_tokens:
         raise ValueError(f"span {span} exceeds document length {n_tokens}")
-    offset = (k - 1) * n_tokens - ((k - 1) * (k - 2)) // 2
-    return offset + start
+    return count_spans(n_tokens, k - 1) + start
 
 
 def span_target(n_tokens, max_len, spans):
@@ -178,11 +177,8 @@ def span_target(n_tokens, max_len, spans):
     return out
 
 
-def match_phrase(doc, phrase):
-    """Every span of ``doc`` whose tokens equal the tokenized phrase."""
-    needle = tuple(tokenize(phrase))
-    if not needle:
-        raise ValueError(f"phrase {phrase!r} tokenizes to nothing")
+def match_phrase(doc, needle):
+    """Every span of ``doc`` whose tokens equal the non-empty token tuple ``needle``."""
     k = len(needle)
     return [
         Span(i, k)
@@ -211,14 +207,14 @@ def build_labels(doc, max_len=MAX_SPAN_LENGTH):
     report = LabelReport()
     spans = set()
     for phrase in doc.keyphrases:
-        needle = tokenize(phrase)
+        needle = tuple(tokenize(phrase))
         if not needle:
             report.unmatched.append(phrase)
             continue
         if len(needle) > max_len:
             report.too_long.append(phrase)
             continue
-        found = match_phrase(doc, phrase)
+        found = match_phrase(doc, needle)
         if found:
             report.matched += 1
             spans.update(found)

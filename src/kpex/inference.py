@@ -54,9 +54,6 @@ class Prediction:
     doc_id: str
     phrases: tuple
 
-    def top(self, k):
-        return self.phrases[:k]
-
     def phrase_list(self):
         return [p for p, _ in self.phrases]
 

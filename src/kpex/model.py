@@ -10,7 +10,7 @@ so location and length compete in the same normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,29 +36,25 @@ class SpanDistribution:
 
 
 def score_spans(logits, mask=None):
-    """Joint softmax over all candidate logits with optional masking.
+    """Joint softmax over all candidate logits: ``(probs, mask)``, mask as given.
 
     ``mask`` marks scorable spans with True; masked spans get exactly
     probability 0 (they are excluded from the normalization, not just given
     tiny weight). All-masked input, or a NaN or +inf logit, is an error.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if mask is None:
-        mask = np.ones(logits.shape, dtype=bool)
-    else:
+    if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != logits.shape:
             raise ValueError("mask shape does not match logits")
-    if not mask.any():
-        raise ValueError("every candidate span is masked")
-    probs = np.zeros_like(logits)
-    kept = logits[mask]
-    top = kept.max()
+        if not mask.any():
+            raise ValueError("every candidate span is masked")
+        logits = np.where(mask, logits, -np.inf)  # exp(-inf) is exactly 0
+    top = logits.max()
     if not np.isfinite(top):
         raise ValueError("non-finite span logits")
-    shifted = np.exp(kept - top)
-    probs[mask] = shifted / shifted.sum()
-    return probs, mask
+    shifted = np.exp(logits - top)
+    return shifted / shifted.sum(), mask
 
 
 def _normal(rng, shape):
@@ -215,7 +211,7 @@ class SpanScorer:
     def save(self, path, extra_metadata=None):
         meta = {
             "format": "span-scorer",
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "vocab": self.vocab.to_list() if self.vocab is not None else None,
         }
         if extra_metadata:

@@ -149,7 +149,7 @@ def run_training(model, examples, config, run_dir=None, log=None, checkpoint_met
         os.makedirs(run_dir, exist_ok=True)
         write_json(
             os.path.join(run_dir, "config.json"),
-            {"training": asdict(config), "model": model.config.to_dict()},
+            {"training": asdict(config), "model": asdict(model.config)},
         )
     metrics_path = os.path.join(run_dir, "metrics.jsonl") if run_dir else None
     if metrics_path and os.path.exists(metrics_path):

@@ -42,10 +42,6 @@ class DomNode:
     children: tuple
     text: str | None = None
 
-    @property
-    def is_leaf(self):
-        return not self.children
-
 
 def _floats(values, count):
     """``values`` as ``count`` floats, or None unless it is a list of ``count``
@@ -120,7 +116,7 @@ def compute_word_features(word_node, parent_block, page_dims, max_font):
             float(node.bold),
             inline,
             block,
-            float(node.is_leaf),
+            float(not node.children),
         ]
 
     vec = np.empty(VISUAL_DIM)

@@ -55,7 +55,7 @@ def filter_queries(doc, queries, max_span_length=MAX_SPAN_LENGTH, blocklist=None
         if len(tokens) > max_span_length:
             dropped.append((query, "too_long"))
             continue
-        if not match_phrase(doc, query):
+        if not match_phrase(doc, tokens):
             dropped.append((query, "not_verbatim"))
             continue
         kept.append(query)

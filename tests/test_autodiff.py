@@ -764,10 +764,13 @@ class TestOpSet:
         # every public top-level function and class of src/kpex has a caller:
         # it is named in the package outside its own definition (and, in
         # autodiff, outside Tensor, whose operator methods once kept test-only
-        # ops alive), or bench/tracing.py patches it by name
+        # ops alive), or bench/tracing.py patches it by name. So has every
+        # public method and property of a class: an attribute of that name is
+        # read in the package outside the method's own body, or it is patched.
         package = os.path.dirname(ad.__file__)
         root = os.path.join(package, os.pardir, os.pardir)
         defined, used = set(), set()
+        methods, read = set(), set()
         for path in glob.glob(os.path.join(package, "*.py")):
             module = os.path.splitext(os.path.basename(path))[0]
             with open(path, encoding="utf-8") as fh:
@@ -779,6 +782,13 @@ class TestOpSet:
                 own = getattr(top, "name", None)
                 if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
                     defined.add((module, own))
+                for part in top.body if isinstance(top, ast.ClassDef) else [top]:
+                    member = getattr(part, "name", None)
+                    if (isinstance(top, ast.ClassDef) and isinstance(part, ast.FunctionDef)
+                            and not member.startswith("_")):
+                        methods.add((module, own, member))
+                    read.update({n.attr for n in ast.walk(part)
+                                 if isinstance(n, ast.Attribute)} - {member})
                 if own == "Tensor" and module == "autodiff":
                     continue
                 used.update({n.id if isinstance(n, ast.Name) else n.attr
@@ -790,6 +800,7 @@ class TestOpSet:
                        if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "_patch"}
         assert set(ad.__all__) <= {name for module, name in defined if module == "autodiff"}
         assert sorted(d for d in defined if d[1] not in used | patched) == []
+        assert sorted(m for m in methods if m[2] not in read | patched) == []
 
     def test_no_generic_ops_or_operator_sugar(self):
         gone = {"add", "mul", "matmul", "reduce_sum", "reshape", "_unbroadcast", "__add__",

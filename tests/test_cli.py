@@ -145,9 +145,10 @@ class TestConfigMerging:
         with pytest.raises(CliError, match="key=value"):
             load_run_config(overrides=["model.filters"])
 
-    def test_missing_config_file(self):
-        with pytest.raises(CliError, match="not found"):
-            load_run_config("/nonexistent/cfg.json")
+    def test_missing_config_file(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.json")
+        assert main(["--config", path, "--show-config"]) == 1
+        assert capsys.readouterr().err == f"error: file not found: {path}\n"
 
     def test_default_digest_pinned(self):
         cfg = load_run_config()
@@ -334,6 +335,17 @@ class TestTopLevel:
     def test_threads_non_negative_int_accepted(self, capsys, flags):
         assert main(flags + ["--show-config"]) == 0
 
+    @pytest.mark.parametrize("threads", [2, 0])
+    def test_threads_cap_blas_pools_before_the_command(self, tmp_path, monkeypatch, threads):
+        names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        for name in names:
+            monkeypatch.delenv(name, raising=False)
+        annotations = str(tmp_path / "judges.jsonl")
+        write_jsonl(annotations, [{"id": "d", "judges": [["a"], ["a"]]}])
+        assert main(["--threads", str(threads), "agreement", "--annotations", annotations]) == 0
+        want = str(threads) if threads else None
+        assert [os.environ.get(name) for name in names] == [want] * 3
+
     def test_console_script_installed(self):
         proc = subprocess.run(
             ["kpex", "--show-config"], capture_output=True, text=True, timeout=60
@@ -361,6 +373,12 @@ class TestPathErrors:
     def test_config_is_a_directory(self, tmp_path, capsys):
         self._fails(capsys, ["--config", str(tmp_path), "--show-config"], tmp_path,
                     errno.EISDIR)
+
+    def test_model_is_a_directory(self, tmp_path, capsys):
+        data = _write_dataset(tmp_path / "docs.jsonl", n=2)
+        argv = ["predict", "--model", str(tmp_path), "--data", data,
+                "--out", str(tmp_path / "p.jsonl")]
+        self._fails(capsys, argv, tmp_path, errno.EISDIR)
 
     def test_layout_dir_is_a_file(self, tmp_path, capsys):
         page = tmp_path / "page.json"
@@ -458,6 +476,19 @@ class TestFeaturize:
         assert main(["featurize", "--layout-dir", str(tmp_path), "--out", out]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not os.path.exists(out)
+
+    def test_empty_layout_skipped(self, tmp_path, capsys):
+        layout = {"page": [100, 100],
+                  "root": {"tag": "p", "box": [0, 0, 10, 10], "font": 10, "text": " "}}
+        (tmp_path / "blank.json").write_text(json.dumps(layout))
+        layout["root"]["text"] = "red stapler"
+        (tmp_path / "page.json").write_text(json.dumps(layout))
+        out = str(tmp_path / "docs.jsonl")
+        assert main(["featurize", "--layout-dir", str(tmp_path), "--out", out]) == 0
+        assert [json.loads(l)["id"] for l in open(out)] == ["page"]
+        meta = json.load(open(out + ".meta.json"))
+        assert (meta["documents"], meta["skipped"]) == (1, ["blank"])
+        assert capsys.readouterr().out == f"featurized 1 documents -> {out} (1 empty skipped)\n"
 
     def test_empty_directory_fails(self, tmp_path):
         assert main(["featurize", "--layout-dir", str(tmp_path),
@@ -852,6 +883,49 @@ def _frozen_checkpoint(tmp_path, rows=6):
     return data, vectors, os.path.join(run, "best.ckpt")
 
 
+class TestFrozenVectorsNeedFrozenSource:
+    """A vectors path given for a trainable-embedding model is refused, never ignored."""
+
+    ERR = "error: embedding.frozen_vectors is set, but the model has embedding.source=trainable\n"
+
+    @staticmethod
+    def _bogus(tmp_path):
+        vectors = tmp_path / "vectors.jsonl"
+        vectors.write_text("not a vectors line\n")
+        return str(vectors)
+
+    @pytest.mark.parametrize("command", ["train", "pretrain"])
+    @pytest.mark.parametrize("exists", [True, False], ids=["bogus_file", "missing_file"])
+    def test_train_refuses(self, pipeline, tmp_path, capsys, command, exists):
+        vectors = self._bogus(tmp_path) if exists else str(tmp_path / "ghost.jsonl")
+        out = str(tmp_path / "r")
+        argv = SMALL_MODEL + ["--set", f"embedding.frozen_vectors={vectors}",
+                              "--set", "train.max_epochs=1",
+                              command, "--data", pipeline["data"], "--out", out]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == self.ERR
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["predict", "train --init"])
+    def test_trainable_checkpoint_refuses(self, pipeline, tmp_path, capsys, command):
+        model = os.path.join(pipeline["run_dir"], "best.ckpt")
+        out = str(tmp_path / "out")
+        argv = ["--set", f"embedding.frozen_vectors={self._bogus(tmp_path)}"]
+        argv += {"predict": ["predict", "--model", model],
+                 "train --init": ["train", "--init", model]}[command]
+        assert main(argv + ["--data", pipeline["data"], "--out", out]) == 1
+        assert capsys.readouterr().err == self.ERR
+        assert not os.path.exists(out)
+
+    def test_gradcheck_refuses(self, tmp_path, capsys):
+        argv = SMALL_MODEL + ["--set", f"embedding.frozen_vectors={tmp_path / 'ghost'}",
+                              "gradcheck", "--samples", "1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == self.ERR
+        assert "passed" not in captured.out
+
+
 class TestPredictCli:
     def test_predict_writes_ranked_phrases(self, pipeline, capsys):
         out = str(pipeline["root"] / "preds.jsonl")
@@ -892,7 +966,7 @@ class TestPredictCli:
         merged = chunk_and_merge(model, doc, 4)
         assert merged.phrases != chunk_and_merge(model, doc, 10).phrases  # one chunk
         expected = str(tmp_path / "expected.jsonl")
-        write_predictions(expected, [Prediction(doc.id, merged.top(10))])
+        write_predictions(expected, [Prediction(doc.id, merged.phrases[:10])])
         assert _read_bytes(out) == _read_bytes(expected)
 
     @pytest.mark.parametrize("chunked", [[], ["--chunked"]])
@@ -1026,7 +1100,7 @@ class TestPredictCli:
         argv = ["predict", "--model", str(tmp_path / "ghost"),
                 "--data", pipeline["data"], "--out", str(tmp_path / "p.jsonl")]
         assert main(argv) == 1
-        assert "checkpoint not found" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: file not found: {tmp_path / 'ghost'}\n"
 
 
 class TestEvaluateCli:
@@ -1259,6 +1333,17 @@ class TestDataCounts:
         else:
             assert counts == {"zero_visual": 0, "phrases_too_long": 0, "phrases_unmatched": 0}
             assert "zero-filled" not in err
+
+    def test_phrase_tokenizing_to_nothing_counted_unmatched(self, tmp_path):
+        data = str(tmp_path / "blank_phrase.jsonl")
+        write_jsonl(data, [{"id": d, "text": "red stapler on sale now",
+                            "keyphrases": ["red stapler", " \t"]} for d in ("a", "b")])
+        run_dir = str(tmp_path / "run")
+        argv = SMALL_MODEL + ["--set", "train.max_epochs=1", "--set", "embedding.min_count=1",
+                              "train", "--data", data, "--out", run_dir]
+        assert main(argv) == 0
+        meta = json.load(open(os.path.join(run_dir, "run.meta.json")))
+        assert (meta["examples"], meta["phrases_unmatched"], meta["phrases_too_long"]) == (2, 2, 0)
 
     @pytest.mark.parametrize("command", [["predict", "--model", None],
                                          ["baseline", "--method", "tfidf"]],

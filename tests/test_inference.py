@@ -385,10 +385,6 @@ class TestPredictionIO:
         assert loaded[0].phrases == predictions[0].phrases
         assert loaded[1].phrases == ()
 
-    def test_top_helper(self):
-        pred = Prediction("d", (("a", 0.6), ("b", 0.4)))
-        assert pred.top(1) == (("a", 0.6),)
-
     @pytest.mark.parametrize("line", [
         {"id": "d2"},
         {"id": "d2", "phrases": "red stapler"},

@@ -2,7 +2,7 @@
 
 import os
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -92,7 +92,7 @@ class TestModelConfig:
 
     def test_roundtrip_dict(self):
         cfg = _small_config(no_visual=True, layers=2)
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert ModelConfig.from_dict(asdict(cfg)) == cfg
 
 
 class TestScoreSpans:
@@ -348,7 +348,7 @@ class TestPersistence:
         edit(arrays)
         registry = {name: ad.Tensor(array) for name, array in arrays.items()}
         save_checkpoint(path, registry, {"format": "span-scorer",
-                                         "config": model.config.to_dict(),
+                                         "config": asdict(model.config),
                                          "vocab": model.vocab.to_list()})
 
     @pytest.mark.parametrize("edit,message", [
@@ -385,7 +385,7 @@ class TestPersistence:
         """A checkpoint as written before ``no_transformer`` became layers=0."""
         cfg = _small_config(filters=8, embedding=EmbeddingConfig(token_dim=6, position_dim=4))
         model = _model(cfg)
-        config = dict(cfg.to_dict(), no_transformer=no_transformer)
+        config = dict(asdict(cfg), no_transformer=no_transformer)
         save_checkpoint(path, model.registry,
                         {"format": "span-scorer", "config": config,
                          "vocab": model.vocab.to_list()})

@@ -114,6 +114,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="trailing bytes"):
             load_checkpoint(path)
 
+    def test_unsupported_version_rejected(self, tmp_path):
+        blob = bytearray(_joined_checkpoint({"w": _param(np.ones(3))}, {}))
+        blob[4:8] = struct.pack("<I", 2)
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="^unsupported checkpoint version 2$"):
+            load_checkpoint(str(path))
+
     def test_huge_shape_fails_as_truncated(self, tmp_path):
         # a corrupt shape is caught against the file size, before allocating
         reg = {"w": _param(np.ones(3))}
@@ -232,6 +240,16 @@ class TestAdam:
         reg["w/ok"].grad = np.ones(2)
         with pytest.raises(MissingGradientError, match="w/missing"):
             Adam(reg).step(0.1)
+
+    @pytest.mark.parametrize("lr", [0.0, -0.1])
+    def test_non_positive_lr_rejected(self, lr):
+        p = _param(np.ones(2))
+        p.grad = np.ones(2)
+        opt = Adam({"w": p})
+        with pytest.raises(ValueError, match="learning rate must be positive"):
+            opt.step(lr)
+        np.testing.assert_array_equal(p.data, [1.0, 1.0])
+        assert opt.t == 0
 
     def test_step_clears_grads(self):
         p = _param(np.ones(2))

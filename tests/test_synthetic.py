@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from kpex.documents import count_spans, match_phrase
+from kpex.documents import count_spans, match_phrase, tokenize
 from kpex.gradcheck import gradcheck_example
 from synthetic import (
     lexical_corpus,
@@ -20,7 +20,7 @@ class TestLexicalCorpus:
 
     def test_phrase_present_and_keyword_tokens_exclusive(self):
         for doc in lexical_corpus(seed=0, n_docs=20):
-            assert match_phrase(doc, doc.keyphrases[0])
+            assert match_phrase(doc, tuple(tokenize(doc.keyphrases[0])))
             phrase_tokens = set(doc.keyphrases[0].split())
             in_doc = [t for t in doc.tokens if t.startswith("kw")]
             assert set(in_doc) == phrase_tokens
@@ -53,7 +53,7 @@ class TestWeakSupervisionSetup:
         assert len(pretrain) == 12 and len(finetune) == 3 and len(heldout) == 5
         assert set(log) == {d.id for d in pretrain}
         for doc in pretrain:
-            assert match_phrase(doc, log[doc.id][0])
+            assert match_phrase(doc, tuple(tokenize(log[doc.id][0])))
 
     def test_tail_tokens_globally_unique(self):
         pretrain, _, finetune, heldout = weak_supervision_setup(

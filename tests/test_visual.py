@@ -222,6 +222,13 @@ class TestParseLayout:
         with pytest.raises(LayoutError, match="leaf"):
             parse_layout(layout)
 
+    def test_all_zero_fonts_rejected(self):
+        layout = {"page": [100, 100],
+                  "root": {"tag": "div", "box": [0, 0, 10, 10], "font": 0, "children": [
+                      {"tag": "p", "box": [0, 0, 10, 10], "font": 0, "text": "red stapler"}]}}
+        with pytest.raises(LayoutError, match="^page: no positive font size on any node$"):
+            parse_layout(layout, "page")
+
     def test_missing_page_rejected(self):
         with pytest.raises(LayoutError, match="page"):
             parse_layout({"root": {"tag": "p", "box": [0, 0, 1, 1], "font": 1}})
