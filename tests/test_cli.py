@@ -1103,6 +1103,95 @@ class TestPredictCli:
         assert capsys.readouterr().err == f"error: file not found: {tmp_path / 'ghost'}\n"
 
 
+def _edit_version(path):
+    with open(path, "r+b") as fh:
+        fh.seek(4)
+        fh.write((2).to_bytes(4, "little"))
+
+
+def _edit_metadata(path, text):
+    """Rewrite the checkpoint at ``path`` with ``text`` as its metadata block."""
+    from kpex.registry import MAGIC
+
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    rest = blob[16 + int.from_bytes(blob[8:16], "little"):]
+    meta = text.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + (1).to_bytes(4, "little") + len(meta).to_bytes(8, "little")
+                 + meta + rest)
+
+
+class TestCheckpointMetadata:
+    """A checkpoint whose metadata or records describe no model exits 1 with one located line."""
+
+    @pytest.mark.parametrize("edit,reason", [
+        (lambda meta, arrays: meta.pop("config"), "metadata has no config object"),
+        (lambda meta, arrays: meta.update(config=[8, 2]), "metadata has no config object"),
+        (lambda meta, arrays: meta["config"].update(filters="64"),
+         "model.filters must be an integer, got '64'"),
+        (lambda meta, arrays: meta["config"].update(colour="red"),
+         "unknown model key 'colour'"),
+        (lambda meta, arrays: meta["config"]["embedding"].update(token_dim=True),
+         "embedding.token_dim must be an integer, got True"),
+        (lambda meta, arrays: meta["config"].update(embedding=4),
+         "embedding must be an object, got 4"),
+        (lambda meta, arrays: meta["config"].update(filters=-8),
+         "filters must be positive"),
+        (lambda meta, arrays: meta["config"]["embedding"].update(visual_dim=20),
+         "embedding.visual_dim 20 is not 18"),
+        (lambda meta, arrays: meta.update(vocab=5),
+         "metadata: vocab must be a list of strings"),
+        (lambda meta, arrays: meta.update(vocab=None),
+         "trainable embeddings need a vocabulary"),
+        (lambda meta, arrays: arrays.update({"scorer/b3": np.zeros(2)}),
+         "shape mismatch for scorer/b3: have (1,), got (2,)"),
+        (lambda meta, arrays: arrays.pop("scorer/b3"),
+         "parameter set mismatch: missing ['scorer/b3'], unknown []"),
+    ], ids=["no-config", "config-list", "filters-string", "unknown-key",
+            "token-dim-bool", "embedding-int", "filters-negative", "visual-dim",
+            "vocab-int", "vocab-null", "shape", "missing-array"])
+    def test_bad_checkpoint_located(self, tmp_path, capsys, edit, reason):
+        from dataclasses import asdict
+
+        from kpex.autodiff import Tensor
+        from kpex.embedding import TokenVocabulary
+        from kpex.model import ModelConfig, SpanScorer
+        from kpex.registry import save_checkpoint
+
+        model = SpanScorer(ModelConfig(filters=8, heads=2), vocab=TokenVocabulary(("w0",)))
+        meta = {"format": "span-scorer", "config": asdict(model.config),
+                "vocab": model.vocab.to_list()}
+        arrays = {name: p.data for name, p in model.registry.items()}
+        edit(meta, arrays)
+        ckpt = str(tmp_path / "x.ckpt")
+        save_checkpoint(ckpt, {n: Tensor(a) for n, a in arrays.items()}, meta)
+        self._fails(tmp_path, capsys, ckpt, reason)
+
+    @pytest.mark.parametrize("edit,reason", [
+        (_edit_version, "unsupported checkpoint version 2"),
+        (lambda path: _edit_metadata(path, "[1, 2]"), "metadata has no config object"),
+        (lambda path: _edit_metadata(path, "{oops"), "metadata is not valid JSON"),
+    ], ids=["version", "metadata-list", "metadata-not-json"])
+    def test_bad_checkpoint_header_located(self, pipeline, tmp_path, capsys, edit, reason):
+        ckpt = str(tmp_path / "x.ckpt")
+        with open(os.path.join(pipeline["run_dir"], "best.ckpt"), "rb") as src, \
+                open(ckpt, "wb") as dst:
+            dst.write(src.read())
+        edit(ckpt)
+        self._fails(tmp_path, capsys, ckpt, reason)
+
+    @staticmethod
+    def _fails(tmp_path, capsys, ckpt, reason):
+        data = _write_dataset(tmp_path / "docs.jsonl", n=2)
+        out = str(tmp_path / "p.jsonl")
+        assert main(["predict", "--model", ckpt, "--data", data, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: {reason}")
+        assert err.count("\n") == 1 and err.count(ckpt) == 1
+        assert not os.path.exists(out)
+
+
 class TestEvaluateCli:
     def test_perfect_predictions_score_one(self, tmp_path, capsys):
         gold = _write_dataset(tmp_path / "gold.jsonl", n=3)
@@ -1227,6 +1316,14 @@ class TestBaselineCli:
         out = str(tmp_path / "tfidf.jsonl")
         assert main(["baseline", "--method", "tfidf", "--data", data, "--out", out]) == 1
         assert f"{data}:1: document 'd': visual" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_empty_id_located(self, tmp_path, capsys):
+        data = str(tmp_path / "docs.jsonl")
+        write_jsonl(data, [{"id": "", "text": "red stapler"}])
+        out = str(tmp_path / "tfidf.jsonl")
+        assert main(["baseline", "--method", "tfidf", "--data", data, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {data}:1: id must be non-empty\n"
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("method", ["tfidf", "textrank"])

@@ -41,6 +41,8 @@ def _bad_lines():
         if "id" in fields:
             yield pytest.param(name, {"id": "d1", **record}, "duplicate id 'd1'",
                                id=f"{name}-duplicate-id")
+            yield pytest.param(name, {"id": "", **record}, "id must be non-empty",
+                               id=f"{name}-empty-id")
 
 
 @pytest.mark.parametrize("reader,line,message", _bad_lines())
