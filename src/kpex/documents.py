@@ -131,8 +131,6 @@ def make_document(doc_id, text, visual_rows=None, where=None, keyphrases=()):
 
 def truncate(doc, max_len=MAX_DOC_LENGTH):
     """Keep the first ``max_len`` tokens (and their visual and vector rows)."""
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
     if len(doc) <= max_len:
         return doc
     return doc.slice(0, max_len)
@@ -143,10 +141,6 @@ def enumerate_spans(n_tokens, max_len=MAX_SPAN_LENGTH):
 
     Rows are ordered by (length, start): row i is the span that logit i scores.
     """
-    if n_tokens < 1:
-        raise ValueError("need at least one token")
-    if max_len < 1:
-        raise ValueError("max span length must be at least 1")
     widths = np.arange(1, min(max_len, n_tokens) + 1, dtype=np.int64)
     counts = n_tokens - widths + 1
     starts = np.concatenate([np.arange(c, dtype=np.int64) for c in counts])

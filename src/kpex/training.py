@@ -139,8 +139,6 @@ def run_training(model, examples, config, run_dir=None, log=None, checkpoint_met
     n_val = int(len(examples) * config.validation_fraction)
     val_set = examples[:n_val]
     train_set = examples[n_val:]
-    if not train_set:
-        raise ValueError("validation split consumed every example")
 
     steps_per_epoch = math.ceil(len(train_set) / config.batch_size)
     total_steps = steps_per_epoch * config.max_epochs

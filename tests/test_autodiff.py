@@ -815,6 +815,11 @@ class TestTape:
         with pytest.raises(ValueError, match="scalar"):
             mul(x, 2.0).backward()
 
+    def test_backward_on_a_leaf_seeds_its_gradient(self):
+        x = Tensor(np.array(3.0), requires_grad=True)
+        x.backward(2.0)
+        assert x.grad == 2.0 and x.grad.shape == ()
+
     def test_gradient_accumulates_through_reuse(self):
         x = Tensor(np.array(2.0), requires_grad=True)
         y = add(mul(x, x), x)  # dy/dx = 2x + 1 = 5

@@ -145,6 +145,12 @@ class TestConfigMerging:
         with pytest.raises(CliError, match="key=value"):
             load_run_config(overrides=["model.filters"])
 
+    def test_config_file_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        assert main(["--config", str(path), "--show-config"]) == 1
+        assert capsys.readouterr().err == f"error: {path}: config must be a JSON object\n"
+
     def test_missing_config_file(self, tmp_path, capsys):
         path = str(tmp_path / "missing.json")
         assert main(["--config", path, "--show-config"]) == 1
@@ -296,8 +302,11 @@ class TestTopLevel:
         (["--set", "train.max_doc_length=0"], "max_doc_length must be at least 1"),
         (["--set", "seed=-1"], "seed must be non-negative, got -1"),
         (["--seed", "-1"], "seed must be non-negative, got -1"),
+        (["--set", "model.layers=-1"], "layers must be non-negative"),
+        (["--set", "model.dropout=1"], "dropout must be in [0, 1)"),
+        (["--set", "train.max_epochs=0"], "max_epochs must be at least 1"),
     ], ids=["filters", "heads", "position_dim", "lr_end", "chunk_weight", "max_doc_length",
-            "seed", "seed-flag"])
+            "seed", "seed-flag", "layers", "dropout", "max_epochs"])
     def test_out_of_range_config_refused_by_every_command(self, tmp_path, capsys,
                                                           flags, message):
         gold = str(tmp_path / "gold.jsonl")
@@ -466,7 +475,9 @@ class TestFeaturize:
     @pytest.mark.parametrize("field,value,message", [
         ("text", 5, "one.root: text must be a string, got 5"),
         ("page", ["wide", 100], "one: page must be [width, height] numbers, got ['wide', 100]"),
-    ], ids=["int-text", "string-page"])
+        ("font", -1, "one.root: negative font size"),
+        ("children", [5], "one.root.children[0]: node must be an object"),
+    ], ids=["int-text", "string-page", "negative-font", "child-not-an-object"])
     def test_bad_layout_value_located(self, tmp_path, capsys, field, value, message):
         layout = {"page": [100, 100],
                   "root": {"tag": "p", "box": [0, 0, 10, 10], "font": 10, "text": "x"}}
@@ -489,6 +500,15 @@ class TestFeaturize:
         meta = json.load(open(out + ".meta.json"))
         assert (meta["documents"], meta["skipped"]) == (1, ["blank"])
         assert capsys.readouterr().out == f"featurized 1 documents -> {out} (1 empty skipped)\n"
+
+    def test_every_layout_empty_fails(self, tmp_path, capsys):
+        layout = {"page": [100, 100],
+                  "root": {"tag": "p", "box": [0, 0, 10, 10], "font": 10, "text": " "}}
+        (tmp_path / "blank.json").write_text(json.dumps(layout))
+        out = str(tmp_path / "docs.jsonl")
+        assert main(["featurize", "--layout-dir", str(tmp_path), "--out", out]) == 1
+        assert capsys.readouterr().err == "error: every layout produced an empty token sequence\n"
+        assert not os.path.exists(out)
 
     def test_empty_directory_fails(self, tmp_path):
         assert main(["featurize", "--layout-dir", str(tmp_path),
@@ -714,6 +734,24 @@ class TestTrainCli:
         argv = SMALL_MODEL + ["--set", "train.max_epochs=1",
                               "train", "--data", data, "--out", str(tmp_path / "r")]
         assert main(argv) == 0
+
+    def test_no_labeled_documents(self, tmp_path, capsys):
+        data = str(tmp_path / "unlabeled.jsonl")
+        write_jsonl(data, [{"id": "a", "text": "w0 w1"}, {"id": "b", "text": "w2", "keyphrases": []}])
+        run_dir = str(tmp_path / "r")
+        assert main(SMALL_MODEL + ["train", "--data", data, "--out", run_dir]) == 1
+        assert capsys.readouterr().err == f"error: no labeled documents in {data}\n"
+        assert not os.path.exists(run_dir)
+
+    def test_frozen_source_needs_vectors(self, tmp_path, capsys):
+        data = _write_dataset(tmp_path / "train.jsonl", n=2)
+        run_dir = str(tmp_path / "r")
+        argv = SMALL_MODEL + ["--set", "embedding.source=frozen",
+                              "train", "--data", data, "--out", run_dir]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: embedding.source=frozen needs embedding.frozen_vectors\n")
+        assert not os.path.exists(run_dir)
 
     def test_unlabeled_documents_reported(self, tmp_path, capsys):
         data = str(tmp_path / "mixed.jsonl")
@@ -1318,6 +1356,14 @@ class TestBaselineCli:
         assert f"{data}:1: document 'd': visual" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_no_documents(self, tmp_path, capsys):
+        data = tmp_path / "empty.jsonl"
+        data.write_text("")
+        out = str(tmp_path / "tfidf.jsonl")
+        assert main(["baseline", "--method", "tfidf", "--data", str(data), "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: no documents in {data}\n"
+        assert not os.path.exists(out)
+
     def test_empty_id_located(self, tmp_path, capsys):
         data = str(tmp_path / "docs.jsonl")
         write_jsonl(data, [{"id": "", "text": "red stapler"}])
@@ -1558,6 +1604,17 @@ class TestGradcheckCli:
                               "gradcheck", "--samples", "2"]
         assert main(argv) == 0
         assert "passed" in capsys.readouterr().out
+
+    def test_failure_exits_one(self, capsys, monkeypatch):
+        import kpex.gradcheck
+
+        monkeypatch.setattr(kpex.gradcheck, "finite_difference_check",
+                            lambda *args, **kwargs: {"scorer/b3": 0.5, "scorer/w3": 1e-6})
+        assert main(SMALL_MODEL + ["gradcheck"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ("5.000e-01  scorer/b3\n1.000e-06  scorer/w3\n"
+                                "max rel err 5.000e-01 over 2 parameters\n")
+        assert captured.err == "gradient check FAILED (threshold 1e-4)\n"
 
     def test_frozen_source_rejected(self, capsys):
         argv = ["--set", "embedding.source=frozen", "gradcheck"]

@@ -1,5 +1,6 @@
 """Tokenizer, span enumeration, label alignment, and dataset ingestion."""
 
+import errno
 import json
 import os
 import sys
@@ -53,6 +54,10 @@ class TestDocument:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="no tokens"):
             _doc([])
+
+    def test_rejects_empty_id(self):
+        with pytest.raises(ValueError, match="^document id must be non-empty$"):
+            make_document("", "red stapler")
 
     def test_rejects_misaligned_visual(self):
         with pytest.raises(ValueError, match="visual shape"):
@@ -395,6 +400,20 @@ class TestParseMemo:
         monkeypatch.setattr(documents, "dataset_from_records", parse_then_edit)
         read_dataset(str(path))
         assert documents._last_parse is None
+
+    def test_unhashable_file_parsed_and_not_kept(self, tmp_path, parses, monkeypatch):
+        path = self._write(tmp_path / "data.jsonl")
+        want = _snapshot(*read_dataset(path))
+        monkeypatch.setattr(documents, "_last_parse", None)
+
+        def refuse(file, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), file)
+
+        # the parse reads through fileio; only the hash opens the file here
+        monkeypatch.setattr(documents, "open", refuse, raising=False)
+        assert _snapshot(*read_dataset(path)) == want
+        assert documents._last_parse is None
+        assert parses == [path, path]
 
     def test_fifo_read_and_never_kept(self, tmp_path, parses):
         fifo = tmp_path / "data.fifo"

@@ -316,6 +316,12 @@ class TestFiniteDifferenceCheck:
         )
         assert max(errors.values()) > 1e-2
 
+    def test_parameter_without_gradient_rejected(self):
+        reg, loss_fn = _quadratic_setup()
+        reg["unused"] = _param(np.ones(2))
+        with pytest.raises(RuntimeError, match="^parameter 'unused' received no gradient$"):
+            finite_difference_check(loss_fn, reg)
+
     def test_nondeterministic_loss_rejected(self):
         reg = {"w": _param(np.ones(2))}
         state = {"count": 0}

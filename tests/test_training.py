@@ -186,6 +186,15 @@ class TestRunTraining:
         assert meta["phase"] == "finetune"
         assert meta["epoch"] == record.best_epoch
 
+    def test_stale_metrics_replaced(self, tmp_path):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "metrics.jsonl").write_text('{"epoch": 7}\n')
+        run_training(_model(), _corpus(), TrainingConfig(max_epochs=1, batch_size=4),
+                     run_dir=str(run_dir))
+        with open(run_dir / "metrics.jsonl") as fh:
+            assert [json.loads(line)["epoch"] for line in fh] == [1]
+
     def test_best_checkpoint_tracks_lowest_val(self, tmp_path):
         run_dir = str(tmp_path / "run")
         config = TrainingConfig(max_epochs=4, batch_size=4, lr_start=5e-3, lr_end=1e-3)
