@@ -53,8 +53,8 @@ def read_records(path, *fields):
 
     ``where`` is ``path:lineno``. A line that is not valid JSON, not an
     object, or lacks one of ``fields`` raises DatasetError at ``where``.
-    When ``id`` is one of ``fields``, so does an id seen on an earlier line;
-    ids compare as strings.
+    When ``id`` is one of ``fields``, so does an empty id or one seen on an
+    earlier line; ids compare as strings.
     """
     expected = f"expected an object with {' and '.join(fields)}"
     seen_ids = set()
@@ -76,6 +76,8 @@ def read_records(path, *fields):
                 raise DatasetError(f"{where}: {expected}")
             if "id" in fields:
                 doc_id = str(obj["id"])
+                if not doc_id:
+                    raise DatasetError(f"{where}: id must be non-empty")
                 if doc_id in seen_ids:
                     raise DatasetError(f"{where}: duplicate id {doc_id!r}")
                 seen_ids.add(doc_id)
