@@ -24,7 +24,7 @@ import os
 import sys
 from dataclasses import asdict, fields
 
-from .config import EmbeddingConfig, ModelConfig, PredictConfig, TrainingConfig
+from .config import EmbeddingConfig, ModelConfig, PredictConfig, TrainingConfig, check_type
 from .fileio import read_json, read_records, string_list, write_json, write_jsonl
 
 # Config sections: key prefix -> dataclass. Every field is a key except the
@@ -48,8 +48,6 @@ ABLATIONS = {
 
 # The keys whose default is null, and the type of a value that is not.
 _NULLABLE = {"embedding.frozen_vectors": str}
-_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
-               str: "a string"}
 
 
 class CliError(RuntimeError):
@@ -99,33 +97,17 @@ def load_run_config(config_path=None, overrides=()):
             merged[key] = raw  # bare strings are fine unquoted
         except ValueError as exc:  # an integer past Python's digit limit
             raise CliError(f"--set {key}: {exc}")
-    _check_types(merged)
-    n = merged["threads"]
-    if n < 0:
-        raise CliError(f"threads must be a non-negative integer, got {n!r}")
-    for prefix in SECTIONS:  # each section checks its own ranges
-        try:
+    try:
+        for key, default in default_config().items():  # a _NULLABLE key may be null
+            if merged[key] is not None or key not in _NULLABLE:
+                check_type(key, merged[key], _NULLABLE.get(key, type(default)))
+        if merged["threads"] < 0:
+            raise ValueError(f"threads must be a non-negative integer, got {merged['threads']!r}")
+        for prefix in SECTIONS:  # each section checks its own ranges
             _section(merged, prefix)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     return merged
-
-
-def _check_types(cfg):
-    """Refuse a value whose type is not its key's; nothing is coerced.
-
-    An int key takes an int, a float key an int or a float, a bool key a bool
-    and a string key a string. True is an int in Python, so a bool is refused
-    wherever a number is wanted. A ``_NULLABLE`` key may also be null.
-    """
-    for key, default in default_config().items():
-        value = cfg[key]
-        if value is None and key in _NULLABLE:
-            continue
-        kind = _NULLABLE.get(key, type(default))
-        accepted = (int, float) if kind is float else kind
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-            raise CliError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
 def config_digest(cfg):
@@ -144,7 +126,8 @@ def _section(cfg, prefix):
     """The dataclass of section ``prefix`` built from the flat ``cfg`` alone.
 
     ``cfg`` is type-checked by load_run_config; an int given for a float
-    field becomes a float. The training seed is the top-level ``seed``.
+    field becomes a float (``check_type``). The training seed is the
+    top-level ``seed``.
     """
     values = {}
     for f in fields(SECTIONS[prefix]):
@@ -154,8 +137,7 @@ def _section(cfg, prefix):
         elif key == "train.seed":
             values[f.name] = cfg["seed"]
         else:
-            value = cfg[key]
-            values[f.name] = float(value) if type(f.default) is float else value
+            values[f.name] = check_type(key, cfg[key], type(f.default))
     return SECTIONS[prefix](**values)
 
 

@@ -2,16 +2,54 @@
 
 The CLI derives its flat dotted-key table ("model.filters": 64) from these
 fields, so this module must stay importable without numpy: ``--threads`` has
-to take effect before any BLAS library loads.
+to take effect before any BLAS library loads. ``check_type`` is the one type
+rule for a setting, whether it comes from the command line, a config file or
+a checkpoint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 VISUAL_DIM = 18
 MAX_SPAN_LENGTH = 5
 MAX_DOC_LENGTH = 256
+
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string"}
+
+
+def check_type(key, value, kind):
+    """``value``, made a float if ``kind`` is; ValueError naming ``key`` if it is not a ``kind``.
+
+    Nothing else is coerced. An int key takes an int, a float key an int or a
+    float, a bool key a bool and a string key a string. True is an int in
+    Python, so a bool is refused wherever a number is wanted.
+    """
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ValueError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _from_dict(cls, values, prefix):
+    """``cls`` built from ``values``, a mapping as ``asdict`` gives; ``prefix`` names its keys."""
+    if not isinstance(values, dict):
+        raise ValueError(f"{prefix} must be an object, got {values!r}")
+    known = {f.name: f for f in fields(cls)}
+    kwargs = {}
+    for name, value in values.items():
+        key = f"{prefix}.{name}"
+        if key == "embedding.visual_dim":  # older checkpoints record the fixed width
+            if value != VISUAL_DIM:
+                raise ValueError(f"visual_dim {value!r} is not {VISUAL_DIM}")
+        elif name not in known:
+            raise ValueError(f"unknown {prefix} key {name!r}")
+        elif known[name].default is MISSING:  # a nested section
+            kwargs[name] = _from_dict(known[name].default_factory, value, name)
+        else:
+            kwargs[name] = check_type(key, value, type(known[name].default))
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -61,9 +99,13 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        d["embedding"] = EmbeddingConfig(**d["embedding"])
-        return cls(**d)
+        """The config that ``asdict`` gave as ``d``, each value checked as a config file's is.
+
+        A missing key takes its default. An unknown key, or a value of the
+        wrong type (``check_type``) or out of range, raises ValueError naming
+        it, and so does an ``embedding.visual_dim`` other than 18.
+        """
+        return _from_dict(cls, d, "model")
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .config import VISUAL_DIM, ModelConfig
+from .config import ModelConfig
 from .documents import enumerate_spans
 from .embedding import TokenVocabulary, embed_document
+from .fileio import string_list
 from .registry import (
     CheckpointError,
     check_arrays,
@@ -220,22 +221,23 @@ class SpanScorer:
 
     @classmethod
     def load(cls, path):
-        """The model at ``path`` and its metadata; documents bring any frozen vectors."""
+        """The model at ``path`` and its metadata; documents bring any frozen vectors.
+
+        Metadata that describes no model (``ModelConfig.from_dict``), and
+        parameters that do not fit the model it describes, raise
+        CheckpointError naming ``path``.
+        """
         meta, arrays = load_checkpoint(path)
-        config = dict(meta["config"])
-        if config.pop("no_transformer", False):  # legacy spelling of layers=0
-            config["layers"] = 0
-            arrays = {n: a for n, a in arrays.items() if not n.startswith("transformer/")}
-        # older checkpoints record the visual width, which is fixed
-        config["embedding"] = dict(config["embedding"])
-        visual_dim = config["embedding"].pop("visual_dim", VISUAL_DIM)
-        if visual_dim != VISUAL_DIM:
-            raise CheckpointError(f"{path}: visual_dim {visual_dim!r} is not {VISUAL_DIM}")
-        config = ModelConfig.from_dict(config)
-        vocab = (
-            TokenVocabulary.from_list(meta["vocab"])
-            if meta.get("vocab") is not None
-            else None
-        )
-        model = cls(config, vocab=vocab, arrays=arrays)
-        return model, meta
+        try:
+            if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
+                raise ValueError("metadata has no config object")
+            config = dict(meta["config"])
+            if config.pop("no_transformer", False):  # legacy spelling of layers=0
+                config["layers"] = 0
+                arrays = {n: a for n, a in arrays.items() if not n.startswith("transformer/")}
+            vocab = meta.get("vocab")
+            if vocab is not None:
+                vocab = TokenVocabulary.from_list(string_list(vocab, "vocab", "metadata"))
+            return cls(ModelConfig.from_dict(config), vocab=vocab, arrays=arrays), meta
+        except (ValueError, CheckpointError) as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc

@@ -97,9 +97,12 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path} is not a checkpoint file")
         (version,) = struct.unpack("<I", take(4))
         if version != FORMAT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         (meta_len,) = struct.unpack("<Q", take(8))
-        metadata = json.loads(take(meta_len).decode("utf-8"))
+        try:
+            metadata = json.loads(take(meta_len).decode("utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise CheckpointError(f"{path}: metadata is not valid JSON: {exc}") from exc
         (n_records,) = struct.unpack("<Q", take(8))
         arrays = {}
         for _ in range(n_records):

@@ -1177,7 +1177,7 @@ class TestCheckpointMetadata:
         (lambda meta, arrays: meta["config"].update(filters=-8),
          "filters must be positive"),
         (lambda meta, arrays: meta["config"]["embedding"].update(visual_dim=20),
-         "embedding.visual_dim 20 is not 18"),
+         "visual_dim 20 is not 18"),
         (lambda meta, arrays: meta.update(vocab=5),
          "metadata: vocab must be a list of strings"),
         (lambda meta, arrays: meta.update(vocab=None),

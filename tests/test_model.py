@@ -365,7 +365,7 @@ class TestPersistence:
         self._edited_checkpoint(path, edit)
         with pytest.raises(CheckpointError) as exc:
             SpanScorer.load(path)
-        assert str(exc.value) == message
+        assert str(exc.value) == f"{path}: {message}"
 
     def test_save_writes_no_config_digest(self, tmp_path):
         # config_digest is the run config's, and only the CLI computes it
