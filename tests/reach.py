@@ -14,6 +14,11 @@ this trace cannot see, are listed in ``SUBPROCESS_ONLY`` with the test that
 runs them, and printed apart. The exit status is 1 when any other line is
 unreached, else 0; the suite's own pass or fail does not change it.
 
+CPython drops a trace function that raises, and one called for a frame made
+at the recursion limit does: a finalizer that the garbage collector runs
+inside a deep JSON parse, for one. So the trace is set again after any test
+that lost it, and that test is named, as the rest of it went untraced.
+
 Only the standard library and pytest are used: ``coverage`` is not needed.
 """
 
@@ -38,13 +43,16 @@ SUBPROCESS_ONLY = {
 
 
 def executable_lines(path):
-    """The line numbers ``co_lines()`` gives for ``path``'s code and every nested code object."""
+    """The line numbers ``co_lines()`` gives for ``path``'s code and every nested code object.
+
+    Line 0, where a module's code starts before its first line, is left out.
+    """
     with open(path, encoding="utf-8") as fh:
         code = compile(fh.read(), path, "exec")
     lines, stack = set(), [code]
     while stack:
         co = stack.pop()
-        lines.update(line for _, _, line in co.co_lines() if line is not None)
+        lines.update(line for _, _, line in co.co_lines() if line)
         stack.extend(c for c in co.co_consts if hasattr(c, "co_lines"))
     return lines
 
@@ -53,7 +61,8 @@ def traced(directory, run):
     """Call ``run()`` under a line trace of the files in ``directory``.
 
     Returns ``(run's result, {absolute path: set of reached line numbers})``.
-    The trace is on for this thread and every thread started meanwhile.
+    The trace is on for this thread and every thread started meanwhile; the
+    tracers set before are restored after.
     """
     prefix = os.path.join(os.path.abspath(directory), "")
     reached = {}
@@ -70,13 +79,14 @@ def traced(directory, run):
         reached.setdefault(path, set()).add(frame.f_lineno)
         return local
 
+    previous = sys.gettrace(), threading.gettrace()
     threading.settrace(call)
     sys.settrace(call)
     try:
         result = run()
     finally:
-        sys.settrace(None)
-        threading.settrace(None)
+        sys.settrace(previous[0])
+        threading.settrace(previous[1])
     return result, reached
 
 
@@ -95,6 +105,21 @@ def unreached(directory, reached):
     return missed
 
 
+class _Retrace:
+    """pytest plugin: sets the trace again after a test that lost it, and lists those tests."""
+
+    def __init__(self):
+        self.lost = []
+
+    def pytest_sessionstart(self):
+        self.tracer = sys.gettrace()
+
+    def pytest_runtest_teardown(self, item):
+        if sys.gettrace() is not self.tracer:
+            self.lost.append(item.nodeid)
+            sys.settrace(self.tracer)
+
+
 def main():
     import pytest
 
@@ -105,8 +130,11 @@ def main():
     argv = ["-q", "-p", "no:cacheprovider", "tests"]
     for test in DESELECTED:
         argv += ["--deselect", test]
-    status, reached = traced(PACKAGE, lambda: pytest.main(argv))
+    retrace = _Retrace()
+    status, reached = traced(PACKAGE, lambda: pytest.main(argv, plugins=[retrace]))
     print(f"pytest exit status {int(status)}")
+    for test in retrace.lost:
+        print(f"trace lost and set again after: {test}")
     missed, subprocess_only = [], []
     for path, line, text in unreached(PACKAGE, reached):
         where = f"{os.path.relpath(path, ROOT)}:{line}: {text}"

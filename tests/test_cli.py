@@ -355,6 +355,13 @@ class TestTopLevel:
         want = str(threads) if threads else None
         assert [os.environ.get(name) for name in names] == [want] * 3
 
+    def test_module_entry_point(self):
+        proc = subprocess.run([sys.executable, "-m", "kpex.cli", "--show-config"],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=SRC_DIR))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith(f"digest: {DEFAULT_DIGEST}\n")
+
     def test_console_script_installed(self):
         proc = subprocess.run(
             ["kpex", "--show-config"], capture_output=True, text=True, timeout=60
