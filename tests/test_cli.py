@@ -744,7 +744,8 @@ class TestTrainCli:
 
     def test_no_labeled_documents(self, tmp_path, capsys):
         data = str(tmp_path / "unlabeled.jsonl")
-        write_jsonl(data, [{"id": "a", "text": "w0 w1"}, {"id": "b", "text": "w2", "keyphrases": []}])
+        write_jsonl(data, [{"id": "a", "text": "w0 w1"},
+                           {"id": "b", "text": "w2", "keyphrases": []}])
         run_dir = str(tmp_path / "r")
         assert main(SMALL_MODEL + ["train", "--data", data, "--out", run_dir]) == 1
         assert capsys.readouterr().err == f"error: no labeled documents in {data}\n"
