@@ -1186,6 +1186,10 @@ class TestCheckpointMetadata:
          "filters must be positive"),
         (lambda meta, arrays: meta["config"]["embedding"].update(visual_dim=20),
          "visual_dim 20 is not 18"),
+        (lambda meta, arrays: meta["config"].update(model={"filters": 16}),
+         "unknown model key 'model'"),
+        (lambda meta, arrays: meta["config"]["embedding"].update(embedding={}),
+         "unknown embedding key 'embedding'"),
         (lambda meta, arrays: meta.update(vocab=5),
          "metadata: vocab must be a list of strings"),
         (lambda meta, arrays: meta.update(vocab=None),
@@ -1196,6 +1200,7 @@ class TestCheckpointMetadata:
          "parameter set mismatch: missing ['scorer/b3'], unknown []"),
     ], ids=["no-config", "config-list", "filters-string", "unknown-key",
             "token-dim-bool", "embedding-int", "filters-negative", "visual-dim",
+            "model-in-model", "embedding-in-embedding",
             "vocab-int", "vocab-null", "shape", "missing-array"])
     def test_bad_checkpoint_located(self, tmp_path, capsys, edit, reason):
         from dataclasses import asdict
