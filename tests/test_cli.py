@@ -213,6 +213,9 @@ class TestConfigTypes:
         ("train.lr_start", "0.01"),
         ("embedding.frozen_vectors", 1.5),
         ("embedding.source", 3),
+        ("train.lr_start", float("nan")),
+        ("train.lr_start", float("inf")),
+        pytest.param("model.dropout", 10**400, id="model.dropout-10**400"),  # past float range
     ]
 
     @staticmethod
@@ -1184,6 +1187,8 @@ class TestCheckpointMetadata:
          "embedding must be an object, got 4"),
         (lambda meta, arrays: meta["config"].update(filters=-8),
          "filters must be positive"),
+        (lambda meta, arrays: meta["config"].update(dropout=10**400),
+         f"model.dropout must be a finite number, got {10**400}"),
         (lambda meta, arrays: meta["config"]["embedding"].update(visual_dim=20),
          "visual_dim 20 is not 18"),
         (lambda meta, arrays: meta["config"].update(model={"filters": 16}),
@@ -1199,8 +1204,8 @@ class TestCheckpointMetadata:
         (lambda meta, arrays: arrays.pop("scorer/b3"),
          "parameter set mismatch: missing ['scorer/b3'], unknown []"),
     ], ids=["no-config", "config-list", "filters-string", "unknown-key",
-            "token-dim-bool", "embedding-int", "filters-negative", "visual-dim",
-            "model-in-model", "embedding-in-embedding",
+            "token-dim-bool", "embedding-int", "filters-negative", "dropout-overflow",
+            "visual-dim", "model-in-model", "embedding-in-embedding",
             "vocab-int", "vocab-null", "shape", "missing-array"])
     def test_bad_checkpoint_located(self, tmp_path, capsys, edit, reason):
         from dataclasses import asdict
