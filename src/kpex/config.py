@@ -9,27 +9,32 @@ a checkpoint.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 
 VISUAL_DIM = 18
 MAX_SPAN_LENGTH = 5
 MAX_DOC_LENGTH = 256
 
-_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
                str: "a string"}
 
 
 def check_type(key, value, kind):
     """``value``, made a float if ``kind`` is; ValueError naming ``key`` if it is not a ``kind``.
 
-    Nothing else is coerced. An int key takes an int, a float key an int or a
-    float, a bool key a bool and a string key a string. True is an int in
-    Python, so a bool is refused wherever a number is wanted.
+    Nothing else is coerced. An int key takes an int, a float key a finite
+    int or float (not NaN, infinite or past float range), a bool key a bool
+    and a string key a string. True is an int in Python, so a bool is refused
+    wherever a number is wanted.
     """
     accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise ValueError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
-    return float(value) if kind is float else value
+    if isinstance(value, bool) == (kind is bool) and isinstance(value, accepted):
+        if kind is not float:
+            return value
+        if abs(value) <= sys.float_info.max:  # exact for an int, False for NaN
+            return float(value)
+    raise ValueError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
 
 
 def _from_dict(cls, values, prefix):
