@@ -43,6 +43,10 @@ def _bad_lines():
                                id=f"{name}-duplicate-id")
             yield pytest.param(name, {"id": "", **record}, "id must be non-empty",
                                id=f"{name}-empty-id")
+            for label, bad in (("null", None), ("bool", True), ("object", {"a": 1}),
+                               ("float", 2.5)):
+                yield pytest.param(name, {"id": bad, **record},
+                                   "id must be a string or an integer", id=f"{name}-{label}-id")
 
 
 @pytest.mark.parametrize("reader,line,message", _bad_lines())
