@@ -268,7 +268,7 @@ def cmd_build_qp(args, cfg):
     records = list(read_records(args.docs, "id", "text"))
     docs, ingest = dataset_from_records(records)
     _report_empty(ingest)
-    raw_by_id = {str(obj["id"]): obj for _, obj in records}
+    raw_by_id = {obj["id"]: obj for _, obj in records}
     log = read_query_log(args.clicks)
     blocklist = load_blocklist(args.blocklist) if args.blocklist else None
     examples, stats = build_qp_dataset(

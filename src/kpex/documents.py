@@ -261,7 +261,7 @@ def dataset_from_records(records):
     docs = []
     report = IngestReport()
     for where, obj in records:
-        doc_id = str(obj["id"])
+        doc_id = obj["id"]
         if not isinstance(obj["text"], str):
             raise DatasetError(f"{where}: text must be a string")
         phrases = obj.get("keyphrases")

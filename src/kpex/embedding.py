@@ -83,7 +83,7 @@ def attach_vectors(docs, path, token_dim):
     """
     found = {}
     for where, obj in read_records(path, "id", "vectors"):
-        doc_id = str(obj["id"])
+        doc_id = obj["id"]
         where = f"{where}: document {doc_id!r}"
         found[doc_id] = where, float_rows(obj["vectors"], "vectors", token_dim, where)
     attached = []

@@ -53,8 +53,9 @@ def read_records(path, *fields):
 
     ``where`` is ``path:lineno``. A line that is not valid JSON, not an
     object, or lacks one of ``fields`` raises DatasetError at ``where``.
-    When ``id`` is one of ``fields``, so does an empty id or one seen on an
-    earlier line; ids compare as strings.
+    When ``id`` is one of ``fields``, so does an id that is not a JSON string
+    or integer, an empty id or one seen on an earlier line; the object's id
+    is yielded as a string, so ids compare as strings.
     """
     expected = f"expected an object with {' and '.join(fields)}"
     seen_ids = set()
@@ -75,7 +76,10 @@ def read_records(path, *fields):
             if not isinstance(obj, dict) or any(f not in obj for f in fields):
                 raise DatasetError(f"{where}: {expected}")
             if "id" in fields:
-                doc_id = str(obj["id"])
+                doc_id = obj["id"]
+                if isinstance(doc_id, bool) or not isinstance(doc_id, (str, int)):
+                    raise DatasetError(f"{where}: id must be a string or an integer")
+                doc_id = obj["id"] = str(doc_id)
                 if not doc_id:
                     raise DatasetError(f"{where}: id must be non-empty")
                 if doc_id in seen_ids:

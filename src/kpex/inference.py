@@ -185,5 +185,5 @@ def read_predictions(path):
                 "with finite number scores"
             )
         pairs = tuple((phrase, float(score)) for phrase, score in phrases)
-        predictions.append(Prediction(str(obj["id"]), pairs))
+        predictions.append(Prediction(obj["id"], pairs))
     return predictions

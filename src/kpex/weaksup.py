@@ -25,7 +25,7 @@ from .fileio import read_lines, read_records, string_list
 
 def read_query_log(path):
     """Load a JSONL click log of {"id": str, "queries": [str, ...]}."""
-    return {str(obj["id"]): string_list(obj["queries"], "queries", where)
+    return {obj["id"]: string_list(obj["queries"], "queries", where)
             for where, obj in read_records(path, "id", "queries")}
 
 
