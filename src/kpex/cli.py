@@ -22,21 +22,10 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
-from .config import EmbeddingConfig, ModelConfig, PredictConfig, TrainingConfig, check_type
+from .config import check_type, defaults, section, settings
 from .fileio import read_json, read_records, string_list, write_json, write_jsonl
-
-# Config sections: key prefix -> dataclass. Every field is a key except the
-# nested embedding section and the training seed, which the top-level "seed"
-# feeds.
-SECTIONS = {
-    "model": ModelConfig,
-    "embedding": EmbeddingConfig,
-    "train": TrainingConfig,
-    "predict": PredictConfig,
-}
-_NOT_KEYS = ("model.embedding", "train.seed")
 
 # The paper's ablation names, as the --set items that --ablate stands for.
 ABLATIONS = {
@@ -46,27 +35,8 @@ ABLATIONS = {
 }
 
 
-# The keys whose default is null, and the type of a value that is not.
-_NULLABLE = {"embedding.frozen_vectors": str}
-
-
 class CliError(RuntimeError):
     pass
-
-
-def default_config():
-    """Every config key with its default, read off the config dataclasses."""
-    cfg = {
-        "seed": TrainingConfig.seed,
-        "threads": 0,  # 0 = leave the BLAS thread pool alone
-        "embedding.frozen_vectors": None,  # a file path, not a model setting
-    }
-    for prefix, cls in SECTIONS.items():
-        for f in fields(cls):
-            key = f"{prefix}.{f.name}"
-            if key not in _NOT_KEYS:
-                cfg[key] = f.default
-    return cfg
 
 
 def load_run_config(config_path=None, overrides=()):
@@ -76,7 +46,7 @@ def load_run_config(config_path=None, overrides=()):
     items, then those the shortcut flags stand for (see ``main``). Every
     value's type and every section's ranges are checked here.
     """
-    merged = default_config()
+    merged = defaults()
     if config_path:
         file_cfg = read_json(config_path)
         if not isinstance(file_cfg, dict):
@@ -98,13 +68,12 @@ def load_run_config(config_path=None, overrides=()):
         except ValueError as exc:  # an integer past Python's digit limit
             raise CliError(f"--set {key}: {exc}")
     try:
-        for key, default in default_config().items():  # a _NULLABLE key may be null
-            if merged[key] is not None or key not in _NULLABLE:
-                check_type(key, merged[key], _NULLABLE.get(key, type(default)))
-        if merged["threads"] < 0:
+        if check_type("threads", merged["threads"], int) < 0:
             raise ValueError(f"threads must be a non-negative integer, got {merged['threads']!r}")
-        for prefix in SECTIONS:  # each section checks its own ranges
-            _section(merged, prefix)
+        if merged["embedding.frozen_vectors"] is not None:
+            check_type("embedding.frozen_vectors", merged["embedding.frozen_vectors"], str)
+        for prefix in ("model", "train", "predict"):  # model holds embedding
+            section(merged, prefix)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     return merged
@@ -120,25 +89,6 @@ def _apply_threads(cfg):
     if n > 0:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(n)
-
-
-def _section(cfg, prefix):
-    """The dataclass of section ``prefix`` built from the flat ``cfg`` alone.
-
-    ``cfg`` is type-checked by load_run_config; an int given for a float
-    field becomes a float (``check_type``). The training seed is the
-    top-level ``seed``.
-    """
-    values = {}
-    for f in fields(SECTIONS[prefix]):
-        key = f"{prefix}.{f.name}"
-        if f.name in SECTIONS:
-            values[f.name] = _section(cfg, f.name)
-        elif key == "train.seed":
-            values[f.name] = cfg["seed"]
-        else:
-            values[f.name] = check_type(key, cfg[key], type(f.default))
-    return SECTIONS[prefix](**values)
 
 
 def _shortcut_items(args):
@@ -216,12 +166,9 @@ def _load_model(cfg, path):
 
     path = _resolve_checkpoint(path)
     model, _ = SpanScorer.load(path)
-    settings = asdict(model.config)
-    found = {f"embedding.{k}": v for k, v in settings.pop("embedding").items()}
-    found.update((f"model.{k}", v) for k, v in settings.items())
-    defaults = default_config()
-    for key, have in found.items():
-        if cfg[key] not in (defaults[key], have):
+    default = defaults()
+    for key, have in settings(model.config, "model").items():
+        if cfg[key] not in (default[key], have):
             raise CliError(f"requested {key}={json.dumps(cfg[key])}, but checkpoint "
                            f"{path} has {key}={json.dumps(have)}")
         cfg[key] = have
@@ -305,11 +252,11 @@ def _run_train(args, cfg):
     labeled = [d for d in docs if d.keyphrases]
     if not labeled:
         raise CliError(f"no labeled documents in {args.data}")
-    train_cfg = _section(cfg, "train")
+    train_cfg = section(cfg, "train")
     if args.init:
         model = _load_model(cfg, args.init)
     else:
-        model_cfg = _section(cfg, "model")
+        model_cfg = section(cfg, "model")
         vocab = None
         if model_cfg.embedding.source == "trainable":
             vocab = TokenVocabulary.build(
@@ -362,7 +309,7 @@ def cmd_predict(args, cfg):
     from .documents import read_dataset, truncate
     from .inference import chunk_and_merge, dedup_substrings, predict_topk, write_predictions
 
-    predict_cfg = _section(cfg, "predict")
+    predict_cfg = section(cfg, "predict")
     model = _load_model(cfg, args.model)
     docs, ingest = read_dataset(args.data)
     _report_empty(ingest)
@@ -485,7 +432,7 @@ def cmd_gradcheck(args, cfg):
 
     if args.samples < 1:
         raise CliError(f"--samples must be at least 1, got {args.samples}")
-    model_cfg = _section(cfg, "model")
+    model_cfg = section(cfg, "model")
     if model_cfg.embedding.source != "trainable":
         raise CliError("gradcheck runs on the trainable-embedding configuration")
     doc, target = gradcheck_example(seed=cfg["seed"],

@@ -1,16 +1,16 @@
 """Configuration dataclasses: the one place a setting and its default are written.
 
-The CLI derives its flat dotted-key table ("model.filters": 64) from these
-fields, so this module must stay importable without numpy: ``--threads`` has
-to take effect before any BLAS library loads. ``check_type`` is the one type
-rule for a setting, whether it comes from the command line, a config file or
-a checkpoint.
+It owns the flat dotted-key table ("model.filters": 64): ``defaults``,
+``settings`` and ``section`` walk it, so it must stay importable without
+numpy, as ``--threads`` has to take effect before any BLAS library loads.
+``check_type`` is the one type rule for a setting, whether it comes from the
+command line, a config file or a checkpoint.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 VISUAL_DIM = 18
 MAX_SPAN_LENGTH = 5
@@ -35,26 +35,6 @@ def check_type(key, value, kind):
         if abs(value) <= sys.float_info.max:  # exact for an int, False for NaN
             return float(value)
     raise ValueError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
-
-
-def _from_dict(cls, values, prefix):
-    """``cls`` built from ``values``, a mapping as ``asdict`` gives; ``prefix`` names its keys."""
-    if not isinstance(values, dict):
-        raise ValueError(f"{prefix} must be an object, got {values!r}")
-    known = {f.name: f for f in fields(cls)}
-    kwargs = {}
-    for name, value in values.items():
-        key = f"{prefix}.{name}"
-        if key == "embedding.visual_dim":  # older checkpoints record the fixed width
-            if value != VISUAL_DIM:
-                raise ValueError(f"visual_dim {value!r} is not {VISUAL_DIM}")
-        elif name not in known:
-            raise ValueError(f"unknown {prefix} key {name!r}")
-        elif known[name].default is MISSING:  # a nested section
-            kwargs[name] = _from_dict(known[name].default_factory, value, name)
-        else:
-            kwargs[name] = check_type(key, value, type(known[name].default))
-    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -110,7 +90,20 @@ class ModelConfig:
         wrong type (``check_type``) or out of range, raises ValueError naming
         it, and so does an ``embedding.visual_dim`` other than 18.
         """
-        return _from_dict(cls, d, "model")
+        cfg = settings(cls(), "model")  # the model's keys, at their defaults
+        for prefix, values in (("model", d), ("embedding", d.get("embedding", {}))):
+            if not isinstance(values, dict):
+                raise ValueError(f"{prefix} must be an object, got {values!r}")
+            for name, value in values.items():
+                key = f"{prefix}.{name}"
+                if key in cfg:
+                    cfg[key] = value
+                elif key == "embedding.visual_dim":  # older checkpoints record the fixed width
+                    if value != VISUAL_DIM:
+                        raise ValueError(f"visual_dim {value!r} is not {VISUAL_DIM}")
+                elif key != "model.embedding":  # the nested section, walked second
+                    raise ValueError(f"unknown {prefix} key {name!r}")
+        return section(cfg, "model")
 
 
 @dataclass(frozen=True)
@@ -150,3 +143,53 @@ class PredictConfig:
             raise ValueError("top_k must be at least 1")
         if not 0.0 < self.chunk_weight <= 1.0:
             raise ValueError("chunk_weight must be in (0, 1]")
+
+
+# Key prefix -> section dataclass. A field is the key "<prefix>.<field>", but
+# the model's embedding section has its own prefix and the training seed is "seed".
+SECTIONS = {
+    "model": ModelConfig,
+    "embedding": EmbeddingConfig,
+    "train": TrainingConfig,
+    "predict": PredictConfig,
+}
+
+
+def _key(prefix, name):
+    return "seed" if (prefix, name) == ("train", "seed") else f"{prefix}.{name}"
+
+
+def settings(config, prefix):
+    """The flat keys of ``config``, a dataclass of section ``prefix``, with its values."""
+    found = {}
+    for f in fields(config):
+        if f.name in SECTIONS:  # the model's embedding section
+            found.update(settings(getattr(config, f.name), f.name))
+        else:
+            found[_key(prefix, f.name)] = getattr(config, f.name)
+    return found
+
+
+def defaults():
+    """Every config key with its default."""
+    cfg = {"threads": 0,  # 0 = leave the BLAS thread pool alone
+           "embedding.frozen_vectors": None}  # a file path, not a model setting
+    for prefix in ("model", "train", "predict"):  # model holds embedding
+        cfg.update(settings(SECTIONS[prefix](), prefix))
+    return cfg
+
+
+def section(cfg, prefix):
+    """The dataclass of section ``prefix`` built from the flat ``cfg`` alone.
+
+    Each value passes ``check_type`` (an int given for a float field becomes
+    a float) and then the dataclass's range checks, or raises ValueError.
+    """
+    values = {}
+    for f in fields(SECTIONS[prefix]):
+        if f.name in SECTIONS:
+            values[f.name] = section(cfg, f.name)
+        else:
+            key = _key(prefix, f.name)
+            values[f.name] = check_type(key, cfg[key], type(f.default))
+    return SECTIONS[prefix](**values)
