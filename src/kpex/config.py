@@ -29,12 +29,10 @@ def check_type(key, value, kind):
     wherever a number is wanted.
     """
     accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) == (kind is bool) and isinstance(value, accepted):
-        if kind is not float:
-            return value
-        if abs(value) <= sys.float_info.max:  # exact for an int, False for NaN
-            return float(value)
-    raise ValueError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    if (isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted)
+            or kind is float and not abs(value) <= sys.float_info.max):  # exact; NaN fails
+        raise ValueError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 @dataclass(frozen=True)
