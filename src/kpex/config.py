@@ -30,7 +30,7 @@ def check_type(key, value, kind):
     """
     accepted = (int, float) if kind is float else kind
     if (isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted)
-            or kind is float and not abs(value) <= sys.float_info.max):  # exact; NaN fails
+            or kind is float and not abs(value) <= sys.float_info.max):  # NaN compares false
         raise ValueError(f"{key} must be {_TYPE_NAMES[kind]}, got {value!r}")
     return float(value) if kind is float else value
 
